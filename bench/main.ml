@@ -20,7 +20,7 @@
      chars    — characterisation checks (C1–C4, E1–E6 artefacts)
      ablation — design-choice ablations from DESIGN.md
      micro    — bechamel micro-benchmarks (one group per table)
-     search   — seq/inc/par valuation-search strategies (BENCH_search.json)
+     search   — seq/par valuation-search strategies (BENCH_search.json)
      match    — compiled match kernel vs naive oracle (BENCH_match.json)
      mine     — constraint mining seq vs pool-parallel (BENCH_mine.json)
      load     — streaming columnar ingest vs slurp baseline (BENCH_load.json)
@@ -578,7 +578,7 @@ let ablation () =
     (Rcdp.decide ~collect_stats:stats ~schema:Crm.db_schema ~master
        ~ccs:[ Crm.cc_domestic_customers ] ~db (Lang.Q_cq Crm.q0));
   Printf.printf
-    "  C2 pruning  : %d leaves visited, %d subtrees pruned by incremental CC checks\n"
+    "  C2 pruning  : %d leaves visited, %d subtrees pruned by CC checks\n"
     !stats.Rcdp.valuations_visited !stats.Rcdp.branches_pruned
 
 (* ================================================================== *)
@@ -630,19 +630,20 @@ let micro () =
     (List.sort compare rows)
 
 (* ================================================================== *)
-(* Search modes: seq vs inc vs par                                     *)
+(* Search modes: seq vs par                                            *)
 (* ================================================================== *)
 
 (* One machine-readable artefact, BENCH_search.json: fixed-step-budget
-   throughput of the three valuation-search strategies on the hostile
-   scenarios/hard.ric instance (every mode performs the same number of
-   search steps, so steps-per-second isolates the per-candidate
-   constraint-checking cost the incremental checker removes), plus a
-   verdict-agreement sweep over every scenario file — the strategies
-   must be distinguishable only by speed, never by verdict. *)
+   throughput of the two valuation-search strategies on the hostile
+   scenarios/hard.ric instance (both modes perform the same number of
+   search steps, so steps-per-second isolates the per-step cost), plus
+   a verdict-agreement sweep over every scenario file — the strategies
+   must be distinguishable only by speed, never by verdict.  The host's
+   core count is recorded with the figures: the par numbers mean
+   nothing without it. *)
 
 let search_bench () =
-  hr "Search modes (seq / inc / par) on scenarios/hard.ric";
+  hr "Search modes (seq / par) on scenarios/hard.ric";
   let module Scenario = Ric_text.Scenario in
   let module Json = Ric_text.Json in
   let dir =
@@ -655,7 +656,7 @@ let search_bench () =
     | Some s -> (try int_of_string (String.trim s) with Failure _ -> 400_000)
     | None -> 400_000
   in
-  let modes = [ Search_mode.Seq; Search_mode.Inc; Search_mode.Par 4 ] in
+  let modes = [ Search_mode.Seq; Search_mode.Par 4 ] in
   let decide_labelled ~clock ~search (s : Scenario.t) q =
     match
       Rcdp.decide ~clock ~search ~schema:s.Scenario.db_schema ~master:s.Scenario.master
@@ -742,8 +743,8 @@ let search_bench () =
     | None -> nan
   in
   let speedup m = sps_of m /. sps_of Search_mode.Seq in
-  Printf.printf "  speedup vs seq: inc %.2fx, par:4 %.2fx (best paired round %.2fx)\n"
-    (speedup Search_mode.Inc) (speedup (Search_mode.Par 4)) !pair_ratio;
+  Printf.printf "  speedup vs seq: par:4 %.2fx (best paired round %.2fx)\n"
+    (speedup (Search_mode.Par 4)) !pair_ratio;
   (* scaling sweep: RIC_SEARCH_FORCE_WORKERS un-clamps the worker count
      so par:N really spawns N domains even on a small host.  On a
      1-core box wall clock cannot scale — what the sweep asserts is
@@ -856,6 +857,7 @@ let search_bench () =
         ("scenario", Json.Str "scenarios/hard.ric");
         ("query", Json.Str "QH");
         ("step_cap", Json.Int step_cap);
+        ("nproc", Json.Int (Stdlib.Domain.recommended_domain_count ()));
         ( "modes",
           Json.List
             (List.map
@@ -871,7 +873,6 @@ let search_bench () =
                        Json.Str (Printf.sprintf "%.2f" lock_per_msteps) );
                    ])
                runs) );
-        ("speedup_inc_vs_seq", Json.Str (Printf.sprintf "%.2f" (speedup Search_mode.Inc)));
         ("speedup_par_vs_seq", Json.Str (Printf.sprintf "%.2f" (speedup (Search_mode.Par 4))));
         ( "par_vs_seq_best_round_ratio_pct",
           Json.Int (int_of_float (100. *. !pair_ratio)) );

@@ -174,9 +174,10 @@ let search_conv =
   Arg.conv ~docv:"MODE" (parse, print)
 
 let search_doc =
-  "Valuation-search strategy: $(b,seq) (baseline), $(b,inc) (incremental \
-   constraint checking), $(b,par) or $(b,par:N) (incremental + N-way parallel \
-   first-level split; verdicts are identical across modes)"
+  "Valuation-search strategy: $(b,seq) (one domain) or $(b,par) / \
+   $(b,par:N) (N worker domains sharing the search tree); both use the same \
+   constraint checker and return identical verdicts.  $(b,inc), a retired \
+   mode, is accepted as an alias for $(b,seq)"
 
 let search_arg =
   Arg.(value & opt search_conv Search_mode.Seq & info [ "search" ] ~doc:search_doc)

@@ -104,7 +104,7 @@ let dynamic_ccs ccs rels =
    (condition C2, Proposition 3.3) to [μ(T_Q)] alone (condition C3,
    Corollary 3.4 — valid when every CC is an IND). *)
 
-let search_disjunct ~clock ~search ~checker ~profile ~master ~dyn_ccs
+let search_disjunct ~clock ~search ~profile ~master ~dyn_ccs
     ~ind_mode ~db ~qd ~adom ~visited ~pruned ~disjunct (tab : Tableau.t) =
   let found = ref None in
   let mode = if ind_mode then `Delta_only else `Against_base db in
@@ -112,11 +112,10 @@ let search_disjunct ~clock ~search ~checker ~profile ~master ~dyn_ccs
     match search with
     | Search_mode.Par domains when domains > 1 ->
       Valuation_search.iter_valid_par ~domains
-    | Search_mode.Seq | Search_mode.Inc | Search_mode.Par _ ->
-      Valuation_search.iter_valid
+    | Search_mode.Seq | Search_mode.Par _ -> Valuation_search.iter_valid
   in
   let (_ : bool) =
-    iter ~budget:clock ?checker ?profile ~master ~ccs:dyn_ccs ~mode ~adom
+    iter ~budget:clock ?profile ~master ~ccs:dyn_ccs ~mode ~adom
       ~on_prune:(fun () -> incr pruned)
       tab
       (fun mu delta ->
@@ -181,18 +180,10 @@ let decide_ucq_with ~ind_mode ?(clock = Budget.unlimited)
     |> List.sort_uniq String.compare
   in
   let dyn_ccs = dynamic_ccs ccs tab_rels in
-  let checker =
-    match search with
-    | Search_mode.Seq -> None
-    | Search_mode.Inc | Search_mode.Par _ ->
-      Some (Incremental.create ~schema ~master dyn_ccs)
-  in
   (match profile with
    | Some p ->
      Ric_obs.Profile.note p "decider" "rcdp";
-     Ric_obs.Profile.note p "mode" (Search_mode.to_string search);
-     Ric_obs.Profile.note p "checker"
-       (match checker with Some _ -> "incremental" | None -> "compiled")
+     Ric_obs.Profile.note p "mode" (Search_mode.to_string search)
    | None -> ());
   let visited = ref 0 and pruned = ref 0 in
   let record_stats () =
@@ -215,7 +206,7 @@ let decide_ucq_with ~ind_mode ?(clock = Budget.unlimited)
         Trace.with_span "rcdp.disjunct" @@ fun dsp ->
         Trace.set_int dsp "disjunct" i;
         let r =
-          search_disjunct ~clock ~search ~checker ~profile ~master ~dyn_ccs
+          search_disjunct ~clock ~search ~profile ~master ~dyn_ccs
             ~ind_mode ~db ~qd ~adom ~visited ~pruned ~disjunct:i tab
         in
         Trace.set_bool dsp "counterexample" (r <> None);
@@ -313,9 +304,9 @@ let semi_decide ?(clock = Budget.unlimited) ?(max_tuples = 2) ?(fresh_values = 2
   in
   let candidates = Array.of_list candidate_tuples in
   let qd = Lang.eval db q in
-  (* one compiled checker over the fixed base for the whole subset
-     enumeration: RHS projections cached, deltas joined as overlays *)
-  let comp = Compiled.create ~base:db ~master ccs in
+  (* one checker for the whole subset enumeration: RHS projections
+     cached, [db] indexed once, deltas joined as overlays *)
+  let chk = Checker.create ~master ccs in
   let found = ref None in
   (* Enumerate subsets of at most [max_tuples] candidates (indices
      strictly increasing), smallest first. *)
@@ -326,7 +317,7 @@ let semi_decide ?(clock = Budget.unlimited) ?(max_tuples = 2) ?(fresh_values = 2
       if count > 0 then begin
         let combined = Database.union db delta in
         if
-          Compiled.check comp ~db:combined ~delta
+          Checker.check chk ~base:db ~delta = None
           && not (Relation.equal (Lang.eval combined q) qd)
         then begin
           (* shrink to the answer tuple difference for the report *)

@@ -44,7 +44,7 @@ type verdict =
 
 type stats = {
   valuations_visited : int;  (** leaves of the search tree *)
-  branches_pruned : int;     (** subtrees cut by the incremental CC check *)
+  branches_pruned : int;     (** subtrees cut by the CC check *)
 }
 
 val decide :
@@ -77,7 +77,7 @@ val decide :
 
     [profile] (explain mode) accumulates a request-scoped explain
     profile: per-search-level step and prune counts, per-constraint
-    prune attribution, and decider/mode/checker notes — see
+    prune attribution, and decider/mode notes — see
     {!Ric_obs.Profile}.  Partial counts survive budget exhaustion.
     When omitted (the default) the hot path pays one option match per
     candidate and allocates nothing.

@@ -162,7 +162,7 @@ let occurrences (tab : Tableau.t) x =
 (* ------------------------------------------------------------------ *)
 (* LC = INDs: Proposition 4.3 / Theorem 4.5(1).  Exact and cheap. *)
 
-let ind_witness ~clock ?checker ?profile ~budget ~schema ~master ~ccs ~adom tableaux =
+let ind_witness ~clock ?profile ~budget ~schema ~master ~ccs ~adom tableaux =
   let module VS = Set.Make (Value) in
   let witness = ref (Database.empty schema) in
   let count = ref 0 in
@@ -180,7 +180,7 @@ let ind_witness ~clock ?checker ?profile ~budget ~schema ~master ~ccs ~adom tabl
       let covered : (string, VS.t) Hashtbl.t = Hashtbl.create 8 in
       let got_any = ref false in
       let (_ : bool) =
-        Valuation_search.iter_valid ~budget:clock ?checker ?profile ~master ~ccs
+        Valuation_search.iter_valid ~budget:clock ?profile ~master ~ccs
           ~mode:`Delta_only ~adom tab
           (fun mu delta ->
             incr count;
@@ -255,25 +255,11 @@ let decide_ind_core ~clock ~search ~profile ~schema ~master ~inds q =
   Budget.check_now clock;
   let ucq = as_ucq_or_raise "RCQP" q in
   let ccs = List.map (Ind.to_cc schema) inds in
-  (* RCQP has no single top-level fan-out point, so [Par] runs as the
-     incremental mode inside this decider; only the RCDP verification
-     of candidate witnesses sees the same mapping. *)
-  let checker =
-    match search with
-    | Search_mode.Seq -> None
-    | Search_mode.Inc | Search_mode.Par _ ->
-      Some (Incremental.create ~schema ~master ccs)
-  in
   (match profile with
    | Some p ->
      Profile.note p "decider" "rcqp_ind";
-     Profile.note p "mode" (Search_mode.to_string search);
-     Profile.note p "checker"
-       (match checker with Some _ -> "incremental" | None -> "compiled")
+     Profile.note p "mode" (Search_mode.to_string search)
    | None -> ());
-  let inner_search =
-    match search with Search_mode.Par _ -> Search_mode.Inc | s -> s
-  in
   let tableaux = satisfiable_tableaux schema ucq in
   if tableaux = [] then
     Nonempty
@@ -286,8 +272,8 @@ let decide_ind_core ~clock ~search ~profile ~schema ~master ~inds q =
     let live =
       List.filter
         (fun tab ->
-          Valuation_search.iter_valid ~budget:clock ?checker ?profile ~master
-            ~ccs ~mode:`Delta_only ~adom tab
+          Valuation_search.iter_valid ~budget:clock ?profile ~master ~ccs
+            ~mode:`Delta_only ~adom tab
             (fun _ _ -> true))
         tableaux
     in
@@ -330,14 +316,14 @@ let decide_ind_core ~clock ~search ~profile ~schema ~master ~inds q =
           }
       | None ->
         let witness =
-          ind_witness ~clock ?checker ?profile ~budget:default_budget ~schema
+          ind_witness ~clock ?profile ~budget:default_budget ~schema
             ~master ~ccs ~adom live
         in
         let witness =
           match witness with
           | Some w
             when Containment.holds_all ~db:w ~master ccs
-                 && Rcdp.decide ~clock ~search:inner_search ?profile ~schema
+                 && Rcdp.decide ~clock ~search ?profile ~schema
                       ~master ~ccs ~db:w q
                     = Rcdp.Complete ->
             Some w
@@ -417,23 +403,36 @@ let visible_columns cc_tableaux =
     cc_tableaux;
   fun rel i -> Hashtbl.mem visible (rel, i)
 
-let candidate_pool ?(truncate = false) ?(clock = Budget.unlimited) ?checker
-    ?profile ~budget ~schema ~master ~adom ccs =
+(* [fold_tuples f db init] folds [f rel tuple] over every tuple of
+   [db]. *)
+let fold_tuples f db init =
+  Database.fold (fun rel r acc -> Relation.fold (f rel) r acc) db init
+
+(* RCQP's own consistency checks grow databases from the empty one, a
+   tuple at a time, so each is a delta check on a consistent parent.
+   The constraints are monotone: when the empty database violates one,
+   every database does, and nothing is consistent. *)
+type consistency = {
+  chk : Checker.t;
+  empty_ok : bool Lazy.t;
+}
+
+let consistency ~schema ~master ccs =
+  let chk = Checker.create ~master ccs in
+  let empty = Database.empty schema in
+  { chk; empty_ok = lazy (Checker.check chk ~base:empty ~delta:empty = None) }
+
+(* [base ∪ delta] is a consistent state plus [tuple] inserted into
+   [rel]: is it still consistent? *)
+let consistent_add cons ~base ~delta rel tuple =
+  Lazy.force cons.empty_ok
+  && Checker.check_add cons.chk ~base ~delta ~rel ~tuple = None
+
+let candidate_pool ?(truncate = false) ?(clock = Budget.unlimited) ?profile
+    ~cons ~budget ~schema ~adom ccs =
   Trace.with_span "rcqp.candidate_pool" @@ fun sp ->
   Trace.set_bool sp "truncating" truncate;
-  (* a singleton's parent state is the empty database, so the delta
-     check applies whenever the empty database is consistent; both
-     paths run on the compiled kernel with the singleton as the
-     interned overlay over an empty base *)
   let empty_db = Database.empty schema in
-  let empty_comp = lazy (Compiled.create ~base:empty_db ~master ccs) in
-  let singleton_ok single rel tuple =
-    match checker with
-    | Some inc when Incremental.empty_ok inc ->
-      Incremental.check_add_overlay inc ~base:empty_db ~delta:single ~db:single
-        ~rel ~tuple
-    | _ -> Compiled.check (Lazy.force empty_comp) ~db:single ~delta:single
-  in
   let pool = ref [] in
   let count = ref 0 in
   let ticks = ref 0 in
@@ -501,10 +500,11 @@ let candidate_pool ?(truncate = false) ?(clock = Budget.unlimited) ?checker
                       (* keep only candidates that are consistent on
                          their own; a violating singleton can never be
                          part of a consistent set *)
-                      let single =
-                        Database.add_tuple (Database.empty schema) a.Atom.rel tuple
-                      in
-                      if singleton_ok single a.Atom.rel tuple then begin
+                      let single = Database.add_tuple empty_db a.Atom.rel tuple in
+                      if
+                        consistent_add cons ~base:empty_db ~delta:single
+                          a.Atom.rel tuple
+                      then begin
                         let summary =
                           List.filter_map
                             (fun t ->
@@ -556,7 +556,7 @@ type e2_witness = {
    valid valuation [μ] that stays live — [(D_V ∪ μ(T), Dm) ⊨ V] — may
    leave such a variable outside [bvals].  Returns the first offending
    live valuation, or [None] when the condition holds. *)
-let e2_condition ~clock ~checker ~profile ~master ~ccs ~adom ~reserved
+let e2_condition ~clock ~profile ~master ~ccs ~adom ~reserved
     ~tableaux ~dv ~bvals =
   (* Witness preference: a live valuation whose stray output values
      all come from the reserved query-tier fresh values can never be
@@ -575,8 +575,8 @@ let e2_condition ~clock ~checker ~profile ~master ~ccs ~adom ~reserved
         | inf_vars ->
           let found_any = ref false in
           let (_ : bool) =
-            Valuation_search.iter_valid ~budget:clock ?checker ?profile ~master
-              ~ccs ~mode:(`Against_base dv) ~adom tab
+            Valuation_search.iter_valid ~budget:clock ?profile ~master ~ccs
+              ~mode:(`Against_base dv) ~adom tab
               (fun mu delta ->
                 let unbounded =
                   List.filter_map
@@ -654,7 +654,7 @@ let may_block ~schema ~cc_tableaux c delta =
    blocking μ* needs at least one candidate tuple joined with μ*'s
    tuples, and bounding needs a summary hit), so directed branching is
    exact; memoisation collapses permutations of the same set. *)
-let e2_search ~clock ?checker ?profile ~budget ~schema ~master ~ccs ~adom
+let e2_search ~clock ?profile ~cons ~budget ~schema ~master ~ccs ~adom
     ~reserved ~tableaux pool =
   Trace.with_span "rcqp.e2_search" @@ fun sp ->
   let pool = Array.of_list pool in
@@ -670,19 +670,10 @@ let e2_search ~clock ?checker ?profile ~budget ~schema ~master ~ccs ~adom
   in
   let nodes = ref 0 in
   let visited = Hashtbl.create 1024 in
-  (* DFS invariant: [dfs] only recurses into consistent sets, and the
-     root is the empty database — so when the empty database passes
-     the full check, every [dv'] here grows a consistent parent by one
-     tuple and the delta check applies. *)
+  (* DFS invariant: [dfs] only recurses into consistent sets grown
+     from the empty database, so every [dv'] grows a consistent parent
+     by one tuple *)
   let empty_db = Database.empty schema in
-  let empty_comp = lazy (Compiled.create ~base:empty_db ~master ccs) in
-  let consistent_add dv' rel tuple =
-    match checker with
-    | Some inc when Incremental.empty_ok inc ->
-      Incremental.check_add_overlay inc ~base:empty_db ~delta:dv' ~db:dv' ~rel
-        ~tuple
-    | _ -> Compiled.check (Lazy.force empty_comp) ~db:dv' ~delta:dv'
-  in
   let found = ref None in
   let rec dfs members dv bvals =
     if !found <> None then ()
@@ -695,7 +686,7 @@ let e2_search ~clock ?checker ?profile ~budget ~schema ~master ~ccs ~adom
         if !nodes > budget.max_nodes then
           raise (Budget_exceeded "E2 search exceeded its node budget");
         match
-          e2_condition ~clock ~checker ~profile ~master ~ccs ~adom ~reserved
+          e2_condition ~clock ~profile ~master ~ccs ~adom ~reserved
             ~tableaux ~dv ~bvals
         with
         | None -> found := Some dv
@@ -710,7 +701,10 @@ let e2_search ~clock ?checker ?profile ~budget ~schema ~master ~ccs ~adom
               in
               if resolves then begin
                 let dv' = Database.add_tuple dv c.cand_rel c.cand_tuple in
-                if consistent_add dv' c.cand_rel c.cand_tuple then
+                if
+                  consistent_add cons ~base:empty_db ~delta:dv' c.cand_rel
+                    c.cand_tuple
+                then
                   dfs (i :: members) dv'
                     (List.fold_left (fun s v -> VS.add v s) bvals c.cand_summary)
               end
@@ -735,14 +729,16 @@ let e2_search ~clock ?checker ?profile ~budget ~schema ~master ~ccs ~adom
 
 (* E1/E5 witness: a maximal collection of tableau instantiations over
    the active domain.  One pass suffices: rejections are final because
-   violations persist under growth. *)
-let greedy_maximal_witness ?(clock = Budget.unlimited) ?profile ~budget ~schema
-    ~master ~ccs ~adom tableaux =
+   violations persist under growth.  The witness so far is consistent,
+   so an instantiation is checked by adding its tuples one at a time,
+   each a delta check against the witness as the indexed base: for
+   monotone constraints that accepts exactly the instantiations a full
+   check of the union would. *)
+let greedy_maximal_witness ?(clock = Budget.unlimited) ?profile ~cons ~budget
+    ~schema ~adom tableaux =
   Trace.with_span "rcqp.witness_greedy" @@ fun _sp ->
-  let dw = ref (Database.empty schema) in
-  (* one compiled checker for the whole greedy pass: RHS projections
-     evaluated once, candidate databases joined as interned overlays *)
-  let comp = Compiled.create ~base:(Database.empty schema) ~master ccs in
+  let empty_db = Database.empty schema in
+  let dw = ref empty_db in
   let count = ref 0 in
   let ticks = ref 0 in
   let exceeded = ref false in
@@ -768,10 +764,24 @@ let greedy_maximal_witness ?(clock = Budget.unlimited) ?profile ~budget ~schema
               end
               else begin
                 if Tableau.neqs_ok tab mu then begin
-                  let delta = Tableau.instantiate tab mu in
-                  let candidate = Database.union !dw delta in
-                  if Compiled.check comp ~db:candidate ~delta:candidate then
-                    dw := candidate
+                  let grown =
+                    fold_tuples
+                      (fun rel tuple -> function
+                        | None -> None
+                        | Some pending ->
+                          let pending = Database.add_tuple pending rel tuple in
+                          if consistent_add cons ~base:!dw ~delta:pending rel tuple
+                          then Some pending
+                          else None)
+                      (Tableau.instantiate tab mu) (Some empty_db)
+                  in
+                  match grown with
+                  | Some pending ->
+                    dw :=
+                      fold_tuples
+                        (fun rel t w -> Database.add_tuple w rel t)
+                        pending !dw
+                  | None -> ()
                 end;
                 false
               end)
@@ -900,7 +910,7 @@ let verify_witness ?clock ?search ?profile ~schema ~master ~ccs q w =
    the master data in"), a few valid tableau instantiations, a few
    constraint-template instantiations, and a few pairwise unions.
    Each candidate costs a full RCDP run, so the list is kept short. *)
-let heuristic_witness ~clock ?checker ?search ?profile ~budget ~schema ~master
+let heuristic_witness ~clock ?search ?profile ~cons ~budget ~schema ~master
     ~ccs ~adom ~tableaux q =
   Trace.with_span "rcqp.witness_heuristic" @@ fun _sp ->
   let max_verifications = 24 in
@@ -909,7 +919,7 @@ let heuristic_witness ~clock ?checker ?search ?profile ~budget ~schema ~master
     let small =
       { budget with max_valuations = min budget.max_valuations 50_000 }
     in
-    greedy_maximal_witness ?profile ~budget:small ~schema ~master ~ccs
+    greedy_maximal_witness ?profile ~cons ~budget:small ~schema
       ~adom:
         (Adom.build ~schemas:[ schema ] ~master:(Database.empty (Database.schema master))
            ~cc_constants:(Adom.constants adom) ~query_constants:[] ~fresh_count:0 ())
@@ -920,8 +930,8 @@ let heuristic_witness ~clock ?checker ?search ?profile ~budget ~schema ~master
   List.iter
     (fun tab ->
       let (_ : bool) =
-        Valuation_search.iter_valid ~budget:clock ?checker ?profile ~master
-          ~ccs ~mode:`Delta_only ~adom tab
+        Valuation_search.iter_valid ~budget:clock ?profile ~master ~ccs
+          ~mode:`Delta_only ~adom tab
           (fun _ delta ->
             incr count;
             singles := delta :: !singles;
@@ -930,8 +940,8 @@ let heuristic_witness ~clock ?checker ?search ?profile ~budget ~schema ~master
       ())
     tableaux;
   let pool =
-    candidate_pool ~truncate:true ~clock ?checker ?profile ~budget ~schema
-      ~master ~adom ccs
+    candidate_pool ~truncate:true ~clock ?profile ~cons ~budget ~schema ~adom
+      ccs
   in
   let template_singles =
     List.filteri (fun i _ -> i < 6) pool
@@ -955,25 +965,13 @@ let heuristic_witness ~clock ?checker ?search ?profile ~budget ~schema ~master
 let decide_core ~clock ~search ~profile ~budget ~schema ~master ~ccs q =
   Budget.check_now clock;
   require_monotone_ccs ccs;
-  (* one checker per decide call, threaded to every search site; [Par]
-     runs as the incremental mode here — RCQP's searches are many small
-     nested enumerations with no single fan-out point worth a pool *)
-  let checker =
-    match search with
-    | Search_mode.Seq -> None
-    | Search_mode.Inc | Search_mode.Par _ ->
-      Some (Incremental.create ~schema ~master ccs)
-  in
   (match profile with
    | Some p ->
      Profile.note p "decider" "rcqp";
-     Profile.note p "mode" (Search_mode.to_string search);
-     Profile.note p "checker"
-       (match checker with Some _ -> "incremental" | None -> "compiled")
+     Profile.note p "mode" (Search_mode.to_string search)
    | None -> ());
-  let inner_search =
-    match search with Search_mode.Par _ -> Search_mode.Inc | s -> s
-  in
+  (* one checker for the pool, E2 DFS and greedy consistency checks *)
+  let cons = consistency ~schema ~master ccs in
   let ucq = as_ucq_or_raise "RCQP" q in
   let tableaux = satisfiable_tableaux schema ucq in
   if tableaux = [] then
@@ -988,11 +986,11 @@ let decide_core ~clock ~search ~profile ~budget ~schema ~master ~ccs q =
       (* E1 / E5 *)
       let witness =
         match
-          greedy_maximal_witness ~clock ?profile ~budget ~schema ~master ~ccs
-            ~adom tableaux
+          greedy_maximal_witness ~clock ?profile ~cons ~budget ~schema ~adom
+            tableaux
         with
         | Some w
-          when verify_witness ~clock ~search:inner_search ?profile ~schema
+          when verify_witness ~clock ~search ?profile ~schema
                  ~master ~ccs q w ->
           Some w
         | _ -> None
@@ -1018,7 +1016,7 @@ let decide_core ~clock ~search ~profile ~budget ~schema ~master ~ccs q =
       | None ->
         (try
            let pool =
-             candidate_pool ~clock ?checker ?profile ~budget ~schema ~master
+             candidate_pool ~clock ?profile ~cons ~budget ~schema
                ~adom:adom_pool ccs
            in
            let reserved =
@@ -1027,7 +1025,7 @@ let decide_core ~clock ~search ~profile ~budget ~schema ~master ~ccs q =
                (List.filter (fun f -> not (VS.mem f pool_fresh)) (Adom.fresh adom))
            in
            match
-             e2_search ~clock ?checker ?profile ~budget ~schema ~master ~ccs
+             e2_search ~clock ?profile ~cons ~budget ~schema ~master ~ccs
                ~adom ~reserved ~tableaux pool
            with
            | Some dv ->
@@ -1048,7 +1046,7 @@ let decide_core ~clock ~search ~profile ~budget ~schema ~master ~ccs q =
                    dv tableaux
                in
                if
-                 verify_witness ~clock ~search:inner_search ?profile ~schema
+                 verify_witness ~clock ~search ?profile ~schema
                    ~master ~ccs q w
                then Some w
                else None
@@ -1063,7 +1061,7 @@ let decide_core ~clock ~search ~profile ~budget ~schema ~master ~ccs q =
                }
          with Budget_exceeded why ->
            (match
-              heuristic_witness ~clock ?checker ~search:inner_search ?profile
+              heuristic_witness ~clock ~search ?profile ~cons
                 ~budget ~schema ~master ~ccs ~adom ~tableaux q
             with
             | Some w ->

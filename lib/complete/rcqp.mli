@@ -95,10 +95,11 @@ val decide :
     DFS nodes) and degrades to [Unknown]; [clock] is the {e caller's
     patience} (wall clock / steps / cancel) and aborts the whole call
     with {!Budget.Exhausted} — the service turns that into a
-    [timeout] verdict.  [search] (default [Seq]) selects the
-    constraint-checking strategy of the inner valuation searches —
-    [Par] runs as [Inc] here, since RCQP has no single top-level
-    fan-out point; verdicts are identical across modes.
+    [timeout] verdict.  [search] (default [Seq]) is the strategy of
+    the RCDP runs that verify candidate witnesses; RCQP's own
+    valuation searches are many small nested enumerations with no
+    single fan-out point, so they run sequentially in every mode.
+    Verdicts are identical across modes.
 
     [profile] (explain mode) accumulates a request-scoped explain
     profile across every inner search: per-level steps and

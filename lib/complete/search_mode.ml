@@ -1,21 +1,18 @@
 type t =
   | Seq
-  | Inc
   | Par of int
 
 let default_domains = 4
 
-let name = function Seq -> "seq" | Inc -> "inc" | Par _ -> "par"
+let name = function Seq -> "seq" | Par _ -> "par"
 
 let to_string = function
   | Seq -> "seq"
-  | Inc -> "inc"
   | Par n -> Printf.sprintf "par:%d" n
 
 let of_string s =
   match s with
-  | "seq" -> Ok Seq
-  | "inc" -> Ok Inc
+  | "seq" | "inc" -> Ok Seq
   | "par" -> Ok (Par default_domains)
   | _ ->
     (match String.index_opt s ':' with
@@ -27,6 +24,6 @@ let of_string s =
      | _ ->
        Error
          (Printf.sprintf
-            "unknown search mode %S (expected seq, inc, par or par:N)" s))
+            "unknown search mode %S (expected seq, par or par:N)" s))
 
 let pp ppf m = Format.pp_print_string ppf (to_string m)

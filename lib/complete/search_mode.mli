@@ -1,34 +1,32 @@
 (** How the deciders run the valuation search.
 
-    All three modes return identical verdicts; they differ only in how
-    the work is done:
+    Both modes return identical verdicts and check constraints through
+    the same {!Ric_constraints.Checker}; they differ only in how the
+    search tree is walked:
 
-    - [Seq] — the seed behaviour: one domain, every containment
-      constraint re-evaluated in full after each tuple extension.
-    - [Inc] — one domain, constraints checked through
-      {!Ric_constraints.Incremental}: indexed by relation, delta
-      evaluation for monotone-UCQ LHS queries.
-    - [Par n] — the incremental checker plus a top-level fan-out of the
-      first split variable's candidates across [n] worker domains, with
-      first-witness cancellation. *)
+    - [Seq] — one domain, depth first.
+    - [Par n] — the same tree explored by up to [n] worker domains
+      stealing subtree tasks, with first-witness cancellation.
+
+    ["inc"], the name of a retired mode that differed from [Seq] only
+    in its constraint checker, still parses — as [Seq] — so older
+    command lines, protocol requests and journals stay valid. *)
 
 type t =
   | Seq
-  | Inc
   | Par of int  (** worker domain count, [>= 1] *)
 
 val default_domains : int
 (** Domain count for the bare ["par"] spelling: 4. *)
 
 val name : t -> string
-(** ["seq"], ["inc"] or ["par"] — the stats-counter bucket. *)
+(** ["seq"] or ["par"] — the stats-counter bucket. *)
 
 val to_string : t -> string
-(** ["seq"], ["inc"], ["par:<n>"] — round-trips through
-    {!of_string}. *)
+(** ["seq"], ["par:<n>"] — round-trips through {!of_string}. *)
 
 val of_string : string -> (t, string) result
-(** Accepts ["seq"], ["inc"], ["par"] (= [Par default_domains]) and
-    ["par:<n>"] with [n >= 1]. *)
+(** Accepts ["seq"], ["inc"] (= [Seq]), ["par"] (= [Par
+    default_domains]) and ["par:<n>"] with [n >= 1]. *)
 
 val pp : Format.formatter -> t -> unit

@@ -57,26 +57,6 @@ let rec remove_one a = function
   | [] -> []
   | x :: rest -> if x == a then rest else x :: remove_one a rest
 
-(* An incremental checker is only usable when its parent invariant
-   holds at the search root: every CC satisfied by the initial check
-   database.  Otherwise fall back to full per-candidate checks, which
-   reproduces the seed behaviour (including its verdicts and prune
-   counts) exactly. *)
-let resolve checker ~mode =
-  match checker with
-  | None -> None
-  | Some inc ->
-    (match mode with
-     | `Delta_only -> if Incremental.empty_ok inc then Some inc else None
-     | `Against_base db -> if Incremental.full inc ~db then Some inc else None)
-
-(* [base_of mode tab] — the fixed part of every checked database; the
-   per-step checkers index it once and overlay the growing delta. *)
-let base_of mode (tab : Tableau.t) =
-  match mode with
-  | `Against_base db -> db
-  | `Delta_only -> Database.empty tab.Tableau.schema
-
 (* The greedy fewest-unbound-first atom pick depends only on the {e
    set} of bound variables — never on their values — and that set is
    the same in every branch at the same tree position, so the whole
@@ -94,7 +74,7 @@ type level = {
   l_width : int; (* candidate combinations at this level (capped) *)
 }
 
-let plan_levels ~adom ~init_vars (tab : Tableau.t) =
+let plan_levels ~adom (tab : Tableau.t) =
   let var_doms = Tableau.var_domains tab in
   let cands x =
     match List.assoc_opt x var_doms with
@@ -102,7 +82,6 @@ let plan_levels ~adom ~init_vars (tab : Tableau.t) =
     | None -> Adom.candidates adom Domain.Infinite
   in
   let bound = Hashtbl.create 16 in
-  List.iter (fun x -> Hashtbl.replace bound x ()) init_vars;
   let unbound a =
     List.filter (fun x -> not (Hashtbl.mem bound x)) (Atom.vars a)
   in
@@ -136,26 +115,43 @@ let plan_levels ~adom ~init_vars (tab : Tableau.t) =
   Array.of_list (go [] tab.Tableau.patterns)
 
 (* Everything immutable a search shares across branches (and, in par
-   mode, across worker domains): the checker's internals are
-   mutex/atomic-guarded, the databases persistent. *)
+   mode, across worker domains): the checker's index store is
+   lock-free on hits, the databases persistent. *)
 type ctx = {
   c_tab : Tableau.t;
-  c_chk : [ `Inc of Incremental.t | `Full of Compiled.t ];
-  c_mode : [ `Against_base of Database.t | `Delta_only ];
-  c_base : Database.t;
+  c_chk : Checker.t;
+  c_base : Database.t; (* the fixed part of every checked database *)
+  c_delta_ok : bool; (* the root satisfies every CC *)
   c_levels : level array;
 }
+
+(* The root is [base] itself: in [`Against_base D] mode the search
+   checks [D ∪ μ(T)], in [`Delta_only] mode [μ(T)] alone.  Once the
+   root satisfies every CC, every step only needs the delta check (the
+   constraints are monotone, so only joins through the new tuple can
+   break them); otherwise every step runs the full check, which fails
+   (or, for an unsafe LHS, raises) exactly where a re-check from
+   scratch would. *)
+let make_ctx ~master ~ccs ~mode ~levels (tab : Tableau.t) =
+  let empty = Database.empty tab.Tableau.schema in
+  let base = match mode with `Against_base db -> db | `Delta_only -> empty in
+  let chk = Checker.create ~master ccs in
+  let delta_ok =
+    match Checker.check chk ~base ~delta:empty with
+    | None -> true
+    | Some _ | (exception Invalid_argument _) -> false
+  in
+  { c_tab = tab; c_chk = chk; c_base = base; c_delta_ok = delta_ok;
+    c_levels = levels }
 
 (* Enumerate every candidate instantiation of the atom at level [lv],
    charging one budget tick per candidate, and call [child] with the
    extended state for each candidate that passes the inequality and
-   constraint checks.  Exists-style: stops at the first [true]. *)
-(* [prof] is this worker's private explain recorder ([None] on the
+   constraint checks.  Exists-style: stops at the first [true].
+   [prof] is this worker's private explain recorder ([None] on the
    production path): each budget tick is mirrored as a level step, and
-   a pruned branch asks the checker's explain twin which constraint
-   cut it.  The [None] arm adds exactly one option match per candidate
-   — no allocation, measured by the bench gate. *)
-let expand ctx ~budget ~prof ~on_prune lv mu delta combined child =
+   a pruned branch is attributed to the constraint the check names. *)
+let expand ctx ~budget ~prof ~on_prune lv mu delta child =
   let { l_atom = a; l_doms = doms0; _ } = ctx.c_levels.(lv) in
   (* par-mode pin-splitting seeds [mu] with some of this level's own
      variables; enumerate only the rest (tick-neutral: the pinned
@@ -185,98 +181,45 @@ let expand ctx ~budget ~prof ~on_prune lv mu delta combined child =
       | None -> assert false
       | Some tuple ->
         let delta' = Database.add_tuple delta a.Atom.rel tuple in
-        let combined' = Database.add_tuple combined a.Atom.rel tuple in
-        let check_db =
-          match ctx.c_mode with
-          | `Against_base _ -> combined'
-          | `Delta_only -> delta'
+        let violated =
+          if ctx.c_delta_ok then
+            Checker.check_add ctx.c_chk ~base:ctx.c_base ~delta:delta'
+              ~rel:a.Atom.rel ~tuple
+          else Checker.check ctx.c_chk ~base:ctx.c_base ~delta:delta'
         in
-        (match prof with
-         | None ->
-           let ok =
-             match ctx.c_chk with
-             | `Inc c ->
-               Incremental.check_add_overlay c ~base:ctx.c_base ~delta:delta'
-                 ~db:check_db ~rel:a.Atom.rel ~tuple
-             | `Full comp -> Compiled.check comp ~db:check_db ~delta:delta'
-           in
-           if ok then child mu' delta' combined'
-           else begin
-             on_prune ();
-             false
-           end
-         | Some sr -> (
-           let violated =
-             match ctx.c_chk with
-             | `Inc c ->
-               Incremental.check_add_overlay_explain c ~base:ctx.c_base
-                 ~delta:delta' ~db:check_db ~rel:a.Atom.rel ~tuple
-             | `Full comp ->
-               Compiled.check_explain comp ~db:check_db ~delta:delta'
-           in
-           match violated with
-           | None -> child mu' delta' combined'
-           | Some _ as cc ->
-             Profile.prune sr lv cc;
-             on_prune ();
-             false)))
+        (match violated with
+         | None -> child mu' delta'
+         | Some _ ->
+           (match prof with
+            | None -> ()
+            | Some sr -> Profile.prune sr lv violated);
+           on_prune ();
+           false))
 
-let rec dfs ctx ~budget ~prof ~on_prune ~visit lv mu delta combined =
+let rec dfs ctx ~budget ~prof ~on_prune ~visit lv mu delta =
   if lv = Array.length ctx.c_levels then
     if neqs_ground_ok ctx.c_tab mu then visit mu delta else false
   else
-    expand ctx ~budget ~prof ~on_prune lv mu delta combined
+    expand ctx ~budget ~prof ~on_prune lv mu delta
       (dfs ctx ~budget ~prof ~on_prune ~visit (lv + 1))
 
 let level_names levels =
   Array.map (fun l -> l.l_atom.Atom.rel) levels
 
-(* [chk] is the per-step constraint checker, resolved once per search:
-   [`Inc] when the incremental checker's parent invariant holds at the
-   root, else [`Full], a compiled whole-check over the same base.
-   Both receive the delta explicitly so joins run over persistent
-   base indexes plus a small interned overlay. *)
-let run ~budget ~profile ~chk ~mode ~adom ~on_prune ~init (tab : Tableau.t)
-    visit =
+let iter_valid ?(budget = Budget.unlimited) ?profile ~master ~ccs ~mode ~adom
+    ?(on_prune = fun () -> ()) (tab : Tableau.t) visit =
   Budget.check_now budget;
-  let levels =
-    plan_levels ~adom
-      ~init_vars:(List.map fst (Valuation.bindings init))
-      tab
-  in
-  let ctx =
-    {
-      c_tab = tab;
-      c_chk = chk;
-      c_mode = mode;
-      c_base = base_of mode tab;
-      c_levels = levels;
-    }
-  in
+  let levels = plan_levels ~adom tab in
+  let ctx = make_ctx ~master ~ccs ~mode ~levels tab in
+  let root = Database.empty tab.Tableau.schema in
   match profile with
-  | None ->
-    dfs ctx ~budget ~prof:None ~on_prune ~visit 0 init
-      (Database.empty tab.Tableau.schema)
-      ctx.c_base
+  | None -> dfs ctx ~budget ~prof:None ~on_prune ~visit 0 Valuation.empty root
   | Some p ->
     (* merge even when the budget exhausts mid-search: a timeout
        verdict still reports where the spent steps went *)
     let sr = Profile.start_search p ~names:(level_names levels) in
     Fun.protect ~finally:(fun () -> Profile.finish_search p sr) @@ fun () ->
-    dfs ctx ~budget ~prof:(Some sr) ~on_prune ~visit 0 init
-      (Database.empty tab.Tableau.schema)
-      ctx.c_base
-
-let iter_valid ?(budget = Budget.unlimited) ?checker ?profile ~master ~ccs
-    ~mode ~adom ?(on_prune = fun () -> ()) (tab : Tableau.t) visit =
-  Budget.check_now budget;
-  let chk =
-    match resolve checker ~mode with
-    | Some c -> `Inc c
-    | None -> `Full (Compiled.create ~base:(base_of mode tab) ~master ccs)
-  in
-  run ~budget ~profile ~chk ~mode ~adom ~on_prune ~init:Valuation.empty tab
-    visit
+    dfs ctx ~budget ~prof:(Some sr) ~on_prune ~visit 0 Valuation.empty root
 
 (* A frontier task is one subtree of the sequential search tree: "all
    levels below [t_lv] under this partial state".  Tasks exist only at
@@ -287,7 +230,6 @@ type task = {
   t_lv : int;
   t_mu : Valuation.t;
   t_delta : Database.t;
-  t_combined : Database.t;
   t_depth : int; (* splits along this path, capped *)
   t_producer : int; (* worker that pushed it, for the steal counter *)
   mutable t_attempts : int; (* crash retries consumed *)
@@ -320,7 +262,7 @@ let depth_cap = 8
    records the error, trips the stop flag and the coordinator re-raises
    — a crash can cost duplicated work, never a hang or a wrong
    verdict. *)
-let iter_valid_par ?(budget = Budget.unlimited) ?checker ?profile ~domains
+let iter_valid_par ?(budget = Budget.unlimited) ?profile ~domains
     ~master ~ccs ~mode ~adom ?(on_prune = fun () -> ()) (tab : Tableau.t) visit
     =
   Budget.check_now budget;
@@ -338,32 +280,17 @@ let iter_valid_par ?(budget = Budget.unlimited) ?checker ?profile ~domains
     | _ -> Stdlib.Domain.recommended_domain_count ()
   in
   let workers = max 1 (min domains clamp) in
-  let levels = plan_levels ~adom ~init_vars:[] tab in
+  let levels = plan_levels ~adom tab in
   let splittable = Array.exists (fun l -> l.l_width >= 2) levels in
   if workers <= 1 || not splittable then
     (* one worker, or no level branches at all: the frontier cannot
        produce parallelism, so run the sequential engine directly —
        same tree, zero coordination overhead *)
-    iter_valid ~budget ?checker ?profile ~master ~ccs ~mode ~adom ~on_prune tab
-      visit
+    iter_valid ~budget ?profile ~master ~ccs ~mode ~adom ~on_prune tab visit
   else begin
-    (* one checker for every worker: the compiled store and the
-       incremental counters are atomic/mutex-guarded, so sharing across
-       domains is safe and keeps index reuse across subtrees *)
-    let chk =
-      match resolve checker ~mode with
-      | Some c -> `Inc c
-      | None -> `Full (Compiled.create ~base:(base_of mode tab) ~master ccs)
-    in
-    let ctx =
-      {
-        c_tab = tab;
-        c_chk = chk;
-        c_mode = mode;
-        c_base = base_of mode tab;
-        c_levels = levels;
-      }
-    in
+    (* one checker for every worker: sharing across domains is safe
+       and keeps index reuse across subtrees *)
+    let ctx = make_ctx ~master ~ccs ~mode ~levels tab in
     let n_levels = Array.length levels in
     let stop = Atomic.make false in
     (* count each trip of the stop flag once, whoever races to it *)
@@ -495,14 +422,13 @@ let iter_valid_par ?(budget = Budget.unlimited) ?checker ?profile ~domains
            is always [false] here *)
         ignore
           (expand ctx ~budget:child_budget ~prof:sr ~on_prune:on_prune_local
-             t.t_lv t.t_mu t.t_delta t.t_combined
-             (fun mu' delta' combined' ->
+             t.t_lv t.t_mu t.t_delta
+             (fun mu' delta' ->
                push_new
                  {
                    t_lv = t.t_lv + 1;
                    t_mu = mu';
                    t_delta = delta';
-                   t_combined = combined';
                    t_depth = t.t_depth + 1;
                    t_producer = wid;
                    t_attempts = 0;
@@ -511,7 +437,7 @@ let iter_valid_par ?(budget = Budget.unlimited) ?checker ?profile ~domains
       | `Run ->
         ignore
           (dfs ctx ~budget:child_budget ~prof:sr ~on_prune:on_prune_local
-             ~visit:visit_sync t.t_lv t.t_mu t.t_delta t.t_combined)
+             ~visit:visit_sync t.t_lv t.t_mu t.t_delta)
     in
     let names = level_names levels in
     let worker wid =
@@ -587,7 +513,6 @@ let iter_valid_par ?(budget = Budget.unlimited) ?checker ?profile ~domains
         t_lv = 0;
         t_mu = Valuation.empty;
         t_delta = Database.empty tab.Tableau.schema;
-        t_combined = ctx.c_base;
         t_depth = 0;
         t_producer = 0;
         t_attempts = 0;

@@ -11,13 +11,13 @@
     violation can never be repaired by binding more variables, so the
     whole subtree is pruned.
 
-    Both entry points take an optional {!Ric_constraints.Incremental}
-    checker; when its parent invariant holds at the search root the
-    per-extension check touches only the constraints reading the grown
-    relation (and, for monotone-UCQ constraints, only the joins through
-    the new tuple), otherwise the search silently falls back to full
-    {!Ric_constraints.Containment.holds_all} checks.  Verdicts are
-    identical either way. *)
+    The check is {!Ric_constraints.Checker}'s.  The search runs its
+    full check once at the root (the base database, or the empty one);
+    when the root satisfies every constraint, each step runs only the
+    delta check — the constraints reading the grown relation, through
+    the joins that use the new tuple — and otherwise each step runs the
+    full check.  Verdicts, prunes and their attribution are identical
+    either way. *)
 
 open Ric_relational
 open Ric_query
@@ -25,7 +25,6 @@ open Ric_constraints
 
 val iter_valid :
   ?budget:Budget.t ->
-  ?checker:Incremental.t ->
   ?profile:Ric_obs.Profile.t ->
   master:Database.t ->
   ccs:Containment.t list ->
@@ -45,13 +44,12 @@ val iter_valid :
 
     [profile] (explain mode) mirrors every tick as a per-level step in
     the profile and attributes each pruned branch to the containment
-    constraint that cut it (via the checkers' explain twins); partial
+    constraint that cut it (the first one the check names); partial
     counts are merged even when the budget exhausts mid-search.
     Omitted, the only cost is one option match per candidate. *)
 
 val iter_valid_par :
   ?budget:Budget.t ->
-  ?checker:Incremental.t ->
   ?profile:Ric_obs.Profile.t ->
   domains:int ->
   master:Database.t ->
@@ -79,7 +77,9 @@ val iter_valid_par :
     batched per task), so rcdp's counting visitors need no changes.
     [profile] recording is per-worker (private arrays, merged once when
     the worker stops); because the parallel tree is node-for-node the
-    sequential tree, the merged profile equals the sequential one.
+    sequential tree, the merged profile of an exhaustive search equals
+    the sequential one (a first-witness exit skips a part of the tree
+    that depends on how the workers race).
     The first visit returning [true] cancels the sibling workers
     through a per-call stop flag.  Step accounting uses one shared
     atomic counter ({!Budget.fork_shared}), so the family can never

@@ -6,6 +6,41 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# bench_guard LABEL BASELINE FRESH PATTERN BETTER TOL_PCT
+# Regression guard on one figure of a bench's JSON output: the first
+# integer following PATTERN (a grep regex ending just before the
+# closing quote of the key) in the FRESH file, against the same figure
+# in BASELINE — a committed BENCH_*.json, or a literal integer for an
+# absolute floor.  BETTER is "higher" or "lower"; the guard fails when
+# the fresh figure is more than TOL_PCT percent worse than the
+# baseline, and skips when the baseline file is not committed.
+bench_int() { grep -o "$2\":[0-9]*" "$1" | head -n 1 | grep -o '[0-9]*$' || true; }
+bench_guard() {
+  label=$1 baseline=$2 fresh_file=$3 pattern=$4 better=$5 tol=$6
+  case "$baseline" in
+    *[!0-9]*)
+      if [ ! -f "$baseline" ]; then
+        echo "skip: no $baseline baseline committed"
+        return 0
+      fi
+      base=$(bench_int "$baseline" "$pattern") ;;
+    *) base=$baseline ;;
+  esac
+  fresh=$(bench_int "$fresh_file" "$pattern")
+  if [ -z "$base" ] || [ -z "$fresh" ]; then
+    echo "FAIL: could not extract $pattern for the $label guard" >&2
+    return 1
+  fi
+  echo "$label: baseline $base, fresh $fresh (tolerance ${tol}%)"
+  case "$better" in
+    higher) [ $((fresh * 100)) -ge $((base * (100 - tol))) ] ;;
+    lower) [ $((fresh * 100)) -le $((base * (100 + tol))) ] ;;
+  esac || {
+    echo "FAIL: $label is more than ${tol}% worse than $baseline" >&2
+    return 1
+  }
+}
+
 echo "== dune build @all"
 dune build @all
 
@@ -298,32 +333,15 @@ echo "== soak p99 guard"
 # fresh p99 latency must not regress by more than
 # RIC_BENCH_SERVE_TOLERANCE_PCT (default 25) percent over the
 # committed BENCH_serve.json baseline (same 200-client smoke scale)
-SERVE_BASELINE="BENCH_serve.json"
-if [ -f "$SERVE_BASELINE" ]; then
-  STOL="${RIC_BENCH_SERVE_TOLERANCE_PCT:-25}"
-  soak_p99() { sed -n 's/.*"p99_us":\([0-9]*\).*/\1/p' "$1"; }
-  SBASE=$(soak_p99 "$SERVE_BASELINE")
-  SFRESH=$(soak_p99 "$SOAK_OUT")
-  if [ -z "$SBASE" ] || [ -z "$SFRESH" ]; then
-    echo "FAIL: could not extract p99_us for the soak guard" >&2
-    rm -f "$SOAK_OUT"
-    exit 1
-  fi
-  echo "soak p99 (us): baseline $SBASE, fresh $SFRESH (tolerance ${STOL}%)"
-  if [ $((SFRESH * 100)) -gt $((SBASE * (100 + STOL))) ]; then
-    echo "FAIL: soak p99 is more than ${STOL}% above $SERVE_BASELINE" >&2
-    rm -f "$SOAK_OUT"
-    exit 1
-  fi
-else
-  echo "skip: no $SERVE_BASELINE baseline committed"
-fi
+bench_guard "soak p99 (us)" BENCH_serve.json "$SOAK_OUT" '"p99_us' lower \
+  "${RIC_BENCH_SERVE_TOLERANCE_PCT:-25}" \
+  || { rm -f "$SOAK_OUT"; exit 1; }
 rm -f "$SOAK_OUT"
 
 echo "== search-mode bench smoke test"
-# all three valuation-search strategies on the hostile instance with a
+# both valuation-search strategies on the hostile instance with a
 # small step budget; the bench exits nonzero if any scenario query gets
-# a different verdict under seq vs inc vs par
+# a different verdict under seq vs par
 BENCH_OUT="${TMPDIR:-/tmp}/ricd-check-$$-bench.json"
 RIC_BENCH_STEPS=20000 RIC_BENCH_OUT="$BENCH_OUT" \
   _build/default/bench/main.exe search \
@@ -345,26 +363,9 @@ echo "== match-kernel bench guard"
 # fresh compiled solves/s must stay within RIC_BENCH_MATCH_TOLERANCE_PCT
 # (default 25 — a microbench is noisier than the step-metered search)
 # of the committed BENCH_match.json baseline
-MATCH_BASELINE="BENCH_match.json"
-if [ -f "$MATCH_BASELINE" ]; then
-  MTOL="${RIC_BENCH_MATCH_TOLERANCE_PCT:-25}"
-  match_sps() { sed -n 's/.*"compiled_solves_per_sec":\([0-9]*\).*/\1/p' "$1"; }
-  MBASE=$(match_sps "$MATCH_BASELINE")
-  MFRESH=$(match_sps "$MATCH_OUT")
-  if [ -z "$MBASE" ] || [ -z "$MFRESH" ]; then
-    echo "FAIL: could not extract compiled_solves_per_sec for the match guard" >&2
-    rm -f "$MATCH_OUT"
-    exit 1
-  fi
-  echo "compiled solves/s: baseline $MBASE, fresh $MFRESH (tolerance ${MTOL}%)"
-  if [ $((MFRESH * 100)) -lt $((MBASE * (100 - MTOL))) ]; then
-    echo "FAIL: compiled kernel is more than ${MTOL}% slower than $MATCH_BASELINE" >&2
-    rm -f "$MATCH_OUT"
-    exit 1
-  fi
-else
-  echo "skip: no $MATCH_BASELINE baseline committed"
-fi
+bench_guard "compiled solves/s" BENCH_match.json "$MATCH_OUT" \
+  '"compiled_solves_per_sec' higher "${RIC_BENCH_MATCH_TOLERANCE_PCT:-25}" \
+  || { rm -f "$MATCH_OUT"; exit 1; }
 rm -f "$MATCH_OUT"
 
 echo "== mining smoke test"
@@ -412,31 +413,11 @@ RIC_BENCH_MINE_OUT="$MINE_OUT" _build/default/bench/main.exe mine \
   || { echo "FAIL: mining bench failed" >&2; rm -f "$MINE_OUT"; exit 1; }
 
 echo "== mining bench guard"
-# fresh sequential candidates/s on crm must stay within
+# fresh sequential candidates/s on crm (the first row) must stay within
 # RIC_BENCH_MINE_TOLERANCE_PCT (default 25) of the committed baseline
-MINE_BASELINE="BENCH_mine.json"
-if [ -f "$MINE_BASELINE" ]; then
-  NTOL="${RIC_BENCH_MINE_TOLERANCE_PCT:-25}"
-  # first occurrence = the crm row (greedy sed would grab the last)
-  mine_cps() {
-    grep -o '"seq_candidates_per_sec":[0-9]*' "$1" | head -n 1 | grep -o '[0-9]*$'
-  }
-  NBASE=$(mine_cps "$MINE_BASELINE")
-  NFRESH=$(mine_cps "$MINE_OUT")
-  if [ -z "$NBASE" ] || [ -z "$NFRESH" ]; then
-    echo "FAIL: could not extract seq_candidates_per_sec for the mine guard" >&2
-    rm -f "$MINE_OUT"
-    exit 1
-  fi
-  echo "mining candidates/s: baseline $NBASE, fresh $NFRESH (tolerance ${NTOL}%)"
-  if [ $((NFRESH * 100)) -lt $((NBASE * (100 - NTOL))) ]; then
-    echo "FAIL: mining is more than ${NTOL}% slower than $MINE_BASELINE" >&2
-    rm -f "$MINE_OUT"
-    exit 1
-  fi
-else
-  echo "skip: no $MINE_BASELINE baseline committed"
-fi
+bench_guard "mining candidates/s" BENCH_mine.json "$MINE_OUT" \
+  '"seq_candidates_per_sec' higher "${RIC_BENCH_MINE_TOLERANCE_PCT:-25}" \
+  || { rm -f "$MINE_OUT"; exit 1; }
 rm -f "$MINE_OUT"
 
 echo "== bench guard (instrumentation must not slow the seq search)"
@@ -445,26 +426,14 @@ echo "== bench guard (instrumentation must not slow the seq search)"
 # BENCH_search.json — the zero-cost-when-disabled contract, kept honest
 BASELINE="BENCH_search.json"
 if [ -f "$BASELINE" ]; then
-  TOL="${RIC_BENCH_TOLERANCE_PCT:-5}"
-  seq_sps() { sed -n 's/.*"mode":"seq"[^}]*"steps_per_sec":\([0-9]*\).*/\1/p' "$1"; }
-  BASE_SPS=$(seq_sps "$BASELINE")
-  BASE_CAP=$(sed -n 's/.*"step_cap":\([0-9]*\).*/\1/p' "$BASELINE")
+  BASE_CAP=$(bench_int "$BASELINE" '"step_cap')
   GUARD_OUT="${TMPDIR:-/tmp}/ricd-check-$$-guard.json"
   RIC_BENCH_STEPS="${BASE_CAP:-400000}" RIC_BENCH_OUT="$GUARD_OUT" \
     _build/default/bench/main.exe search >/dev/null \
     || { echo "FAIL: bench guard run failed" >&2; rm -f "$GUARD_OUT"; exit 1; }
-  FRESH_SPS=$(seq_sps "$GUARD_OUT")
-  if [ -z "$BASE_SPS" ] || [ -z "$FRESH_SPS" ]; then
-    echo "FAIL: could not extract seq steps_per_sec for the bench guard" >&2
-    rm -f "$GUARD_OUT"
-    exit 1
-  fi
-  echo "seq steps/s: baseline $BASE_SPS, fresh $FRESH_SPS (tolerance ${TOL}%)"
-  if [ $((FRESH_SPS * 100)) -lt $((BASE_SPS * (100 - TOL))) ]; then
-    echo "FAIL: seq search is more than ${TOL}% slower than $BASELINE" >&2
-    rm -f "$GUARD_OUT"
-    exit 1
-  fi
+  bench_guard "seq steps/s" "$BASELINE" "$GUARD_OUT" \
+    '"mode":"seq"[^}]*"steps_per_sec' higher "${RIC_BENCH_TOLERANCE_PCT:-5}" \
+    || { rm -f "$GUARD_OUT"; exit 1; }
 
   echo "== par-vs-seq guard (parallel mode must not cost throughput)"
   # same fresh run: the bench times seq and par:4 within each interleaved
@@ -475,18 +444,10 @@ if [ -f "$BASELINE" ]; then
   # anything below is coordination overhead leaking back in; scaling
   # itself is asserted by the bench's forced worker sweep (steal
   # counter + per-worker utilisation)
-  PTOL="${RIC_BENCH_PAR_TOLERANCE_PCT:-5}"
-  FRESH_RATIO=$(sed -n 's/.*"par_vs_seq_best_round_ratio_pct":\([0-9]*\).*/\1/p' "$GUARD_OUT")
+  bench_guard "par:4 vs seq best paired-round ratio (%)" 100 "$GUARD_OUT" \
+    '"par_vs_seq_best_round_ratio_pct' higher "${RIC_BENCH_PAR_TOLERANCE_PCT:-5}" \
+    || { rm -f "$GUARD_OUT"; exit 1; }
   rm -f "$GUARD_OUT"
-  if [ -z "$FRESH_RATIO" ]; then
-    echo "FAIL: could not extract par_vs_seq_best_round_ratio_pct for the par guard" >&2
-    exit 1
-  fi
-  echo "par:4 vs seq best paired-round ratio: ${FRESH_RATIO}% (floor $((100 - PTOL))%)"
-  if [ "$FRESH_RATIO" -lt $((100 - PTOL)) ]; then
-    echo "FAIL: par:4 is more than ${PTOL}% below seq in every round" >&2
-    exit 1
-  fi
 
   # the committed baseline must carry the scaling sweep (steals and
   # per-worker utilisation under forced workers)
@@ -531,7 +492,7 @@ echo "== ingest bench smoke test"
 LOAD_OUT="${TMPDIR:-/tmp}/ricd-check-$$-load.json"
 LOAD_BASELINE="BENCH_load.json"
 if [ -f "$LOAD_BASELINE" ]; then
-  LBASE_TUPLES=$(sed -n 's/.*"top_tuples":\([0-9]*\).*/\1/p' "$LOAD_BASELINE")
+  LBASE_TUPLES=$(bench_int "$LOAD_BASELINE" '"top_tuples')
 fi
 RIC_BENCH_LOAD_TUPLES="${RIC_BENCH_LOAD_TUPLES:-${LBASE_TUPLES:-1000000}}" \
   RIC_BENCH_LOAD_OUT="$LOAD_OUT" \
@@ -542,31 +503,16 @@ echo "== ingest bench guard"
 # fresh streaming tuples/s at the baseline's top rung must stay within
 # RIC_BENCH_LOAD_TOLERANCE_PCT (default 25) of BENCH_load.json; the
 # first stream_tuples_per_sec in the file is the top (headline) rung
-if [ -f "$LOAD_BASELINE" ]; then
-  LTOL="${RIC_BENCH_LOAD_TOLERANCE_PCT:-25}"
-  load_sps() {
-    grep -o '"stream_tuples_per_sec":[0-9]*' "$1" | head -n 1 | grep -o '[0-9]*$'
-  }
-  LBASE=$(load_sps "$LOAD_BASELINE")
-  LFRESH=$(load_sps "$LOAD_OUT")
-  LFRESH_TOP=$(sed -n 's/.*"top_tuples":\([0-9]*\).*/\1/p' "$LOAD_OUT")
-  if [ -z "$LBASE" ] || [ -z "$LFRESH" ]; then
-    echo "FAIL: could not extract stream_tuples_per_sec for the load guard" >&2
-    rm -f "$LOAD_OUT"
-    exit 1
-  fi
-  if [ "$LFRESH_TOP" != "${LBASE_TUPLES:-}" ]; then
-    echo "skip: fresh run at $LFRESH_TOP tuples, baseline at ${LBASE_TUPLES:-?} — not comparable"
-  else
-    echo "stream tuples/s: baseline $LBASE, fresh $LFRESH (tolerance ${LTOL}%)"
-    if [ $((LFRESH * 100)) -lt $((LBASE * (100 - LTOL))) ]; then
-      echo "FAIL: streaming ingest is more than ${LTOL}% slower than $LOAD_BASELINE" >&2
-      rm -f "$LOAD_OUT"
-      exit 1
-    fi
-  fi
+LOAD_KEY='"stream_tuples_per_sec'
+LFRESH_TOP=$(bench_int "$LOAD_OUT" '"top_tuples')
+if [ -f "$LOAD_BASELINE" ] && [ -n "$(bench_int "$LOAD_BASELINE" "$LOAD_KEY")" ] \
+  && [ -n "$(bench_int "$LOAD_OUT" "$LOAD_KEY")" ] \
+  && [ "$LFRESH_TOP" != "${LBASE_TUPLES:-}" ]; then
+  echo "skip: fresh run at $LFRESH_TOP tuples, baseline at ${LBASE_TUPLES:-?} — not comparable"
 else
-  echo "skip: no $LOAD_BASELINE baseline committed"
+  bench_guard "stream tuples/s" "$LOAD_BASELINE" "$LOAD_OUT" "$LOAD_KEY" higher \
+    "${RIC_BENCH_LOAD_TOLERANCE_PCT:-25}" \
+    || { rm -f "$LOAD_OUT"; exit 1; }
 fi
 rm -f "$LOAD_OUT"
 

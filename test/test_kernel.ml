@@ -3,9 +3,8 @@
    cardinality/arity, Valuation.union conflict handling, the
    compiled-vs-naive solve differential (verdicts AND solution sets)
    over random bodies and databases, index-store reuse counters, and
-   the compiled constraint checkers (Compiled.check and
-   Incremental.check_add_overlay) differential against
-   Containment.holds_all. *)
+   the constraint checker's two entry points (Checker.check and
+   Checker.check_add) differential against Containment.holds_all. *)
 
 open Ric_relational
 open Ric_query
@@ -266,8 +265,8 @@ let test_store_reuse () =
     (Metrics.counter_value builds > b1)
 
 (* ------------------------------------------------------------------ *)
-(* Compiled constraint checker: differential against holds_all over
-   random base/delta splits (no parent invariant required). *)
+(* Full check: differential against holds_all over random base/delta
+   splits (no precondition). *)
 
 let cc_master =
   Database.of_list
@@ -323,19 +322,19 @@ let compiled_check_prop picks =
   in
   let base = db_of base_rows and delta = db_of delta_rows in
   let db = Database.union base delta in
-  let comp = Compiled.create ~base ~master:cc_master ccs in
-  let fast = Compiled.check comp ~db ~delta in
+  let chk = Checker.create ~master:cc_master ccs in
+  let fast = Checker.check chk ~base ~delta = None in
   let slow = Containment.holds_all ~db ~master:cc_master ccs in
   if fast <> slow then
-    QCheck2.Test.fail_reportf "Compiled.check %b vs holds_all %b" fast slow;
+    QCheck2.Test.fail_reportf "Checker.check %b vs holds_all %b" fast slow;
   true
 
 let test_compiled_differential =
   QCheck2.Test.make
-    ~name:"Compiled.check ≡ holds_all over random base/delta splits" ~count:300
+    ~name:"Checker.check ≡ holds_all over random base/delta splits" ~count:300
     gen_split compiled_check_prop
 
-(* unsafe LHS: the compiled checker must keep the evaluator's error *)
+(* unsafe LHS: both entry points must keep the evaluator's error *)
 let test_compiled_unsafe_fallback () =
   let cc =
     Containment.make ~name:"unsafe"
@@ -343,7 +342,8 @@ let test_compiled_unsafe_fallback () =
       (Projection.proj "N" [ 0 ])
   in
   let db = db_of [ (1, (0, 0, 0)) ] in
-  let comp = Compiled.create ~base:(Database.empty sch) ~master:cc_master [ cc ] in
+  let chk = Checker.create ~master:cc_master [ cc ] in
+  let empty = Database.empty sch in
   let expect_invalid what f =
     match f () with
     | (_ : bool) -> Alcotest.failf "%s must reject the unsafe query" what
@@ -351,19 +351,22 @@ let test_compiled_unsafe_fallback () =
   in
   expect_invalid "holds_all" (fun () ->
       Containment.holds_all ~db ~master:cc_master [ cc ]);
-  expect_invalid "Compiled.check" (fun () ->
-      Compiled.check comp ~db ~delta:db)
+  expect_invalid "Checker.check" (fun () ->
+      Checker.check chk ~base:empty ~delta:db = None);
+  expect_invalid "Checker.check_add" (fun () ->
+      let tuple = Tuple.of_strs [ "0" ] in
+      Checker.check_add chk ~base:empty ~delta:db ~rel:"S" ~tuple = None)
 
 (* ------------------------------------------------------------------ *)
-(* Incremental overlay: both base/delta decompositions used by the
-   search must agree with the plain check and with holds_all along
-   accepted growth chains (the checker's parent invariant). *)
+(* Delta check: both base/delta decompositions used by the search must
+   agree with the full check and with holds_all along accepted growth
+   chains (the delta check's precondition). *)
 
 let overlay_chain_prop adds =
-  let inc = Incremental.create ~schema:sch ~master:cc_master ccs in
-  if not (Incremental.empty_ok inc) then
-    QCheck2.Test.fail_report "empty database must satisfy the test constraints";
+  let chk = Checker.create ~master:cc_master ccs in
   let empty_db = Database.empty sch in
+  if Checker.check chk ~base:empty_db ~delta:empty_db <> None then
+    QCheck2.Test.fail_report "empty database must satisfy the test constraints";
   let db = ref empty_db in
   List.iter
     (fun (pick, a, b) ->
@@ -375,28 +378,26 @@ let overlay_chain_prop adds =
       let grown = Database.add_tuple !db rel tuple in
       let singleton = Database.add_tuple empty_db rel tuple in
       let slow = Containment.holds_all ~db:grown ~master:cc_master ccs in
-      let plain = Incremental.check_add inc ~db:grown ~rel ~tuple in
+      let full = Checker.check chk ~base:!db ~delta:singleton = None in
       (* delta-only decomposition: everything is overlay *)
       let delta_only =
-        Incremental.check_add_overlay inc ~base:empty_db ~delta:grown ~db:grown
-          ~rel ~tuple
+        Checker.check_add chk ~base:empty_db ~delta:grown ~rel ~tuple = None
       in
       (* against-base decomposition: parent fixed, new tuple as delta *)
       let split =
-        Incremental.check_add_overlay inc ~base:!db ~delta:singleton ~db:grown
-          ~rel ~tuple
+        Checker.check_add chk ~base:!db ~delta:singleton ~rel ~tuple = None
       in
-      if plain <> slow || delta_only <> slow || split <> slow then
+      if full <> slow || delta_only <> slow || split <> slow then
         QCheck2.Test.fail_reportf
-          "%s: holds_all %b, check_add %b, overlay(delta) %b, overlay(split) %b"
-          rel slow plain delta_only split;
+          "%s: holds_all %b, check %b, check_add(delta) %b, check_add(split) %b"
+          rel slow full delta_only split;
       if slow then db := grown)
     adds;
   true
 
 let test_overlay_differential =
   QCheck2.Test.make
-    ~name:"check_add_overlay ≡ check_add ≡ holds_all on growth chains"
+    ~name:"check_add ≡ check ≡ holds_all on growth chains"
     ~count:300
     QCheck2.Gen.(
       list_size (int_bound 12)

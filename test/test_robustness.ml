@@ -673,6 +673,36 @@ let test_service_recovery () =
     (get_str "session" o3 <> sid && get_str "session" o3 <> sid2);
   Sys.remove jpath
 
+(* Requests written while the retired "inc" search mode existed must
+   keep working: a recovered session answers an "inc" request off the
+   wire, as the seq search it now is. *)
+let test_recovered_inc_request () =
+  let jpath = Filename.temp_file "ric-journal" ".jsonl" in
+  let svc1 = Service.create () in
+  Service.attach_journal svc1 (Journal.open_append ~truncate:true jpath);
+  let o = Service.handle svc1 (open_req easy_source) in
+  assert_ok o;
+  let sid = get_str "session" o in
+  assert_ok (Service.handle svc1 (insert sid "Cust" [ [ "c1"; "bob" ] ]));
+  let svc2 = Service.create () in
+  let (_ : Service.recovery) = Service.recover svc2 jpath in
+  let wire =
+    match Protocol.to_json (rcdp ~nocache:true sid "Q") with
+    | Json.Obj fields -> Json.Obj (("search", Json.Str "inc") :: fields)
+    | _ -> Alcotest.fail "a request encodes as an object"
+  in
+  (match Protocol.of_json wire with
+   | Ok (Protocol.Rcdp { search; _ } as req) ->
+     Alcotest.(check bool) "inc decodes as seq" true
+       (search = Some Ric_complete.Search_mode.Seq);
+     let q = Service.handle svc2 req in
+     assert_ok q;
+     Alcotest.(check string) "verdict reflects the replayed insert" "complete"
+       (verdict_of q)
+   | Ok _ -> Alcotest.fail "decoded to another request"
+   | Error m -> Alcotest.failf "inc request rejected: %s" m);
+  Sys.remove jpath
+
 let test_e2e_recover_after_restart () =
   let jpath = Filename.temp_file "ric-journal" ".jsonl" in
   (* first daemon: open + insert, shut down *)
@@ -770,6 +800,8 @@ let () =
           Alcotest.test_case "journal round trip" `Quick test_journal_roundtrip;
           Alcotest.test_case "torn tail tolerated" `Quick test_journal_torn_tail;
           Alcotest.test_case "service recovery" `Quick test_service_recovery;
+          Alcotest.test_case "recovered session serves an inc request" `Quick
+            test_recovered_inc_request;
           Alcotest.test_case "daemon restart with --recover" `Quick
             test_e2e_recover_after_restart;
         ] );

@@ -1,6 +1,7 @@
 (* Tests for the valuation-search performance layer: Search_mode
-   parsing, Budget fork/merge/cancel, the incremental constraint
-   checker (differential against Containment.holds_all), seq/inc/par
+   parsing, Budget fork/merge/cancel, the constraint checker's delta
+   and full checks (differential against Containment.holds_all, prune
+   attribution in declaration order, each CC watched once), seq/par
    verdict agreement on every scenario file, and the satellite
    regressions — duplicate-atom removal (remove one occurrence, not
    every physically-shared copy) and budget checks at search entry. *)
@@ -23,7 +24,9 @@ let test_search_mode_strings () =
       true
       (Search_mode.of_string (Search_mode.to_string m) = Ok m)
   in
-  List.iter roundtrip [ Search_mode.Seq; Search_mode.Inc; Search_mode.Par 2; Search_mode.Par 7 ];
+  List.iter roundtrip [ Search_mode.Seq; Search_mode.Par 2; Search_mode.Par 7 ];
+  Alcotest.(check bool) "the retired inc mode parses as seq" true
+    (Search_mode.of_string "inc" = Ok Search_mode.Seq);
   Alcotest.(check bool) "par defaults domains" true
     (Search_mode.of_string "par" = Ok (Search_mode.Par Search_mode.default_domains));
   List.iter
@@ -177,10 +180,11 @@ let test_entry_check_deciders () =
   | exception Budget.Exhausted Budget.Deadline -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Incremental checker: differential against Containment.holds_all
-   over random single-tuple growth chains.  The chain starts from the
-   empty database (the checker's [empty_ok] parent invariant) and only
-   keeps tuples the full check accepts, mirroring the search. *)
+(* Checker: both entry points differential against
+   Containment.holds_all over random single-tuple growth chains.  The
+   chain starts from the empty database (which satisfies every CC, the
+   delta check's precondition) and only keeps tuples the full check
+   accepts, mirroring the search. *)
 
 let inc_schema =
   Schema.make
@@ -225,13 +229,29 @@ let inc_ccs =
     Containment.make ~name:"const"
       (Lang.Q_cq (Cq.make ~head:[ v "x" ] [ Atom.make "S" [ v "x" ]; Atom.make "S" [ Term.str "3" ] ]))
       Projection.Empty;
+    (* FD a -> b on R: its two atoms are the same probe up to renaming *)
+    Containment.make ~name:"fd"
+      (Lang.Q_cq
+         (Cq.make
+            ~neqs:[ (v "y", v "z") ]
+            ~head:[ v "x"; v "y"; v "z" ]
+            [ Atom.make "R" [ v "x"; v "y" ]; Atom.make "R" [ v "x"; v "z" ] ]))
+      Projection.Empty;
+    (* both ends of a symmetric pair must be in N: the two probes
+       differ only in the head, so both are kept *)
+    Containment.make ~name:"sym"
+      (Lang.Q_cq
+         (Cq.make ~head:[ v "x" ]
+            [ Atom.make "R" [ v "x"; v "y" ]; Atom.make "R" [ v "y"; v "x" ] ]))
+      (Projection.proj "N" [ 0 ]);
   ]
 
 let incremental_agrees_prop adds =
-  let inc = Incremental.create ~schema:inc_schema ~master:inc_master inc_ccs in
-  if not (Incremental.empty_ok inc) then
+  let chk = Checker.create ~master:inc_master inc_ccs in
+  let empty = Database.empty inc_schema in
+  if Checker.check chk ~base:empty ~delta:empty <> None then
     QCheck2.Test.fail_report "empty database must satisfy the test constraints";
-  let db = ref (Database.empty inc_schema) in
+  let db = ref empty in
   List.iter
     (fun (pick, a, b) ->
       let rel, tuple =
@@ -240,12 +260,17 @@ let incremental_agrees_prop adds =
         else ("S", Tuple.of_strs [ string_of_int a ])
       in
       let grown = Database.add_tuple !db rel tuple in
-      let fast = Incremental.check_add inc ~db:grown ~rel ~tuple in
+      let fast =
+        Checker.check_add chk ~base:!db
+          ~delta:(Database.add_tuple empty rel tuple)
+          ~rel ~tuple
+        = None
+      in
       let slow = Containment.holds_all ~db:grown ~master:inc_master inc_ccs in
       if fast <> slow then
         QCheck2.Test.fail_reportf "check_add %s%s: incremental %b vs full %b" rel
           (Format.asprintf "%a" Tuple.pp tuple) fast slow;
-      if Incremental.full inc ~db:grown <> slow then
+      if (Checker.check chk ~base:empty ~delta:grown = None) <> slow then
         QCheck2.Test.fail_reportf "full check diverges on %s%s" rel
           (Format.asprintf "%a" Tuple.pp tuple);
       (* keep only accepted tuples: the parent invariant of the next step *)
@@ -259,11 +284,102 @@ let test_incremental_differential =
     QCheck2.Gen.(list_size (int_bound 12) (triple (int_bound 7) (int_bound 3) (int_bound 3)))
     incremental_agrees_prop
 
-(* ------------------------------------------------------------------ *)
-(* seq / inc / par verdict agreement on every scenario file *)
+(* A violating tuple is attributed to the first CC it violates in
+   declaration order, by either entry point: the delta check walks the
+   CCs reading the grown relation in declaration order too. *)
+let test_declaration_order_attribution () =
+  let chk = Checker.create ~master:inc_master inc_ccs in
+  let empty = Database.empty inc_schema in
+  (* R(5, 5) escapes M (rm) and repeats a value next to S(0) (neq) *)
+  let parent = Database.add_tuple empty "S" (Tuple.of_strs [ "0" ]) in
+  let tuple = Tuple.of_strs [ "5"; "5" ] in
+  let grown = Database.add_tuple parent "R" tuple in
+  Alcotest.(check (option string)) "full check names rm first" (Some "rm")
+    (Checker.check chk ~base:empty ~delta:grown);
+  Alcotest.(check (option string)) "delta check names rm first" (Some "rm")
+    (Checker.check_add chk ~base:parent
+       ~delta:(Database.add_tuple empty "R" tuple)
+       ~rel:"R" ~tuple)
+
+(* A self-join FD is checked once per inserted tuple: one delta check,
+   and one kernel join — its two atoms give probes that are the same up
+   to renaming, so only one runs (one index lookup for the other
+   atom). *)
+let test_self_join_checked_once () =
+  let fd =
+    Containment.make ~name:"fd"
+      (Lang.Q_cq
+         (Cq.make
+            ~neqs:[ (v "y", v "z") ]
+            ~head:[ v "x" ]
+            [ Atom.make "R" [ v "x"; v "y" ]; Atom.make "R" [ v "x"; v "z" ] ]))
+      Projection.Empty
+  in
+  let chk = Checker.create ~master:inc_master [ fd ] in
+  let counter = Ric_obs.Metrics.counter in
+  let delta_checks = counter "ric_incremental_delta_checks_total" in
+  let index_lookups () =
+    Ric_obs.Metrics.counter_value (counter "ric_match_index_builds_total")
+    + Ric_obs.Metrics.counter_value (counter "ric_match_index_reuses_total")
+  in
+  let empty = Database.empty inc_schema in
+  let parent = Database.add_tuple empty "R" (Tuple.of_strs [ "0"; "0" ]) in
+  let check tuple =
+    let before = Ric_obs.Metrics.counter_value delta_checks in
+    let lookups = index_lookups () in
+    let r =
+      Checker.check_add chk ~base:parent
+        ~delta:(Database.add_tuple empty "R" tuple)
+        ~rel:"R" ~tuple
+    in
+    Alcotest.(check int) "one delta check" 1
+      (Ric_obs.Metrics.counter_value delta_checks - before);
+    Alcotest.(check int) "one kernel join" 1 (index_lookups () - lookups);
+    r
+  in
+  Alcotest.(check (option string)) "a second value for key 0 breaks the FD"
+    (Some "fd") (check (Tuple.of_strs [ "0"; "1" ]));
+  Alcotest.(check (option string)) "a new key keeps it" None
+    (check (Tuple.of_strs [ "1"; "1" ]))
 
 let scenarios_dir () =
   if Sys.file_exists "../../../scenarios" then "../../../scenarios" else "scenarios"
+
+(* supply_chain.ric declares ApprovedSupplier and CataloguedPart before
+   the OrderKey FD: the ActiveSuppliers search must charge its prunes to
+   the CCs in that order, in every mode. *)
+let test_supply_chain_attribution () =
+  let s = Scenario.load (Filename.concat (scenarios_dir ()) "supply_chain.ric") in
+  let q = Option.get (Scenario.find_query s "ActiveSuppliers") in
+  let attribution search =
+    let profile = Ric_obs.Profile.create () in
+    (match
+       Rcdp.decide ~search ~profile ~schema:s.Scenario.db_schema
+         ~master:s.Scenario.master ~ccs:(Scenario.all_ccs s) ~db:s.Scenario.db q
+     with
+     | Rcdp.Complete -> ()
+     | Rcdp.Incomplete _ -> Alcotest.fail "ActiveSuppliers must be complete");
+    (Ric_obs.Profile.snapshot profile).Ric_obs.Profile.constraints
+  in
+  let seq = attribution Search_mode.Seq in
+  let charged name = Option.value ~default:0 (List.assoc_opt name seq) in
+  let fd_max =
+    List.fold_left
+      (fun m (name, k) ->
+        if String.starts_with ~prefix:"OrderKey" name then max m k else m)
+      0 seq
+  in
+  (* most candidate orders name an unapproved supplier, and those are
+     charged to the first CC they break *)
+  Alcotest.(check bool) "ApprovedSupplier is charged the most" true
+    (charged "ApprovedSupplier" > charged "CataloguedPart");
+  Alcotest.(check bool) "CataloguedPart is charged more than any FD CC" true
+    (charged "CataloguedPart" > fd_max);
+  Alcotest.(check bool) "par charges the same CCs" true
+    (List.sort compare (attribution (Search_mode.Par 2)) = List.sort compare seq)
+
+(* ------------------------------------------------------------------ *)
+(* seq / par verdict agreement on every scenario file *)
 
 let rcdp_label ~search (s : Scenario.t) q =
   let clock = Budget.create ~max_steps:60_000 () in
@@ -291,9 +407,7 @@ let test_modes_agree_on_scenarios () =
       List.iter
         (fun (qname, q) ->
           let seq = rcdp_label ~search:Search_mode.Seq s q in
-          let inc = rcdp_label ~search:Search_mode.Inc s q in
           let par = rcdp_label ~search:(Search_mode.Par 4) s q in
-          Alcotest.(check string) (Printf.sprintf "%s/%s inc" file qname) seq inc;
           Alcotest.(check string) (Printf.sprintf "%s/%s par" file qname) seq par)
         s.Scenario.queries)
     files
@@ -570,7 +684,15 @@ let () =
           Alcotest.test_case "entry check: deciders" `Quick test_entry_check_deciders;
         ] );
       ( "incremental",
-        [ QCheck_alcotest.to_alcotest test_incremental_differential ] );
+        [
+          QCheck_alcotest.to_alcotest test_incremental_differential;
+          Alcotest.test_case "declaration-order attribution" `Quick
+            test_declaration_order_attribution;
+          Alcotest.test_case "self-join CC checked once" `Quick
+            test_self_join_checked_once;
+          Alcotest.test_case "supply_chain prune attribution" `Quick
+            test_supply_chain_attribution;
+        ] );
       ( "mode agreement",
         [
           Alcotest.test_case "all scenarios, all modes" `Quick test_modes_agree_on_scenarios;

@@ -107,7 +107,7 @@ let test_protocol_roundtrip () =
       rcdp "s1" "Q0";
       rcdp ~nocache:true "s1" "Q0";
       rcdp ~timeout_ms:250 "s1" "Q0";
-      rcdp ~search:Ric_complete.Search_mode.Inc "s1" "Q0";
+      rcdp ~search:Ric_complete.Search_mode.Seq "s1" "Q0";
       rcdp ~search:(Ric_complete.Search_mode.Par 4) "s1" "Q0";
       rcdp ~req_id:"ric-1-2-3" ~explain:true "s1" "Q0";
       rcqp "s2" "Q";
