@@ -22,7 +22,7 @@
      micro    — bechamel micro-benchmarks (one group per table)
      search   — seq/par valuation-search strategies (BENCH_search.json)
      match    — compiled match kernel vs naive oracle (BENCH_match.json)
-     mine     — constraint mining seq vs pool-parallel (BENCH_mine.json)
+     mine     — sequential constraint mining throughput (BENCH_mine.json)
      load     — streaming columnar ingest vs slurp baseline (BENCH_load.json)
      obs      — instrumentation overhead: traced vs untraced seq decide
 *)
@@ -1023,75 +1023,61 @@ let match_bench () =
 (* Constraint mining                                                   *)
 (* ================================================================== *)
 
-(* BENCH_mine.json: throughput of the mining pipeline (enumerate →
-   prune → kernel-score → accept) on the crm and supply_chain
-   scenarios, sequential scoring vs pool-parallel.  The two modes must
-   accept the same constraint set (a live differential, not just a
-   speed report), and check.sh guards the sequential candidates/s
-   against the committed baseline.  On a single-core host the parallel
-   figure records pool overhead rather than a win — that is the honest
-   number. *)
+(* BENCH_mine.json: throughput of the sequential mining pipeline
+   (enumerate → prune → kernel-score → accept) on the crm and
+   supply_chain scenarios: min, median and max candidates/s over
+   [rounds] timed passes after one warm-up pass.  check.sh guards the
+   median ([seq_candidates_per_sec]) against the committed baseline. *)
 
 let mine_bench () =
-  hr "Constraint mining: candidates/s (seq vs pool-parallel)";
+  hr "Constraint mining: candidates/s (sequential)";
   let module Json = Ric_text.Json in
   let module Mine = Ric_mining.Mine in
   let dir =
     if Sys.file_exists "scenarios" then "scenarios" else "../../../scenarios"
   in
-  let par_workers = 2 in
+  let rounds = 7 in
   let bench_one file =
     let s = Ric_text.Scenario.load (Filename.concat dir file) in
     let open Ric_text.Scenario in
-    let run workers =
-      Mine.run
-        ~config:{ Mine.default with Mine.workers }
-        ~db_schema:s.db_schema ~master_schema:s.master_schema ~db:s.db
+    let run () =
+      Mine.run ~db_schema:s.db_schema ~master_schema:s.master_schema ~db:s.db
         ~master:s.master ()
     in
-    let keys (r : Mine.result) =
-      List.map
-        (fun sc -> sc.Ric_mining.Score.candidate.Ric_mining.Enumerate.key)
-        r.Mine.accepted_scored
+    let r = run () in
+    let enumerated = r.Mine.stats.Mine.enumerated in
+    let rates =
+      List.sort Float.compare
+        (List.init rounds (fun _ ->
+             let (_ : Mine.result), secs = time run in
+             float_of_int enumerated /. (secs +. 1e-9)))
     in
-    let seq_r = run 1 in
-    let par_r = run par_workers in
-    if keys seq_r <> keys par_r then begin
-      Printf.printf "  DIVERGENCE on %s: seq accepted %d vs par accepted %d\n"
-        file
-        (List.length seq_r.Mine.accepted)
-        (List.length par_r.Mine.accepted);
-      exit 1
-    end;
-    let enumerated = seq_r.Mine.stats.Mine.enumerated in
-    let rate workers =
-      let best = ref 0.0 in
-      for _ = 1 to 3 do
-        let (_ : Mine.result), secs = time (fun () -> run workers) in
-        best := Float.max !best (float_of_int enumerated /. (secs +. 1e-9))
-      done;
-      !best
-    in
-    let seq_cps = rate 1 in
-    let par_cps = rate par_workers in
+    let at i = int_of_float (List.nth rates i) in
+    let lo = at 0 and med = at (rounds / 2) and hi = at (rounds - 1) in
     Printf.printf "  %-18s %6d candidates, %3d accepted\n" file enumerated
-      seq_r.Mine.stats.Mine.accepted;
-    Printf.printf "    seq        %12.0f candidates/s\n" seq_cps;
-    Printf.printf "    par (w=%d)  %12.0f candidates/s  (%.2fx)\n" par_workers
-      par_cps (par_cps /. seq_cps);
+      r.Mine.stats.Mine.accepted;
+    Printf.printf "    seq  %9d candidates/s median  (min %d, max %d, %d rounds)\n"
+      med lo hi rounds;
     Json.Obj
       [
         ("scenario", Json.Str file);
         ("enumerated", Json.Int enumerated);
-        ("accepted", Json.Int seq_r.Mine.stats.Mine.accepted);
-        ("seq_candidates_per_sec", Json.Int (int_of_float seq_cps));
-        ("par_candidates_per_sec", Json.Int (int_of_float par_cps));
-        ("par_workers", Json.Int par_workers);
-        ("speedup", Json.Str (Printf.sprintf "%.2f" (par_cps /. seq_cps)));
+        ("accepted", Json.Int r.Mine.stats.Mine.accepted);
+        ("rounds", Json.Int rounds);
+        ("seq_candidates_per_sec", Json.Int med);
+        ("seq_min_candidates_per_sec", Json.Int lo);
+        ("seq_max_candidates_per_sec", Json.Int hi);
       ]
   in
   let rows = List.map bench_one [ "crm.ric"; "supply_chain.ric" ] in
-  let json = Json.Obj [ ("bench", Json.Str "mine"); ("scenarios", Json.List rows) ] in
+  let json =
+    Json.Obj
+      [
+        ("bench", Json.Str "mine");
+        ("nproc", Json.Int (Stdlib.Domain.recommended_domain_count ()));
+        ("scenarios", Json.List rows);
+      ]
+  in
   let out =
     Sys.getenv_opt "RIC_BENCH_MINE_OUT" |> Option.value ~default:"BENCH_mine.json"
   in
@@ -1109,10 +1095,11 @@ let mine_bench () =
    loader over a ladder of generated master-data files, against the
    pre-streaming slurp-and-fold baseline.  A live differential — both
    loaders must build equal databases on every rung — plus peak RSS
-   (VmHWM).  VmHWM is a process-lifetime high-water mark, so the top
-   rung streams {e first}, before anything slurps a file whole: the
-   peak it reports is the streaming path's own.  check.sh guards the
-   headline stream_tuples_per_sec against the committed baseline. *)
+   (VmHWM).  VmHWM is a process-lifetime high-water mark, so each rung
+   runs in its own forked child and reports that child's peak: the
+   streaming load, the index build and the slurp baseline of that rung
+   and nothing else.  check.sh guards the headline
+   stream_tuples_per_sec against the committed baseline. *)
 
 let vm_hwm_kb () =
   match open_in "/proc/self/status" with
@@ -1131,6 +1118,39 @@ let vm_hwm_kb () =
     let kb = go () in
     close_in_noerr ic;
     kb
+
+(* Run [f] in a forked child and return its result, marshalled back
+   through a pipe.  When the child fails (an exception, or the
+   divergence check's [exit 1]) the parent exits 1 too. *)
+let in_child f =
+  flush stdout;
+  flush stderr;
+  let rd, wr = Unix.pipe () in
+  match Unix.fork () with
+  | 0 ->
+    Unix.close rd;
+    let code =
+      match f () with
+      | r ->
+        let oc = Unix.out_channel_of_descr wr in
+        Marshal.to_channel oc r [];
+        close_out oc;
+        0
+      | exception e ->
+        prerr_endline (Printexc.to_string e);
+        2
+    in
+    flush stdout;
+    flush stderr;
+    Unix._exit code
+  | pid ->
+    Unix.close wr;
+    let ic = Unix.in_channel_of_descr rd in
+    let r = try Some (Marshal.from_channel ic) with End_of_file -> None in
+    close_in ic;
+    (match (Unix.waitpid [] pid, r) with
+     | (_, Unix.WEXITED 0), Some r -> r
+     | _ -> exit 1)
 
 let load_bench () =
   hr "Ingest: streaming columnar loader vs slurp baseline (generated .ric)";
@@ -1159,10 +1179,10 @@ let load_bench () =
     close_in_noerr ic;
     s
   in
-  let headline = ref (0., 0., 0) (* stream sps, slurp sps, vmhwm kB *) in
-  let rung_rows =
+  let rungs_out =
     List.map
       (fun tuples ->
+        in_child @@ fun () ->
         let path = gen_file tuples in
         let rows = Gen.total_rows Gen.Triple ~tuples in
         let is_top = tuples = top in
@@ -1201,23 +1221,27 @@ let load_bench () =
           "  %8d tuples : stream %9.0f t/s  slurp %9.0f t/s  (%4.1fx)  rix \
            %6.1f ms  growths %d  VmHWM %d kB\n"
           tuples stream_sps slurp_sps speedup (1e3 *. rix_secs) growths vmhwm;
-        if is_top then headline := (stream_sps, slurp_sps, vmhwm);
-        Json.Obj
-          [
-            ("tuples", Json.Int tuples);
-            ("rows", Json.Int rows);
-            ("stream_tuples_per_sec", Json.Int (int_of_float stream_sps));
-            ("slurp_tuples_per_sec", Json.Int (int_of_float slurp_sps));
-            ("speedup", Json.Str (Printf.sprintf "%.2f" speedup));
-            ("intern_cells_per_sec", Json.Int (int_of_float intern_cps));
-            ("rix_build_ms", Json.Int (int_of_float (1e3 *. rix_secs)));
-            ("intern_growths", Json.Int growths);
-            ("vmhwm_kb", Json.Int vmhwm);
-            ("databases_equal", Json.Bool true);
-          ])
+        let row =
+          Json.Obj
+            [
+              ("tuples", Json.Int tuples);
+              ("rows", Json.Int rows);
+              ("stream_tuples_per_sec", Json.Int (int_of_float stream_sps));
+              ("slurp_tuples_per_sec", Json.Int (int_of_float slurp_sps));
+              ("speedup", Json.Str (Printf.sprintf "%.2f" speedup));
+              ("intern_cells_per_sec", Json.Int (int_of_float intern_cps));
+              ("rix_build_ms", Json.Int (int_of_float (1e3 *. rix_secs)));
+              ("intern_growths", Json.Int growths);
+              ("vmhwm_kb", Json.Int vmhwm);
+              ("databases_equal", Json.Bool true);
+            ]
+        in
+        (row, (stream_sps, slurp_sps, vmhwm, Intern.size ())))
       rungs
   in
-  let (stream_sps, slurp_sps, vmhwm) = !headline in
+  let rung_rows = List.map fst rungs_out in
+  (* the top rung is the first *)
+  let (stream_sps, slurp_sps, vmhwm, intern_entries) = snd (List.hd rungs_out) in
   let speedup = stream_sps /. (slurp_sps +. 1e-9) in
   Printf.printf
     "  headline (%d tuples): stream %.0f t/s vs slurp %.0f t/s — %.1fx, peak \
@@ -1230,12 +1254,13 @@ let load_bench () =
         ("family", Json.Str "triple");
         ("seed", Json.Int seed);
         ("top_tuples", Json.Int top);
+        ("nproc", Json.Int (Stdlib.Domain.recommended_domain_count ()));
         ("rungs", Json.List rung_rows);
         ("stream_tuples_per_sec", Json.Int (int_of_float stream_sps));
         ("slurp_tuples_per_sec", Json.Int (int_of_float slurp_sps));
         ("speedup", Json.Str (Printf.sprintf "%.2f" speedup));
         ("vmhwm_kb", Json.Int vmhwm);
-        ("intern_entries", Json.Int (Intern.size ()));
+        ("intern_entries", Json.Int intern_entries);
       ]
   in
   let out =

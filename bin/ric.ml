@@ -559,8 +559,8 @@ let mine_cmd =
   let module Enumerate = Ric_mining.Enumerate in
   let module Score = Ric_mining.Score in
   let module Scenario = Ric_text.Scenario in
-  let run path json check full workers min_support min_confidence max_atoms
-      max_width max_consts no_cover timeout_ms =
+  let run path json check full min_support min_confidence max_atoms max_width
+      max_consts no_cover timeout_ms =
     with_scenario path (fun s ->
         let config =
           {
@@ -568,7 +568,6 @@ let mine_cmd =
               { Enumerate.default with Enumerate.max_atoms; max_width; max_consts };
             min_support;
             min_confidence;
-            workers;
             minimal_cover = not no_cover;
           }
         in
@@ -715,12 +714,6 @@ let mine_cmd =
           0
         end)
   in
-  let workers_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "w"; "workers" ] ~docv:"N"
-          ~doc:"Fan candidate scoring out over $(docv) pool worker domains")
-  in
   let min_support_arg =
     Arg.(
       value & opt int 1
@@ -792,8 +785,7 @@ let mine_cmd =
          "Induce containment constraints q(D) ⊆ p(Dm) from a scenario's data \
           (support/confidence rule mining over the compiled match kernel)")
     Term.(
-      const run $ file_arg $ json_arg $ check_arg $ full_arg $ workers_arg
-      $ min_support_arg $ min_confidence_arg $ max_atoms_arg $ max_width_arg
+      const run $ file_arg $ json_arg $ check_arg $ full_arg $ min_support_arg $ min_confidence_arg $ max_atoms_arg $ max_width_arg
       $ max_consts_arg $ no_cover_arg $ mine_timeout_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -1189,9 +1181,10 @@ let request_simple_cmd op doc req =
   Cmd.v (Cmd.info op ~doc) Term.(const run $ socket_arg $ receive_timeout_arg)
 
 let request_mine_cmd =
-  let run socket receive_timeout session nocache timeout_ms min_support workers =
+  let run socket receive_timeout session nocache timeout_ms min_support =
     rpc ?receive_timeout socket
-      (Ric_service.Protocol.Mine { session; nocache; timeout_ms; min_support; workers })
+      (Ric_service.Protocol.Mine
+         { session; nocache; timeout_ms; min_support; workers = None })
   in
   let min_support_arg =
     Arg.(
@@ -1199,19 +1192,12 @@ let request_mine_cmd =
       & opt (some int) None
       & info [ "min-support" ] ~docv:"N" ~doc:"Witness threshold (server default 1)")
   in
-  let workers_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "w"; "workers" ] ~docv:"N"
-          ~doc:"Scoring fan-out over pool domains (server default sequential)")
-  in
   Cmd.v
     (Cmd.info "mine"
        ~doc:"Induce containment constraints from a session's (Dm, D) pair")
     Term.(
       const run $ socket_arg $ receive_timeout_arg $ session_pos $ nocache_arg
-      $ timeout_ms_arg $ min_support_arg $ workers_arg)
+      $ timeout_ms_arg $ min_support_arg)
 
 let request_close_cmd =
   let run socket receive_timeout session =

@@ -84,35 +84,10 @@ let is_unlimited t = not t.limited
 
 let add_steps t n = if n > 0 then t.steps <- t.steps + n
 
-(* A child budget for one parallel search worker: its own step counter
-   (each domain ticks without contention), the parent's deadline, the
-   parent's cancel flags plus an optional extra one (the coordinator's
-   first-witness stop flag), and whatever step allowance the parent has
-   left after [extra_steps] units already handed to siblings.  The
-   child is always limited — even under an unlimited parent the extra
-   cancel flag must be polled. *)
-let fork ?cancel ?(extra_steps = 0) t =
-  let max_steps =
-    if t.max_steps = max_int then max_int
-    else max 0 (t.max_steps - t.steps - extra_steps)
-  in
-  {
-    limited = true;
-    label = t.label;
-    deadline = t.deadline;
-    max_steps;
-    cancel =
-      (match cancel with Some flag -> flag :: t.cancel | None -> t.cancel);
-    steps = 0;
-    shared = None;
-  }
-
 (* A sibling-family child: ticks count against one process-wide atomic
    the whole family shares, and [max_steps] caps that counter, so the
    family as a whole can never overshoot the parent's remaining
-   allowance — unlike [fork], where each child polls its private
-   counter and concurrent children can collectively run past the cap
-   between merges. *)
+   allowance. *)
 let fork_shared ~shared ?cancel t =
   let max_steps =
     if t.max_steps = max_int then max_int

@@ -11,9 +11,10 @@
 
     A budget is single-use and owned by one decide call; only the
     [cancel] flags may be shared across domains (they are [Atomic.t]s).
-    Parallel search workers never share a budget: each gets a {!fork}
-    with its own step counter, and the coordinator folds the children's
-    work back into the parent with {!add_steps}. *)
+    Parallel search workers never share a budget: each gets a
+    {!fork_shared} child whose ticks count against one atomic the
+    family shares, and the coordinator folds the family total back
+    into the parent with {!add_steps}. *)
 
 type reason =
   | Deadline    (** the wall-clock deadline passed *)
@@ -58,7 +59,7 @@ val steps : t -> int
 
 val label : t -> string option
 (** The correlation id the budget carries ({!create}'s [label];
-    inherited by {!fork} and {!fork_shared} children). *)
+    inherited by {!fork_shared} children). *)
 
 val remaining : t -> int
 (** Step allowance left ([max_int] when unbounded) — what a
@@ -67,32 +68,12 @@ val remaining : t -> int
 
 val is_unlimited : t -> bool
 
-val fork : ?cancel:bool Atomic.t -> ?extra_steps:int -> t -> t
-(** A child budget for one parallel worker: fresh step counter, the
-    parent's deadline and cancel flags, plus an optional extra flag
-    (the coordinator's first-witness stop signal).  Its step allowance
-    is what the parent has left minus [extra_steps] units already
-    consumed by sibling workers.  The child is limited even when the
-    parent is {!unlimited}, so the extra flag is always polled.
-
-    Accounting contract: every child step must reach the parent's
-    {!steps} counter {b exactly once}.  The coordinator achieves this
-    by reading {!steps} of each child exactly once after the child
-    stops (normally or via [Exhausted]), accumulating the reads, and
-    folding the total into the parent with a single {!add_steps} —
-    never by calling [add_steps] per child {e and} per accumulator.
-    [extra_steps] only narrows a {e new} child's allowance; it is not
-    added to any counter, so passing a stale value cannot double-count
-    (it can only let concurrently-running children overshoot
-    [max_steps] slightly, which the parent's own [check_now] bounds).
-    The test suite pins this down by comparing par-mode and seq-mode
-    step totals on the same instance.
-
-    Prefer {!fork_shared} for a family of concurrent workers: it
-    enforces the cap exactly instead of per-child. *)
-
 val fork_shared : shared:int Atomic.t -> ?cancel:bool Atomic.t -> t -> t
-(** Like {!fork}, but every tick of every child built over the same
+(** A child budget for one parallel search worker: the parent's
+    deadline and cancel flags, plus an optional extra flag (the
+    coordinator's first-witness stop signal).  The child is limited
+    even when the parent is {!unlimited}, so the extra flag is always
+    polled.  Every tick of every child built over the same
     [shared] atomic counts against that one counter, and the parent's
     remaining allowance caps the {e family total} — concurrent workers
     can never collectively overshoot the step cap, and no job-end merge

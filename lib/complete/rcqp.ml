@@ -251,6 +251,14 @@ let with_decide_obs ~name ~clock ~search f =
     Trace.set_str sp "reason" (Budget.reason_name reason);
     raise e
 
+(* A witness must be partially closed and complete; [Rcdp.decide]
+   checks partial closure at entry, so a database that fails it is
+   simply not a witness. *)
+let verify_witness ?clock ?search ?profile ~schema ~master ~ccs q w =
+  match Rcdp.decide ?clock ?search ?profile ~schema ~master ~ccs ~db:w q with
+  | Rcdp.Complete -> true
+  | Rcdp.Incomplete _ | (exception Rcdp.Not_partially_closed _) -> false
+
 let decide_ind_core ~clock ~search ~profile ~schema ~master ~inds q =
   Budget.check_now clock;
   let ucq = as_ucq_or_raise "RCQP" q in
@@ -316,16 +324,11 @@ let decide_ind_core ~clock ~search ~profile ~schema ~master ~inds q =
           }
       | None ->
         let witness =
-          ind_witness ~clock ?profile ~budget:default_budget ~schema
-            ~master ~ccs ~adom live
-        in
-        let witness =
-          match witness with
-          | Some w
-            when Containment.holds_all ~db:w ~master ccs
-                 && Rcdp.decide ~clock ~search ?profile ~schema
-                      ~master ~ccs ~db:w q
-                    = Rcdp.Complete ->
+          match
+            ind_witness ~clock ?profile ~budget:default_budget ~schema
+              ~master ~ccs ~adom live
+          with
+          | Some w when verify_witness ~clock ~search ?profile ~schema ~master ~ccs q w ->
             Some w
           | _ -> None
         in
@@ -898,11 +901,6 @@ let unconstrained_disjunct ~ccs tableaux =
         let rels = List.map (fun (a : Atom.t) -> a.Atom.rel) tab.Tableau.patterns in
         if List.exists (fun r -> List.mem r cc_rels) rels then None else Some (tab, y))
     tableaux
-
-let verify_witness ?clock ?search ?profile ~schema ~master ~ccs q w =
-  Containment.holds_all ~db:w ~master ccs
-  && Rcdp.decide ?clock ?search ?profile ~schema ~master ~ccs ~db:w q
-     = Rcdp.Complete
 
 (* Heuristic witness candidates, cheapest-and-likeliest first: the
    empty database, the greedy maximal collection of constant-valued

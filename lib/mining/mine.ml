@@ -2,13 +2,11 @@ open Ric_relational
 open Ric_query
 open Ric_constraints
 module Budget = Ric_complete.Budget
-module Pool = Ric_complete.Pool
 
 type config = {
   enum : Enumerate.config;
   min_support : int;
   min_confidence : float;
-  workers : int;
   minimal_cover : bool;
 }
 
@@ -17,7 +15,6 @@ let default =
     enum = Enumerate.default;
     min_support = 1;
     min_confidence = 0.8;
-    workers = 1;
     minimal_cover = true;
   }
 
@@ -78,14 +75,6 @@ let prunable ~db ~master (c : Enumerate.candidate) =
   | Projection.Empty -> false
   | Projection.Proj { mrel; _ } -> empty_in master mrel
 
-let score_one ctx ~db budget c =
-  let s =
-    Ric_obs.Metrics.time m_eval_hist (fun () ->
-        Score.score ~budget ctx ~db c)
-  in
-  Ric_obs.Metrics.incr m_evaluated;
-  s
-
 let eval_seq budget ~db ~master cands timed_out =
   let ctx = Score.ctx ~master () in
   let out = ref [] in
@@ -93,78 +82,15 @@ let eval_seq budget ~db ~master cands timed_out =
      List.iter
        (fun c ->
          Budget.check_now budget;
-         out := score_one ctx ~db budget c :: !out)
+         let s =
+           Ric_obs.Metrics.time m_eval_hist (fun () ->
+               Score.score ~budget ctx ~db c)
+         in
+         Ric_obs.Metrics.incr m_evaluated;
+         out := s :: !out)
        cands
    with Budget.Exhausted r ->
      if !timed_out = None then timed_out := Some r);
-  !out
-
-let batch_size = 32
-
-let rec chunk n = function
-  | [] -> []
-  | l ->
-    let rec take k acc = function
-      | rest when k = 0 -> (List.rev acc, rest)
-      | [] -> (List.rev acc, [])
-      | x :: rest -> take (k - 1) (x :: acc) rest
-    in
-    let b, rest = take n [] l in
-    b :: chunk n rest
-
-(* The valuation-search fan-out idiom: a shared stop flag, per-batch
-   forked budgets whose consumed steps fold back into the parent
-   exactly once, first-error / first-exhaustion recorded under a
-   mutex, partial output preserved. *)
-let eval_par workers budget ~db ~master cands timed_out =
-  let stop = Atomic.make false in
-  let mx = Mutex.create () in
-  let locked f =
-    Mutex.lock mx;
-    Fun.protect ~finally:(fun () -> Mutex.unlock mx) f
-  in
-  let consumed = Atomic.make 0 in
-  let out = ref [] and exh = ref None and err = ref None in
-  let run_batch job =
-    if not (Atomic.get stop) then begin
-      let child =
-        Budget.fork ~cancel:stop ~extra_steps:(Atomic.get consumed) budget
-      in
-      let ctx = Score.ctx ~master () in
-      let acc = ref [] in
-      (try
-         List.iter
-           (fun c ->
-             if not (Atomic.get stop) then begin
-               Budget.check_now child;
-               acc := score_one ctx ~db child c :: !acc
-             end)
-           job
-       with
-      | Budget.Exhausted r ->
-        locked (fun () -> if !exh = None then exh := Some r);
-        Atomic.set stop true
-      | e ->
-        locked (fun () -> if !err = None then err := Some e);
-        Atomic.set stop true);
-      ignore (Atomic.fetch_and_add consumed (Budget.steps child));
-      locked (fun () -> out := List.rev_append !acc !out)
-    end
-  in
-  let pool =
-    Pool.create ~domains:workers ~capacity:(2 * workers)
-      ~worker:(fun f -> f ())
-      ()
-  in
-  List.iter
-    (fun job -> ignore (Pool.submit pool (fun () -> run_batch job)))
-    (chunk batch_size cands);
-  Pool.shutdown pool;
-  Budget.add_steps budget (Atomic.get consumed);
-  (match !err with Some e -> raise e | None -> ());
-  (match !exh with
-  | Some r when !timed_out = None -> timed_out := Some r
-  | _ -> ());
   !out
 
 (* ------------------------------------------------------------------ *)
@@ -224,9 +150,7 @@ let run ?(config = default) ?(budget = Budget.unlimited) ~db_schema
   let pruned, to_eval = List.partition (prunable ~db ~master) er.Enumerate.cands in
   Ric_obs.Metrics.add m_pruned (List.length pruned);
   let scored =
-    if !timed_out <> None then []
-    else if config.workers <= 1 then eval_seq budget ~db ~master to_eval timed_out
-    else eval_par config.workers budget ~db ~master to_eval timed_out
+    if !timed_out <> None then [] else eval_seq budget ~db ~master to_eval timed_out
   in
   let accepted_all =
     order

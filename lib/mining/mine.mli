@@ -3,10 +3,9 @@
     [run] turns a [(Dm, D)] pair into a set of containment constraints
     the pair satisfies: candidates from {!Enumerate} are pruned
     (empty body relation, empty projection target), scored by
-    {!Score} — sequentially or fanned out over the supervised
-    {!Ric_complete.Pool} in batches — and accepted when their
-    confidence is exactly [1.0] and their support reaches the
-    threshold.  Accepted constraints are ordered deterministically
+    {!Score} in one sequential pass over one {!Score.ctx}, and
+    accepted when their confidence is exactly [1.0] and their support
+    reaches the threshold.  Accepted constraints are ordered deterministically
     (support descending, then canonical key), optionally reduced to a
     minimal cover (a constraint implied by an accepted more-general
     one via Chandra–Merlin containment is dropped), and named
@@ -30,13 +29,12 @@ type config = {
   min_confidence : float;
       (** report (but never emit) near-misses at or above this
           confidence; acceptance always requires confidence [1.0] *)
-  workers : int;  (** scoring fan-out; [1] evaluates inline *)
   minimal_cover : bool;  (** drop accepted constraints implied by others *)
 }
 
 val default : config
 (** [{ enum = Enumerate.default; min_support = 1; min_confidence = 0.8;
-      workers = 1; minimal_cover = true }] *)
+      minimal_cover = true }] *)
 
 type stats = {
   enumerated : int;  (** raw candidates, duplicates included *)
@@ -67,8 +65,7 @@ val run :
   unit ->
   result
 (** Never raises {!Budget.Exhausted}; partial results carry
-    [timed_out].  Worker pool failures (which the supervised pool does
-    not swallow silently) are re-raised. *)
+    [timed_out]. *)
 
 type check_row = {
   cq_name : string;

@@ -32,9 +32,9 @@ val cq_of : Enumerate.candidate -> Cq.t
 val cc_of : ?name:string -> Enumerate.candidate -> Containment.t
 
 type ctx
-(** Per-worker evaluation context: a private {!Ric_query.Kernel.Store}
-    (parallel workers sharing one store would serialise on its mutex)
-    plus a cache of interned RHS rowsets keyed by projection. *)
+(** Evaluation context for one mining pass: a {!Ric_query.Kernel.Store}
+    reused across candidates plus a cache of interned RHS rowsets keyed
+    by projection. *)
 
 val ctx : master:Database.t -> unit -> ctx
 

@@ -156,7 +156,9 @@ type request =
       nocache : bool;
       timeout_ms : int option;
       min_support : int option;  (** acceptance threshold (default 1) *)
-      workers : int option;  (** scoring fan-out (default sequential) *)
+      workers : int option;
+          (** accepted and ignored: mining always scores sequentially;
+              older clients still send it *)
     }
       (** Induce containment constraints from the session's [(Dm, D)]
           pair.  The response carries the accepted constraints in

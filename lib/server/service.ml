@@ -577,7 +577,7 @@ let mine_response ~session ~epoch ~cached ~elapsed_us result =
       ("result", result);
     ]
 
-let handle_mine t ~admitted_at ~session ~nocache ~timeout_ms ~min_support ~workers =
+let handle_mine t ~admitted_at ~session ~nocache ~timeout_ms ~min_support =
   let info =
     with_lock t (fun () ->
         match Session.find t.registry session with
@@ -596,11 +596,8 @@ let handle_mine t ~admitted_at ~session ~nocache ~timeout_ms ~min_support ~worke
       {
         Ric_mining.Mine.default with
         Ric_mining.Mine.min_support = Option.value ~default:1 min_support;
-        workers = Option.value ~default:1 workers;
       }
     in
-    (* workers is an execution detail — results are identical, so it
-       stays out of the config fingerprint, like search modes do *)
     let config_fp = Printf.sprintf "s%d" config.Ric_mining.Mine.min_support in
     let key = Cache.mine_key ~session ~fingerprint ~epoch ~config:config_fp in
     let hit = if nocache then None else with_lock t (fun () -> Cache.find t.cache key) in
@@ -991,8 +988,8 @@ and dispatch_req t ?admitted_at req =
     ->
     handle_audit t ~admitted_at ~session ~query ~nocache ~timeout_ms
       ~search:(resolve_search t search) ~req_id ~explain
-  | Protocol.Mine { session; nocache; timeout_ms; min_support; workers } ->
-    handle_mine t ~admitted_at ~session ~nocache ~timeout_ms ~min_support ~workers
+  | Protocol.Mine { session; nocache; timeout_ms; min_support; workers = _ } ->
+    handle_mine t ~admitted_at ~session ~nocache ~timeout_ms ~min_support
   | Protocol.Insert { session; rel; rows } -> handle_insert t ~session ~rel ~rows
   | Protocol.Insert_bulk { session; batches } ->
     handle_insert_bulk t ~session ~batches

@@ -1,8 +1,9 @@
 (* Tests for the constraint-mining subsystem: canonicalisation,
    kernel-vs-naive scoring agreement, the accept/cover pipeline, its
-   budget and parallel behaviour, the .ric round trip of mined blocks,
-   the RCDP cross-check, the plan-memo eviction counter, and the ricd
-   [mine] op (protocol + service, caching and insert invalidation).
+   budget behaviour, the .ric round trip of mined blocks, the RCDP
+   cross-check, the plan-memo eviction counter, and the ricd [mine] op
+   (protocol + service, caching, insert invalidation, and the retired
+   [workers] wire field accepted and ignored).
 
    The QCheck differential is the load-bearing one: on random (Dm, D)
    pairs every accepted constraint must actually hold (the naive
@@ -209,15 +210,6 @@ let test_mine_timeout_partial () =
   Alcotest.(check bool) "partial accepted still hold" true
     (Containment.holds_all ~db:s.Scenario.db ~master:s.Scenario.master
        (List.map snd r.Mine.accepted))
-
-let test_mine_seq_par_agree () =
-  let s = crm () in
-  let keys r =
-    List.map (fun sc -> sc.Score.candidate.Enumerate.key) r.Mine.accepted_scored
-  in
-  let seq = mine ~config:{ Mine.default with Mine.workers = 1 } s in
-  let par = mine ~config:{ Mine.default with Mine.workers = 2 } s in
-  Alcotest.(check (list string)) "same accepted set" (keys seq) (keys par)
 
 (* ------------------------------------------------------------------ *)
 (* Round trip: mined block → pp → parse → pp *)
@@ -479,6 +471,48 @@ let test_service_mine () =
   Alcotest.(check bool) "post-insert is uncached" false (get_bool "cached" third);
   Alcotest.(check int) "post-insert epoch" 1 (get_int "epoch" third)
 
+(* Mining always scores sequentially; a wire [workers] field from an
+   older client still decodes, changes nothing in the answer, and is
+   served from the same cache entry as a request without it. *)
+let test_service_mine_ignores_workers () =
+  let open Ric_service in
+  let service = Service.create () in
+  let opened =
+    Service.handle service
+      (Protocol.Open { path = None; source = Some crm_source; name = Some "crm" })
+  in
+  let sid =
+    match get "session" opened with
+    | Json.Str s -> s
+    | _ -> Alcotest.fail "no session id"
+  in
+  let wire extra =
+    let text =
+      Printf.sprintf {|{"op":"mine","session":%S%s}|} sid extra
+    in
+    match Protocol.of_json (Json.of_string text) with
+    | Ok req -> Service.handle service req
+    | Error m -> Alcotest.failf "%s failed to decode: %s" text m
+  in
+  let texts r =
+    List.map
+      (fun c ->
+        match get "text" c with
+        | Json.Str s -> s
+        | _ -> Alcotest.fail "constraint text missing")
+      (get_list "accepted" (get "result" r))
+  in
+  let cold = wire {|,"workers":4,"nocache":true|} in
+  Alcotest.(check bool) "workers request ok" true (get_bool "ok" cold);
+  Alcotest.(check bool) "nocache is uncached" false (get_bool "cached" cold);
+  let plain = wire "" in
+  Alcotest.(check bool) "plain request computes" false (get_bool "cached" plain);
+  Alcotest.(check (list string)) "same accepted set" (texts plain) (texts cold);
+  let warm = wire {|,"workers":4|} in
+  Alcotest.(check bool) "served from the plain request's entry" true
+    (get_bool "cached" warm);
+  Alcotest.(check (list string)) "same cached set" (texts plain) (texts warm)
+
 (* ------------------------------------------------------------------ *)
 
 let properties =
@@ -502,7 +536,6 @@ let () =
           Alcotest.test_case "minimal cover" `Quick test_minimal_cover_drops_implied;
           Alcotest.test_case "empty instance" `Quick test_mine_empty_instance;
           Alcotest.test_case "budget timeout" `Quick test_mine_timeout_partial;
-          Alcotest.test_case "seq = par" `Quick test_mine_seq_par_agree;
           Alcotest.test_case "round trip" `Quick test_roundtrip_through_parser;
           Alcotest.test_case "cross-check flip" `Quick test_cross_check_flips;
         ] );
@@ -512,6 +545,8 @@ let () =
         [
           Alcotest.test_case "protocol round trip" `Quick test_protocol_mine_roundtrip;
           Alcotest.test_case "mine op lifecycle" `Quick test_service_mine;
+          Alcotest.test_case "mine workers field ignored" `Quick
+            test_service_mine_ignores_workers;
         ] );
       ("properties", properties);
     ]

@@ -1,5 +1,5 @@
 (* Tests for the valuation-search performance layer: Search_mode
-   parsing, Budget fork/merge/cancel, the constraint checker's delta
+   parsing, Budget fork_shared cap/cancel, the constraint checker's delta
    and full checks (differential against Containment.holds_all, prune
    attribution in declaration order, each CC watched once), seq/par
    verdict agreement on every scenario file, and the satellite
@@ -37,28 +37,13 @@ let test_search_mode_strings () =
     [ "warp"; "par:0"; "par:-1"; "par:x"; "" ]
 
 (* ------------------------------------------------------------------ *)
-(* Budget: fork, merge, cancel *)
-
-let test_budget_fork_allowance () =
-  let parent = Budget.create ~max_steps:100 () in
-  for _ = 1 to 30 do
-    Budget.tick parent
-  done;
-  let child = Budget.fork ~extra_steps:20 parent in
-  (* allowance = 100 − 30 − 20 = 50: 49 ticks pass, the 50th trips *)
-  for _ = 1 to 49 do
-    Budget.tick child
-  done;
-  (match Budget.tick child with
-   | () -> Alcotest.fail "child must stop at the remaining allowance"
-   | exception Budget.Exhausted Budget.Step_limit -> ()
-   | exception Budget.Exhausted _ -> Alcotest.fail "wrong exhaustion reason");
-  Budget.add_steps parent (Budget.steps child);
-  Alcotest.(check int) "children steps folded back" 80 (Budget.steps parent)
+(* Budget: shared-counter forks, cancel *)
 
 let test_budget_fork_cancel () =
   let stop = Atomic.make false in
-  let child = Budget.fork ~cancel:stop Budget.unlimited in
+  let child =
+    Budget.fork_shared ~shared:(Atomic.make 0) ~cancel:stop Budget.unlimited
+  in
   Budget.check_now child;
   Atomic.set stop true;
   (match Budget.check_now child with
@@ -66,7 +51,7 @@ let test_budget_fork_cancel () =
    | exception Budget.Exhausted Budget.Cancelled -> ());
   (* the parent's own flags are inherited too *)
   let flagged = Budget.create ~cancel:(Atomic.make true) () in
-  match Budget.check_now (Budget.fork flagged) with
+  match Budget.check_now (Budget.fork_shared ~shared:(Atomic.make 0) flagged) with
   | () -> Alcotest.fail "parent cancel flag must propagate to forks"
   | exception Budget.Exhausted Budget.Cancelled -> ()
 
@@ -673,7 +658,6 @@ let () =
         [ Alcotest.test_case "parse / print" `Quick test_search_mode_strings ] );
       ( "budget",
         [
-          Alcotest.test_case "fork allowance + merge" `Quick test_budget_fork_allowance;
           Alcotest.test_case "fork cancel flags" `Quick test_budget_fork_cancel;
           Alcotest.test_case "shared family cap is exact" `Quick test_budget_fork_shared_cap;
         ] );
