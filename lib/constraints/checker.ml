@@ -1,7 +1,8 @@
 open Ric_relational
 open Ric_query
 
-(* The containment-constraint checker of the valuation search.
+(* The containment-constraint checker of the valuation search and of
+   the service's write path.
 
    Per [create]:
    - the RHS projection of each CC is evaluated against the master
@@ -18,7 +19,9 @@ open Ric_query
    Per check, plans join over [base]'s persistent indexes plus [delta]
    as a small interned overlay, stopping at the first answer escaping
    the cached RHS.  FO/FP or unsafe LHSs keep the full-evaluation path
-   so they raise (or recurse) exactly as [Containment.holds_all]. *)
+   so they raise (or recurse) exactly as [Containment.holds_all].
+   [mem_answer] runs a query's disjuncts the same way, with the head
+   bound to the asked tuple instead of a pinned atom. *)
 
 type plan = {
   plan : Kernel.plan;
@@ -36,20 +39,16 @@ type body =
   | Eval of Lang.t
 
 type entry = {
+  ord : int; (* declaration position *)
   violated : string option; (* [Some cc_name], allocated once *)
   rhs_rel : Relation.t;
   rhs_ids : Kernel.Rowset.t;
   body : body;
 }
 
-type watch = {
-  w_entry : entry;
-  w_probes : probe list; (* this entry's probes pinned on the relation *)
-}
-
 type t = {
   entries : entry list;
-  by_rel : (string, watch list) Hashtbl.t;
+  by_rel : (string, (entry * probe list) list) Hashtbl.t;
   store : Kernel.Store.t;
 }
 
@@ -152,8 +151,8 @@ let probes_of ~with_head ns =
 let create ~master ccs =
   let by_rel = Hashtbl.create 16 in
   let entries =
-    List.map
-      (fun (cc : Containment.t) ->
+    List.mapi
+      (fun ord (cc : Containment.t) ->
         let rhs_rel = Projection.eval master cc.Containment.rhs in
         let body, probes =
           match disjuncts cc.Containment.lhs with
@@ -164,6 +163,7 @@ let create ~master ccs =
         in
         let e =
           {
+            ord;
             violated = Some cc.Containment.cc_name;
             rhs_rel;
             rhs_ids = Kernel.Rowset.of_relation rhs_rel;
@@ -173,13 +173,13 @@ let create ~master ccs =
         (* [Lang.relations] lists each relation once *)
         List.iter
           (fun rel ->
-            let watches = Option.value ~default:[] (Hashtbl.find_opt by_rel rel) in
-            let w_probes =
+            let ps =
               List.filter_map
                 (fun (r, p) -> if String.equal r rel then Some p else None)
                 probes
             in
-            Hashtbl.replace by_rel rel ({ w_entry = e; w_probes } :: watches))
+            let watches = Option.value ~default:[] (Hashtbl.find_opt by_rel rel) in
+            Hashtbl.replace by_rel rel ((e, ps) :: watches))
           (Lang.relations cc.Containment.lhs);
         e)
       ccs
@@ -238,42 +238,113 @@ let entry_holds t v e =
   | Compiled plans -> not (List.exists (escapes t v e) plans)
   | Eval lhs -> Relation.subset (Lang.eval (Lazy.force v.db) lhs) e.rhs_rel
 
-(* The first violated CC among [items], in order; [counter] is bumped
-   once by the number of CCs checked. *)
-let first_violated counter holds entry items =
-  let rec go n = function
-    | [] ->
-      Ric_obs.Metrics.add counter n;
-      None
-    | x :: rest ->
-      if holds x then go (n + 1) rest
-      else begin
-        Ric_obs.Metrics.add counter (n + 1);
-        (entry x).violated
-      end
-  in
-  go 0 items
-
+(* Counters are bumped once per check, by the number of CCs checked. *)
 let check t ~base ~delta =
   let v = view ~base ~delta in
-  first_violated m_full_checks (entry_holds t v) Fun.id t.entries
+  let rec go n = function
+    | [] ->
+      Ric_obs.Metrics.add m_full_checks n;
+      None
+    | e :: rest ->
+      if entry_holds t v e then go (n + 1) rest
+      else begin
+        Ric_obs.Metrics.add m_full_checks (n + 1);
+        e.violated
+      end
+  in
+  go 0 t.entries
+
+(* Does some LHS answer of [e] through one of [probes], pinned on the
+   inserted interned [row], escape the cached RHS? *)
+let rec pinned_escapes t v e row = function
+  | [] -> false
+  | p :: probes -> (
+    (match Kernel.unify_encoded p.pinned row with
+     | None -> false (* the tuple does not match this atom *)
+     | Some init -> escapes t v e ~init p.rest)
+    || pinned_escapes t v e row probes)
+
+(* The interned added rows of each relation some CC reads, with its
+   watch list (found by identity: one list per relation). *)
+let rec groups t acc = function
+  | [] -> acc
+  | (rel, tuple) :: added -> (
+    match Hashtbl.find_opt t.by_rel rel with
+    | None -> groups t acc added
+    | Some watches -> (
+      let row = Intern.row tuple in
+      match List.assq_opt watches acc with
+      | Some rows ->
+        rows := row :: !rows;
+        groups t acc added
+      | None -> groups t ((watches, ref [ row ]) :: acc) added))
+
+(* One delta check's progress: the CCs checked so far, and those
+   without a UCQ form already evaluated (and found to hold). *)
+type progress = {
+  mutable checked : int;
+  mutable evaluated : entry list;
+}
+
+(* The first CC of [watches] violated through the probes pinned on
+   [rows], in declaration order, or [best] if none comes before it. *)
+let rec scan t v pr best rows = function
+  | [] -> best
+  | (e, probes) :: watches -> (
+    match best with
+    | Some b when e.ord >= b.ord -> best
+    | _ ->
+      pr.checked <- pr.checked + 1;
+      let holds =
+        match e.body with
+        | Eval _ ->
+          List.memq e pr.evaluated
+          || begin
+            pr.evaluated <- e :: pr.evaluated;
+            entry_holds t v e
+          end
+        | Compiled _ ->
+          not (List.exists (fun row -> pinned_escapes t v e row probes) rows)
+      in
+      if holds then scan t v pr best rows watches else Some e)
+
+let check_adds t ~base ~delta ~added =
+  match groups t [] added with
+  | [] -> None (* no CC reads an added relation *)
+  | gs ->
+    let v = view ~base ~delta in
+    (* Every new LHS answer uses an added row, which the probes pinned
+       on its relation find: a CC is violated iff some group finds it
+       so, and the declaration-first violated CC is the least of the
+       groups' first ones — so a group stops at the best found so far.
+       A CC without a UCQ form is evaluated in the first group reaching
+       it; a later group reaches it only if it held. *)
+    let pr = { checked = 0; evaluated = [] } in
+    let best =
+      List.fold_left (fun best (watches, rows) -> scan t v pr best !rows watches) None gs
+    in
+    Ric_obs.Metrics.add m_delta_checks pr.checked;
+    match best with
+    | Some e -> e.violated
+    | None -> None
 
 let check_add t ~base ~delta ~rel ~tuple =
-  match Hashtbl.find_opt t.by_rel rel with
-  | None -> None (* no CC reads [rel] *)
-  | Some watches ->
-    let v = view ~base ~delta in
+  check_adds t ~base ~delta ~added:[ (rel, tuple) ]
+
+let drop_indexes t = Kernel.Store.clear t.store
+
+let mem_answer t ~base ~delta q tuple =
+  let v = view ~base ~delta in
+  match disjuncts q with
+  | ns ->
     let row = Intern.row tuple in
-    let holds w =
-      match w.w_entry.body with
-      | Eval _ -> entry_holds t v w.w_entry
-      | Compiled _ ->
-        not
-          (List.exists
-             (fun p ->
-               match Kernel.unify_encoded p.pinned row with
-               | None -> false (* the tuple does not match this atom *)
-               | Some init -> escapes t v w.w_entry ~init p.rest)
-             w.w_probes)
-    in
-    first_violated m_delta_checks holds (fun w -> w.w_entry) watches
+    List.exists
+      (fun (n : Cq.norm) ->
+        let p = compile n.Cq.n_atoms n in
+        match Kernel.unify_encoded p.head row with
+        | None -> false (* the head cannot produce [tuple] *)
+        | Some init ->
+          Kernel.run t.store ~lookup:v.lookup ~extra:v.extra ~init p.plan (fun _ ->
+              true))
+      ns
+  | exception Not_compilable -> Relation.mem tuple (Lang.eval (Lazy.force v.db) q)

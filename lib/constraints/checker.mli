@@ -1,5 +1,6 @@
-(** The containment-constraint checker of the valuation search: the
-    per-step replacement for {!Containment.holds_all}.
+(** The containment-constraint checker of the valuation search and of
+    the service's write path: the delta-sized replacement for
+    {!Containment.holds_all}.
 
     The Σ₂ᵖ search of Theorem 3.6 re-establishes [(D ∪ μ(T), Dm) ⊨ V]
     after every tuple it adds.  [create] hoists everything that is
@@ -12,9 +13,11 @@
     Checked databases are always split as [base ∪ delta]: [base] is the
     large fixed part (its column indexes are built once and cached),
     [delta] the small growing part, joined as an interned overlay.
-    Both entry points name the first violated constraint (its
-    [cc_name]) in declaration order, or return [None] when every
-    constraint holds — the boolean check is [= None].
+    Every check names the first violated constraint (its [cc_name]) in
+    declaration order, or returns [None] when every constraint holds —
+    the boolean check is [= None].  The index store lives as long as
+    the checker, so consecutive checks over one [base] (a search, or
+    one write's closure check and revalidations) index it once.
 
     LHS queries without a UCQ form (FO, FP) or with unsafe disjuncts
     are evaluated in full against the cached RHS, so they raise exactly
@@ -32,6 +35,23 @@ val check : t -> base:Database.t -> delta:Database.t -> string option
 (** Full check: the first CC violated by [base ∪ delta], in
     declaration order.  No precondition. *)
 
+val check_adds :
+  t ->
+  base:Database.t ->
+  delta:Database.t ->
+  added:(string * Tuple.t) list ->
+  string option
+(** Delta check: as {!check}, given that [base ∪ delta] is a state
+    that satisfied every CC plus the [added] [(rel, tuple)]s inserted.
+    They may sit in [base] or in [delta], and listing one the old state
+    already held costs a probe, not soundness.  Only the CCs reading a
+    relation of [added] are touched, found through the relation index,
+    and UCQ-form CCs only through the joins that use an added tuple:
+    for monotone constraints every new LHS answer does, and the added
+    tuple's probe, run against the whole of [base ∪ delta], finds it.
+    A CC without a UCQ form is evaluated once per call, however many
+    tuples were added. *)
+
 val check_add :
   t ->
   base:Database.t ->
@@ -39,8 +59,20 @@ val check_add :
   rel:string ->
   tuple:Tuple.t ->
   string option
-(** Delta check: as {!check}, given that [base ∪ delta] is a state
-    that satisfied every CC plus [tuple] inserted into [rel] ([delta]
-    contains it).  Only the CCs reading [rel] are touched, and
-    UCQ-form CCs only through the joins that use the inserted tuple:
-    for monotone constraints every new LHS answer must. *)
+(** [check_adds ~added:[ (rel, tuple) ]]: the search's per-step
+    check. *)
+
+val drop_indexes : t -> unit
+(** Forget the cached indexes of the bases checked so far.  A checker
+    kept across changing bases (a session's, across writes) calls this
+    when done with one, so it never pins an index of a database the
+    caller has moved past; the next check rebuilds what it needs. *)
+
+val mem_answer :
+  t -> base:Database.t -> delta:Database.t -> Ric_query.Lang.t -> Tuple.t -> bool
+(** [tuple ∈ q(base ∪ delta)], by one head-bound existence probe per
+    UCQ disjunct: the head is unified with [tuple] and the body joined
+    over [base]'s cached indexes plus [delta] as an overlay — no answer
+    set is materialised.  FO/FP queries and unsafe disjuncts are
+    evaluated in full, so they raise exactly where [Lang.eval]
+    would. *)

@@ -208,6 +208,8 @@ module Store = struct
       Ric_obs.Metrics.incr m_builds;
       rx
 
+  let clear st = Atomic.set st.snap SMap.empty
+
   let rix st name rel =
     match SMap.find_opt name (Atomic.get st.snap) with
     | Some rx when Rix.source rx == rel ->

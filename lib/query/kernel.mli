@@ -86,6 +86,10 @@ module Store : sig
   (** [rix store name rel] — the cached index for [name] if it was
       built from this very [rel], else a fresh build (replacing the
       stale entry). *)
+
+  val clear : t -> unit
+  (** Forget every cached index (a reader holding an old snapshot
+      keeps using it). *)
 end
 
 val run :

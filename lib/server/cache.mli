@@ -15,9 +15,17 @@
       partially closed) extension: every partially closed [D″ ⊇ D′ ⊇ D]
       is also an extension of [D], so [Q(D″) = Q(D) = Q(D′)];
     - an [Incomplete] counterexample [(Δ, t)] can be revalidated
-      against the grown [D′] by two query evaluations and a
-      constraint check — [(D′ ∪ Δ, Dm) ⊨ V], [t ∈ Q(D′ ∪ Δ)],
-      [t ∉ Q(D′)] — far cheaper than the Σ₂ᵖ re-decide;
+      against the grown [D′] by a constraint check and two answer
+      probes — [(D′ ∪ Δ, Dm) ⊨ V], [t ∈ Q(D′ ∪ Δ)], [t ∉ Q(D′)] — far
+      cheaper than the Σ₂ᵖ re-decide.  All three are delta-sized: the
+      entries migrate only when [D′] is partially closed, which is the
+      precondition of a delta check over [Δ]'s tuples not in [D′]
+      ({!Ric_constraints.Checker.check_adds}, no full fallback needed:
+      only the verdict, not a witness, is wanted); the memberships are
+      head-bound probes ({!Ric_constraints.Checker.mem_answer}) with
+      [Δ] as an overlay on [D′], whose indexes the session's checker
+      built for the write's closure check and keeps until the write
+      ends;
     - an insert that breaks partial closure invalidates everything
       epoch-keyed for the session (the deciders are not defined
       there any more).

@@ -638,12 +638,25 @@ let handle_mine t ~admitted_at ~session ~nocache ~timeout_ms ~min_support =
 (* ------------------------------------------------------------------ *)
 (* insert: apply, then migrate the old epoch's cache entries *)
 
-let revalidate_cex (scenario : Scenario.t) ~db (cex : Rcdp.counterexample) q =
-  let extended = Database.union db cex.Rcdp.cex_extension in
-  Containment.holds_all ~db:extended ~master:scenario.Scenario.master
-    (Scenario.all_ccs scenario)
-  && Relation.mem cex.Rcdp.cex_answer (Lang.eval extended q)
-  && not (Relation.mem cex.Rcdp.cex_answer (Lang.eval db q))
+(* [(Δ, t)] is still a counterexample over the grown, partially closed
+   [D′] iff [(D′ ∪ Δ, Dm) ⊨ V], [t ∈ Q(D′ ∪ Δ)] and [t ∉ Q(D′)].  [D′]
+   satisfies V, so the first is a delta check over Δ's tuples; the
+   other two are head-bound probes through the checker's index store,
+   which indexes [D′] once for every revalidation of the write. *)
+let revalidate_cex s (cex : Rcdp.counterexample) q =
+  let chk = Session.checker s and base = s.Session.db in
+  let delta = cex.Rcdp.cex_extension in
+  let added =
+    Database.fold
+      (fun rel r acc -> Relation.fold (fun tu acc -> (rel, tu) :: acc) r acc)
+      delta []
+  in
+  Checker.check_adds chk ~base ~delta ~added = None
+  && Checker.mem_answer chk ~base ~delta q cex.Rcdp.cex_answer
+  && not
+       (Checker.mem_answer chk ~base
+          ~delta:(Database.empty (Database.schema base))
+          q cex.Rcdp.cex_answer)
 
 (* After a successful mutation at [old_epoch] (caller holds the
    service lock): migrate that epoch's cache entries — carry monotone
@@ -687,12 +700,15 @@ let inserted_response t ~session ~old_epoch ~inserted s =
         | Cache.K_rcdp, Some (Rcdp.Incomplete cex) ->
           (match Session.find_query s e.Cache.query with
            | Some q
-             when revalidate_cex s.Session.scenario ~db:s.Session.db cex q ->
+             when revalidate_cex s cex q ->
              keep ~why:revalidated
            | _ -> incr dropped)
         | _ -> incr dropped)
       entries
   else dropped := List.length entries;
+  (* the closure check and the revalidations shared the checker's
+     indexes; the write is done, so release them *)
+  Session.release_indexes s;
   Cache.note_dropped t.cache !dropped;
   ok
     ([
@@ -879,6 +895,15 @@ type recovery = {
 let recover t path =
   let replay = Journal.replay_file path in
   let failed = ref replay.Journal.skipped in
+  let replay_insert id insert =
+    match Session.find t.registry id with
+    | Some s ->
+      (match insert s with
+       | Ok () -> ()
+       | Error _ -> incr failed);
+      Session.release_indexes s
+    | None -> incr failed
+  in
   with_lock t (fun () ->
       List.iter
         (fun entry ->
@@ -887,20 +912,10 @@ let recover t path =
             match Scenario.parse source with
             | scenario -> ignore (Session.open_scenario t.registry ~id ?name scenario)
             | exception Scenario.Parse_error _ -> incr failed)
-          | Journal.Inserted { id; rel; rows } -> (
-            match Session.find t.registry id with
-            | Some s -> (
-              match Session.insert s ~rel ~rows with
-              | Ok () -> ()
-              | Error _ -> incr failed)
-            | None -> incr failed)
-          | Journal.Inserted_bulk { id; batches } -> (
-            match Session.find t.registry id with
-            | Some s -> (
-              match Session.insert_batches s ~batches with
-              | Ok () -> ()
-              | Error _ -> incr failed)
-            | None -> incr failed)
+          | Journal.Inserted { id; rel; rows } ->
+            replay_insert id (fun s -> Session.insert s ~rel ~rows)
+          | Journal.Inserted_bulk { id; batches } ->
+            replay_insert id (fun s -> Session.insert_batches s ~batches)
           | Journal.Closed { id } -> ignore (Session.close t.registry id))
         replay.Journal.entries);
   let retained =

@@ -86,30 +86,83 @@ let count reg = Hashtbl.length reg.sessions
 
 let list reg = Hashtbl.fold (fun _ s acc -> s :: acc) reg.sessions []
 
+(* The constraint checker of a session, built on its first write: a
+   session that never inserts pays nothing.  Keyed on the immutable
+   scenario by identity, weakly, so the checker goes with the session.
+   The service parses a fresh scenario for every open (and every
+   replayed one), so there this is one checker per session; only
+   sessions opened in-process over one parsed scenario share one.
+   Sessions from one file hash alike and are told apart by identity
+   in their bucket.  The memo is shared by every registry in the
+   process, hence its own lock. *)
+module Memo = Ephemeron.K1.Make (struct
+  type t = Scenario.t
+
+  let equal = ( == )
+  let hash (sc : Scenario.t) = Hashtbl.hash (List.map fst sc.Scenario.ccs)
+end)
+
+let memo = Memo.create 8
+let memo_lock = Mutex.create ()
+
+let checker s =
+  Mutex.protect memo_lock (fun () ->
+      match Memo.find_opt memo s.scenario with
+      | Some chk -> chk
+      | None ->
+        let chk =
+          Checker.create ~master:s.scenario.Scenario.master
+            (Scenario.all_ccs s.scenario)
+        in
+        Memo.replace memo s.scenario chk;
+        chk)
+
+let release_indexes s =
+  Mutex.protect memo_lock (fun () ->
+      Option.iter Checker.drop_indexes (Memo.find_opt memo s.scenario))
+
 exception Reject of string
 
-let insert_batches s ~batches =
-  match
+(* Stage every row onto [db]; also return the tuples that are really
+   new, in insertion order. *)
+let stage db batches =
+  let db, added =
     List.fold_left
-      (fun db (rel, rows) ->
+      (fun acc (rel, rows) ->
         try
           List.fold_left
-            (fun db row -> Database.add_tuple db rel (Tuple.make row))
-            db rows
+            (fun (db, added) row ->
+              let tuple = Tuple.make row in
+              let db' = Database.add_tuple db rel tuple in
+              if Relation.mem tuple (Database.relation db rel) then (db', added)
+              else (db', (rel, tuple) :: added))
+            acc rows
         with
         | Invalid_argument msg -> raise (Reject msg)
         | Not_found -> raise (Reject (Printf.sprintf "unknown relation %S" rel)))
-      s.db batches
-  with
-  | db ->
+      (db, []) batches
+  in
+  (db, List.rev added)
+
+let insert_batches s ~batches =
+  match stage s.db batches with
+  | db, added ->
     (* all batches validated against the staged database before any of
        them lands: one epoch bump, one closure re-check, whatever the
        batch count — and a rejected batch leaves the session untouched *)
     s.db <- db;
     s.epoch <- s.epoch + 1;
     (* a violation is monotone: once broken, stay broken without
-       re-searching; otherwise re-check against the grown database *)
-    if partially_closed s then s.closure_violation <- check_closure s.scenario db;
+       re-searching.  Otherwise the old state was closed, so only joins
+       through the new tuples can break V: delta-check those over the
+       grown [db], and pay the full re-check only to name the
+       declaration-first violation and its witness.  The indexes of
+       [db] stay in the checker for the write's revalidations, which
+       run over [db] too; {!release_indexes} ends the write *)
+    (if partially_closed s && added <> [] then
+       let none = Database.empty (Database.schema db) in
+       if Checker.check_adds (checker s) ~base:db ~delta:none ~added <> None then
+         s.closure_violation <- check_closure s.scenario db);
     Ok ()
   | exception Reject msg -> Error msg
 

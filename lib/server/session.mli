@@ -9,8 +9,21 @@
     only defines RCDP on partially closed databases, and the first
     violated constraint is kept for error reporting.
 
-    This module performs no locking; {!Service} serialises all access
-    to a registry behind its own mutex. *)
+    The re-check is a delta check.  Its precondition is that the
+    parent state [D] was partially closed; every supported CC is
+    monotone, so an insert [Δ] can break V only through LHS answers
+    that use a tuple of [Δ] not already in [D], and
+    {!Ric_constraints.Checker.check_adds} probes exactly those over
+    [D ∪ Δ], whose indexes the session's {!checker} keeps for the
+    write's revalidations.  Only when it finds a violation does the
+    insert fall back to the full [Containment.first_violation] over
+    [D ∪ Δ], which names the declaration-first violated constraint and
+    its witness — so the report is the one a from-scratch check gives.  An insert that adds
+    no new tuple runs no check at all; one into an already violated
+    [D] runs none either (violations persist).
+
+    This module does not lock sessions or registries; {!Service}
+    serialises all access to a registry behind its own mutex. *)
 
 open Ric_relational
 
@@ -29,6 +42,22 @@ type t = {
 }
 
 val partially_closed : t -> bool
+
+val checker : t -> Ric_constraints.Checker.t
+(** The session's constraint checker, built on the first call and held
+    weakly, so it goes with the session.  It is memoised on the
+    session's scenario by identity: the service parses a fresh scenario
+    for every open, so there each session has its own; sessions opened
+    in-process over one parsed scenario share one.  Its index store
+    caches the indexes of the databases checked, so a write's closure
+    check and its counterexample revalidations index every relation
+    the write left unchanged once. *)
+
+val release_indexes : t -> unit
+(** End a write: drop the indexes the session's checker holds (if it
+    has one), so no index of a superseded database stays pinned until
+    the next write.  {!insert_batches} leaves them for the write's
+    revalidations; the service calls this once the write is done. *)
 
 val find_query : t -> string -> Ric_query.Lang.t option
 
@@ -55,11 +84,11 @@ val list : registry -> t list
 
 val insert : t -> rel:string -> rows:Value.t list list -> (unit, string) result
 (** Add tuples to relation [rel] of the session's database, bump the
-    epoch and re-check partial closure.  [Error] (schema violations —
-    unknown relation, wrong arity, value outside a finite attribute
-    domain) leaves the session untouched.  An insert that breaks a
-    containment constraint {e succeeds} — the session records the
-    violation and RCDP/audit requests then answer
+    epoch and re-check partial closure (delta-checked as above).
+    [Error] (schema violations — unknown relation, wrong arity, value
+    outside a finite attribute domain) leaves the session untouched.
+    An insert that breaks a containment constraint {e succeeds} — the
+    session records the violation and RCDP/audit requests then answer
     [not_partially_closed].  Because every supported [LC] is
     monotone, a violation can never be repaired by further inserts;
     it is the client's signal to fix its feed and open a fresh
@@ -70,6 +99,7 @@ val insert_batches :
 (** {!insert} for several relations at once, as one mutation: all
     batches are validated against the staged database before any of
     them lands, the epoch is bumped {e once} and partial closure is
-    re-checked {e once} — the unit cost that made per-tuple inserts a
+    re-checked {e once}, one delta probe per new tuple against the
+    whole batch — the unit cost that made per-tuple inserts a
     bottleneck for bulk feeds.  [Error] (the first schema violation)
     leaves the session completely untouched. *)

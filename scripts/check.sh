@@ -306,6 +306,18 @@ wait "$SERVER_PID"
 SERVER_PID=""
 rm -f "$JOURNAL"
 
+echo "== write-path smoke test"
+# two seconds of the end-to-end benchmark's bulk_update workload (its
+# own daemon, inserts into a 10^4-tuple store between cached reads and
+# fresh decides): every reply must check out, no request may fail
+WRITE=$(bash ricbench/run.sh --workload bulk_update --seed 1 --seconds 2 --trace 0 \
+  2>/dev/null | tail -n 1)
+echo "writes:  $WRITE"
+case "$WRITE" in
+  '{"correct": true, '*'"failed": 0, '*) ;;
+  *) echo "FAIL: bulk_update reported wrong or failed requests" >&2; exit 1 ;;
+esac
+
 echo "== soak smoke test"
 # >= 200 concurrent clients hammering a forked daemon for a few
 # seconds; the harness itself exits nonzero on any protocol-level

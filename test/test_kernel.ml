@@ -404,6 +404,75 @@ let test_overlay_differential =
         (triple (int_bound 7) (int_bound 3) (int_bound 3)))
     overlay_chain_prop
 
+(* A batch after a closed base: [check_adds] probes every new tuple
+   once against the whole batch and must agree with holds_all, whether
+   the batch is the overlay or already merged into [base] (the write
+   path's shape); [mem_answer] must agree with membership in the
+   evaluated answer set, over and beside the overlay. *)
+let batch_prop (base_rows, batch_rows) =
+  let chk = Checker.create ~master:cc_master ccs in
+  let base =
+    List.fold_left
+      (fun db row ->
+        let grown = Database.union db (db_of [ row ]) in
+        if Containment.holds_all ~db:grown ~master:cc_master ccs then grown else db)
+      (Database.empty sch) base_rows
+  in
+  let delta = db_of batch_rows in
+  let added =
+    Database.fold
+      (fun rel r acc ->
+        Relation.fold
+          (fun tu acc ->
+            if Relation.mem tu (Database.relation base rel) then acc
+            else (rel, tu) :: acc)
+          r acc)
+      delta []
+  in
+  let db = Database.union base delta in
+  let slow = Containment.holds_all ~db ~master:cc_master ccs in
+  let full = Checker.check chk ~base:(Database.empty sch) ~delta:db in
+  let fast = Checker.check_adds chk ~base ~delta ~added in
+  let merged = Checker.check_adds chk ~base:db ~delta:(Database.empty sch) ~added in
+  (* every check names the declaration-first violated CC *)
+  let name = Option.value ~default:"-" in
+  if (full = None) <> slow || fast <> full || merged <> full then
+    QCheck2.Test.fail_reportf
+      "check_adds overlay %s, merged %s vs check %s, holds_all %b (%d added)"
+      (name fast) (name merged) (name full) slow (List.length added);
+  let values = [ "0"; "1"; "2"; "3" ] in
+  let rec tuples = function
+    | 0 -> [ [] ]
+    | n -> List.concat_map (fun t -> List.map (fun x -> x :: t) values) (tuples (n - 1))
+  in
+  List.iter
+    (fun (cc : Containment.t) ->
+      let q = cc.Containment.lhs in
+      let arity = match q with Lang.Q_cq c -> Cq.arity c | _ -> assert false in
+      List.iter
+        (fun vals ->
+          let t = Tuple.of_strs vals in
+          List.iter
+            (fun (what, db, delta) ->
+              let want = Relation.mem t (Lang.eval db q) in
+              let got = Checker.mem_answer chk ~base ~delta q t in
+              if want <> got then
+                QCheck2.Test.fail_reportf "%s: mem_answer %b vs eval %b (%s)"
+                  cc.Containment.cc_name got want what)
+            [ ("base ∪ delta", db, delta); ("base", base, Database.empty sch) ])
+        (tuples arity))
+    ccs;
+  true
+
+let test_batch_differential =
+  QCheck2.Test.make
+    ~name:"check_adds ≡ holds_all, mem_answer ≡ eval after a closed base"
+    ~count:300
+    QCheck2.Gen.(
+      let row = pair (int_bound 1) (triple (int_bound 3) (int_bound 3) (int_bound 3)) in
+      pair (list_size (int_bound 10) row) (list_size (int_bound 5) row))
+    batch_prop
+
 (* Satellite regression: the already-interned fast path takes zero
    locks.  The first [row] on fresh values may intern (locking at most
    once for the whole row); every later [id]/[row] over the same values
@@ -457,5 +526,8 @@ let () =
             test_compiled_unsafe_fallback;
         ] );
       ( "incremental overlay",
-        [ QCheck_alcotest.to_alcotest test_overlay_differential ] );
+        [
+          QCheck_alcotest.to_alcotest test_overlay_differential;
+          QCheck_alcotest.to_alcotest test_batch_differential;
+        ] );
     ]

@@ -722,6 +722,112 @@ let test_e2e_recover_after_restart () =
             (verdict_of q)));
   Sys.remove jpath
 
+(* Journal agreement on the delta-checked write path: the same inserts,
+   replayed through --recover, must leave every session where the live
+   daemon left it — epoch, closure status, violation (named constraint
+   and witness) and the verdict of a query whose Incomplete verdict the
+   live daemon carried across the writes by revalidation. *)
+let agreement_source =
+  {|
+  schema Cust(cid, name).
+  schema Supt(eid, cid).
+  master DCust(cid, name).
+  master DEmp(eid).
+  rows Cust { (c0, alice) }.
+  rows Supt { (e0, c0) }.
+  rows DCust { (c0, alice) (c1, bob) (c2, eve) }.
+  rows DEmp { (e0) (e1) }.
+  query Q(c, n) :- Cust(c, n).
+  constraint BC(c, n) :- Cust(c, n) => DCust[0, 1].
+  constraint BS(e) :- Supt(e, c) => DEmp[0].
+  constraint BS2(c) :- Supt(e, c) => DCust[0].
+|}
+
+let insert_bulk session batches =
+  Protocol.Insert_bulk
+    {
+      session;
+      batches =
+        List.map
+          (fun (rel, rows) ->
+            (rel, List.map (List.map (fun s -> Ric_relational.Value.Str s)) rows))
+          batches;
+    }
+
+let test_e2e_recover_agrees () =
+  let jpath = Filename.temp_file "ric-journal" ".jsonl" in
+  (* epoch, closure, violation and verdict label of a session, as an
+     rcdp reply reports them *)
+  let observe c sid =
+    let q = Client.rpc c (rcdp sid "Q") in
+    assert_ok q;
+    let result = get "result" q in
+    let violation =
+      match result with
+      | Json.Obj fs -> Option.map Json.to_string (List.assoc_opt "violation" fs)
+      | _ -> None
+    in
+    ((get_int "epoch" q, verdict_of q, violation), get_bool "cached" q)
+  in
+  let live =
+    with_server ~journal:jpath (fun socket_path ->
+        Client.with_connection ~retries:40 socket_path (fun c ->
+            let opened () =
+              let o = Client.rpc c (open_req agreement_source) in
+              assert_ok o;
+              get_str "session" o
+            in
+            let ok_write req =
+              let r = Client.rpc c req in
+              assert_ok r;
+              r
+            in
+            (* session one stays closed: its Incomplete verdict is
+               cached, then revalidated across two admissible writes *)
+            let s1 = opened () in
+            Alcotest.(check string) "incomplete at first" "incomplete"
+              (verdict_of (Client.rpc c (rcdp s1 "Q")));
+            ignore (ok_write (insert s1 "Supt" [ [ "e1"; "c2" ] ]));
+            let w =
+              ok_write
+                (insert_bulk s1
+                   [ ("Supt", [ [ "e0"; "c1" ] ]); ("Cust", [ [ "c0"; "alice" ] ]) ])
+            in
+            Alcotest.(check int) "revalidated, not recomputed" 1
+              (get_int "revalidated" (get "cache" w));
+            let state1, cached = observe c s1 in
+            Alcotest.(check bool) "live verdict served from cache" true cached;
+            (* session two: an admissible write, a violating bulk write
+               (its first batch breaks BS, its second BC), one more *)
+            let s2 = opened () in
+            ignore (ok_write (insert s2 "Cust" [ [ "c1"; "bob" ] ]));
+            let v =
+              ok_write
+                (insert_bulk s2
+                   [ ("Supt", [ [ "e9"; "c0" ] ]); ("Cust", [ [ "c9"; "zed" ] ]) ])
+            in
+            Alcotest.(check bool) "closure lost" false (get_bool "partially_closed" v);
+            ignore (ok_write (insert s2 "Cust" [ [ "c2"; "eve" ] ]));
+            let state2, _ = observe c s2 in
+            [ (s1, state1); (s2, state2) ]))
+  in
+  with_server ~journal:jpath ~recover:true (fun socket_path ->
+      Client.with_connection ~retries:40 socket_path (fun c ->
+          List.iter
+            (fun (sid, (epoch, verdict, violation)) ->
+              let (epoch', verdict', violation'), _ = observe c sid in
+              Alcotest.(check int) (sid ^ " epoch") epoch epoch';
+              Alcotest.(check string) (sid ^ " verdict") verdict verdict';
+              Alcotest.(check (option string)) (sid ^ " violation") violation violation')
+            live));
+  (match live with
+   | [ (_, (_, v1, None)); (_, (3, "not_partially_closed", Some v2)) ] ->
+     Alcotest.(check string) "the closed session stays incomplete" "incomplete" v1;
+     Alcotest.(check string) "the declaration-first violation"
+       {|{"constraint":"BC","witness":["c9","zed"]}|} v2
+   | _ -> Alcotest.fail "unexpected live states");
+  Sys.remove jpath
+
 (* ------------------------------------------------------------------ *)
 (* client backoff *)
 
@@ -802,6 +908,8 @@ let () =
           Alcotest.test_case "service recovery" `Quick test_service_recovery;
           Alcotest.test_case "recovered session serves an inc request" `Quick
             test_recovered_inc_request;
+          Alcotest.test_case "recovered writes agree with live" `Quick
+            test_e2e_recover_agrees;
           Alcotest.test_case "daemon restart with --recover" `Quick
             test_e2e_recover_after_restart;
         ] );

@@ -210,9 +210,7 @@ let test_pool_runs_everything () =
   let counter = Atomic.make 0 in
   let pool =
     Pool.create ~domains:4 ~capacity:8
-      ~worker:(fun n ->
-        Atomic.set counter (Atomic.get counter + 0);
-        ignore (Atomic.fetch_and_add counter n))
+      ~worker:(fun n -> ignore (Atomic.fetch_and_add counter n))
       ()
   in
   for _ = 1 to 100 do
@@ -386,6 +384,44 @@ let test_service_violating_insert_invalidates () =
     (verdict_of q');
   Alcotest.(check string) "names the constraint" "BC"
     (get_str "constraint" (get "violation" (get "result" q')))
+
+(* The write path delta-checks closure and re-runs the full check only
+   to name the violation, so the name is still the declaration-first
+   violated constraint: here the first batch breaks BS (e9 is no
+   employee) and the second breaks BC, declared before it. *)
+let test_service_bulk_violation_named () =
+  let service = Service.create () in
+  let sid = open_session service in
+  let ins =
+    Service.handle service
+      (insert_bulk sid [ ("Supt", [ [ "e9"; "c0" ] ]); ("Cust", [ [ "c9"; "zed" ] ]) ])
+  in
+  assert_ok ins;
+  Alcotest.(check bool) "closure lost" false (get_bool "partially_closed" ins);
+  let v = get "violation" ins in
+  Alcotest.(check string) "declaration-first constraint" "BC" (get_str "constraint" v);
+  Alcotest.(check string) "its witness" {|["c9","zed"]|} (Json.to_string (get "witness" v))
+
+(* Re-inserting tuples D already holds adds nothing, so the write runs
+   no constraint check at all; a new admissible tuple runs one. *)
+let test_service_reinsert_no_check () =
+  let delta = Ric_obs.Metrics.counter "ric_incremental_delta_checks_total" in
+  let full = Ric_obs.Metrics.counter "ric_incremental_full_checks_total" in
+  let service = Service.create () in
+  let sid = open_session service in
+  let checks () = Ric_obs.Metrics.(counter_value delta + counter_value full) in
+  let before = checks () and delta0 = Ric_obs.Metrics.counter_value delta in
+  let ins =
+    Service.handle service
+      (insert_bulk sid [ ("Cust", [ [ "c0"; "alice" ] ]); ("Supt", [ [ "e0"; "c0" ] ]) ])
+  in
+  assert_ok ins;
+  Alcotest.(check int) "epoch still bumped" 1 (get_int "epoch" ins);
+  Alcotest.(check bool) "still closed" true (get_bool "partially_closed" ins);
+  Alcotest.(check int) "no constraint checked" before (checks ());
+  assert_ok (Service.handle service (insert sid "Cust" [ [ "c1"; "bob" ] ]));
+  Alcotest.(check bool) "a new tuple is delta-checked" true
+    (Ric_obs.Metrics.counter_value delta > delta0)
 
 let test_service_rcqp_survives_insert () =
   let service = Service.create () in
@@ -716,6 +752,272 @@ let test_e2e_concurrent_sessions () =
       let results = List.map Domain.join clients in
       Alcotest.(check (list bool)) "both clients all-ok" [ true; true ] results)
 
+(* ------------------------------------------------------------------ *)
+(* Model test: the delta-checked write path against a from-scratch
+   oracle.  Random small scenarios — INDs, a two-atom join CC or an FD,
+   each from a clean or a dirty start — take random insert and
+   insert-bulk sequences, with cached rcdp verdicts read in between.
+   After every write the reply's closure status, violation and cache
+   migration counts must be what a full re-check derives:
+   Containment.first_violation for closure and, for each cached
+   counterexample, the re-evaluation the service used to run —
+   holds_all over D′ ∪ Δ plus two Lang.eval answer sets. *)
+
+module Model = struct
+  open Ric_relational
+  open Ric_query
+  open Ric_constraints
+  module Scenario = Ric_text.Scenario
+  module Report = Ric_text.Report
+  module Rcdp = Ric_complete.Rcdp
+
+  type kind = Ind | Join | Fd
+
+  type write = {
+    reads : string list;  (** rcdp requests issued before the write *)
+    bulk : bool;
+    batches : (string * (string * string) list) list;
+  }
+
+  type case = {
+    kind : kind;
+    dirty : bool;
+    m : string list;
+    mj : (string * string) list;
+    r0 : (string * string) list;
+    s0 : (string * string) list;
+    writes : write list;
+  }
+
+  let queries = [ "QR"; "QJ"; "QB" ]
+
+  (* Master data never admits v4, so a v4 row breaks an IND or the
+     join CC; the start rows are filtered clean, or given a violator. *)
+  let start c =
+    let r0, s0 =
+      match c.kind with
+      | Ind ->
+        ( List.filter (fun (a, _) -> List.mem a c.m) c.r0,
+          List.filter (fun (_, x) -> List.mem x c.m) c.s0 )
+      | Join ->
+        ( c.r0,
+          List.filter
+            (fun (b, x) ->
+              List.for_all (fun (a, b') -> b' <> b || List.mem (a, x) c.mj) c.r0)
+            c.s0 )
+      | Fd ->
+        ( List.fold_left
+            (fun acc (a, b) -> if List.mem_assoc a acc then acc else acc @ [ (a, b) ])
+            [] c.r0,
+          c.s0 )
+    in
+    if not c.dirty then (r0, s0)
+    else
+      match c.kind with
+      | Ind -> (r0 @ [ ("v4", "v0") ], s0)
+      | Join -> (r0 @ [ ("v4", "v0") ], s0 @ [ ("v0", "v4") ])
+      | Fd -> (r0 @ [ ("v0", "v0"); ("v0", "v1") ], s0)
+
+  let source c =
+    let pairs ps =
+      String.concat " " (List.map (fun (x, y) -> Printf.sprintf "(%s, %s)" x y) ps)
+    in
+    let rows rel = function
+      | [] -> ""
+      | ps -> Printf.sprintf "rows %s { %s }.\n" rel (pairs ps)
+    in
+    let r0, s0 = start c in
+    String.concat ""
+      [
+        "schema R(a, b).\nschema S(b, c).\nmaster M(x).\nmaster MJ(x, y).\n";
+        Printf.sprintf "rows M { %s }.\n"
+          (String.concat " " (List.map (Printf.sprintf "(%s)") c.m));
+        rows "MJ" c.mj;
+        rows "R" r0;
+        rows "S" s0;
+        "query QR(a, b) :- R(a, b).\n";
+        "query QJ(a, c) :- R(a, b), S(b, c).\n";
+        "query QB() :- R(\"v0\", b).\n";
+        (match c.kind with
+         | Ind ->
+           "constraint IR(a) :- R(a, b) => M[0].\nconstraint IS(c) :- S(b, c) => M[0].\n"
+         | Join -> "constraint J(a, c) :- R(a, b), S(b, c) => MJ[0, 1].\n"
+         | Fd -> "fd F R: a -> b.\n");
+      ]
+
+  let print c =
+    let batch (rel, ps) =
+      rel ^ " " ^ String.concat " " (List.map (fun (x, y) -> x ^ "," ^ y) ps)
+    in
+    source c
+    ^ String.concat ""
+        (List.map
+           (fun w ->
+             Printf.sprintf "read [%s]; %s %s\n" (String.concat " " w.reads)
+               (if w.bulk then "insert_bulk" else "insert")
+               (String.concat " | " (List.map batch w.batches)))
+           c.writes)
+
+  let gen =
+    let open QCheck2.Gen in
+    let value = frequency [ (12, oneofl [ "v0"; "v1"; "v2"; "v3" ]); (1, return "v4") ] in
+    (* mostly diagonal rows, which the constraints admit more often, so
+       that many writes land on a closed database *)
+    let row = frequency [ (3, map (fun a -> (a, a)) value); (1, pair value value) ] in
+    let rows = list_size (int_range 1 3) row in
+    let rel = oneofl [ "R"; "S" ] in
+    let subset ?(keep = bool) xs =
+      map
+        (fun keep -> List.filteri (fun i _ -> List.nth keep i) xs)
+        (list_repeat (List.length xs) keep)
+    in
+    let mostly = frequency [ (4, return true); (1, return false) ] in
+    let small = [ "v0"; "v1"; "v2"; "v3" ] in
+    let write =
+      let* reads = subset queries in
+      let* bulk = bool in
+      let+ batches =
+        if bulk then list_size (int_range 2 3) (pair rel rows)
+        else map (fun b -> [ b ]) (pair rel rows)
+      in
+      { reads; bulk; batches }
+    in
+    let* kind = oneofl [ Ind; Join; Fd ] in
+    let* dirty = bool in
+    let* m = map (fun xs -> "v0" :: xs) (subset ~keep:mostly [ "v1"; "v2"; "v3" ]) in
+    let* mj =
+      map (fun xs -> ("v0", "v0") :: xs)
+        (subset ~keep:mostly
+           (List.concat_map (fun x -> List.map (fun y -> (x, y)) small) small))
+    in
+    let* r0 = list_size (int_bound 4) row in
+    let* s0 = list_size (int_bound 4) row in
+    let+ writes = list_size (int_range 1 6) write in
+    { kind; dirty; m; mj; r0; s0; writes }
+
+  (* the revalidation the write path ran before it was delta-checked *)
+  let revalidate_cex (sc : Scenario.t) ~db (cex : Rcdp.counterexample) q =
+    let extended = Database.union db cex.Rcdp.cex_extension in
+    Containment.holds_all ~db:extended ~master:sc.Scenario.master (Scenario.all_ccs sc)
+    && Relation.mem cex.Rcdp.cex_answer (Lang.eval extended q)
+    && not (Relation.mem cex.Rcdp.cex_answer (Lang.eval db q))
+
+  let verdict_json = function
+    | Some v -> Json.to_string (Report.rcdp_verdict v)
+    | None -> "unsupported"
+
+  let prop c =
+    let fail fmt = QCheck2.Test.fail_reportf fmt in
+    let text = source c in
+    let sc = Scenario.parse text in
+    let ccs = Scenario.all_ccs sc and master = sc.Scenario.master in
+    let service = Service.create () in
+    let opened = Service.handle service (open_req text) in
+    assert_ok opened;
+    let sid = get_str "session" opened in
+    let first_violation db =
+      Option.map
+        (fun ((cc : Containment.t), w) -> (cc.Containment.cc_name, w))
+        (Containment.first_violation ~db ~master ccs)
+    in
+    let db = ref sc.Scenario.db in
+    let violation = ref (first_violation !db) in
+    if get_bool "partially_closed" opened <> (!violation = None) then
+      fail "open: partially_closed disagrees with first_violation";
+    if (!violation <> None) <> c.dirty then fail "the start is not as generated";
+    (* the rcdp verdicts cached at the current epoch; [None] = unsupported *)
+    let cached = ref [] in
+    let read q =
+      let r = Service.handle service (rcdp sid q) in
+      assert_ok r;
+      match (!violation, List.assoc_opt q !cached) with
+      | Some _, _ ->
+        if verdict_of r <> "not_partially_closed" then
+          fail "%s: %s on a violated database" q (verdict_of r)
+      | None, Some v ->
+        if not (get_bool "cached" r) then fail "%s: cached verdict not served" q;
+        if Json.to_string (get "result" r) <> verdict_json v && v <> None then
+          fail "%s: the cache holds another verdict" q
+      | None, None ->
+        let v =
+          match
+            Rcdp.decide ~check_partially_closed:false ~schema:sc.Scenario.db_schema ~master
+              ~ccs ~db:!db (List.assoc q sc.Scenario.queries)
+          with
+          | v -> Some v
+          | exception Rcdp.Unsupported _ -> None
+        in
+        if get_bool "cached" r then fail "%s: a miss served from cache" q;
+        if v <> None && Json.to_string (get "result" r) <> verdict_json v then
+          fail "%s: fresh verdict %s, oracle %s" q
+            (Json.to_string (get "result" r)) (verdict_json v);
+        cached := (q, v) :: !cached
+    in
+    List.iteri
+      (fun i w ->
+        List.iter read w.reads;
+        let rows = List.map (fun (x, y) -> [ x; y ]) in
+        let req =
+          match w.batches with
+          | [ (rel, ps) ] when not w.bulk -> insert sid rel (rows ps)
+          | bs -> insert_bulk sid (List.map (fun (rel, ps) -> (rel, rows ps)) bs)
+        in
+        let r = Service.handle service req in
+        assert_ok r;
+        (* the oracle: apply, re-check from scratch, migrate *)
+        db :=
+          List.fold_left
+            (fun db (rel, ps) ->
+              List.fold_left
+                (fun db (x, y) -> Database.add_tuple db rel (Tuple.of_strs [ x; y ]))
+                db ps)
+            !db w.batches;
+        if !violation = None then violation := first_violation !db;
+        let outcome (q, v) =
+          match v with
+          | _ when !violation <> None -> `Dropped
+          | Some Rcdp.Complete -> `Carried
+          | Some (Rcdp.Incomplete cex)
+            when revalidate_cex sc ~db:!db cex (List.assoc q sc.Scenario.queries) ->
+            `Revalidated
+          | _ -> `Dropped
+        in
+        let outcomes = List.map (fun e -> (e, outcome e)) !cached in
+        let count o = List.length (List.filter (fun (_, o') -> o' = o) outcomes) in
+        cached :=
+          List.filter_map (fun (e, o) -> if o = `Dropped then None else Some e) outcomes;
+        let cache = get "cache" r in
+        let got =
+          ( get_bool "partially_closed" r,
+            (match obj_field "violation" r with
+             | Some v -> Some (get_str "constraint" v, Json.to_string (get "witness" v))
+             | None -> None),
+            ( get_int "carried" cache,
+              get_int "revalidated" cache,
+              get_int "dropped" cache ) )
+        and want =
+          ( !violation = None,
+            Option.map
+              (fun (name, w) -> (name, Json.to_string (Report.tuple w)))
+              !violation,
+            (count `Carried, count `Revalidated, count `Dropped) )
+        in
+        if got <> want then
+          let show (closed, v, (c, rv, d)) =
+            Printf.sprintf "closed %b, violation %s, carried %d revalidated %d dropped %d"
+              closed
+              (match v with Some (n, w) -> n ^ " " ^ w | None -> "-")
+              c rv d
+          in
+          fail "write %d: service %s; oracle %s" i (show got) (show want))
+      c.writes;
+    true
+
+  let test =
+    QCheck2.Test.make ~name:"delta-checked writes ≡ full re-check oracle" ~count:300
+      ~print gen prop
+end
+
 (* Satellite regression: key components are percent-escaped, so a
    slash inside a query name (or fingerprint) cannot make two distinct
    component lists collide on one cache key.  Pre-fix, both pairs
@@ -765,6 +1067,11 @@ let () =
             test_service_insert_bulk_all_or_nothing;
           Alcotest.test_case "violating insert invalidates" `Quick
             test_service_violating_insert_invalidates;
+          Alcotest.test_case "bulk violation named" `Quick
+            test_service_bulk_violation_named;
+          Alcotest.test_case "re-insert runs no check" `Quick
+            test_service_reinsert_no_check;
+          QCheck_alcotest.to_alcotest Model.test;
           Alcotest.test_case "rcqp survives insert" `Quick test_service_rcqp_survives_insert;
           Alcotest.test_case "audit cache drops on insert" `Quick
             test_service_audit_cached_and_dropped;
