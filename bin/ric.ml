@@ -468,6 +468,7 @@ let explain_cmd =
                                  [
                                    ("level", Int r.Profile.lv_index);
                                    ("atom", Str r.Profile.lv_name);
+                                   ("source", Str r.Profile.lv_source);
                                    ("steps", Int r.Profile.lv_steps);
                                    ("prunes", Int r.Profile.lv_prunes);
                                  ])
@@ -492,11 +493,13 @@ let explain_cmd =
                Format.printf "steps: %d  attributed: %d (%.1f%%)@." steps attributed pct;
                if snap.Profile.levels <> [] then begin
                  Format.printf "@.per-level fan-out@.";
-                 Format.printf "  %5s %-14s %12s %12s@." "level" "atom" "steps" "prunes";
+                 Format.printf "  %5s %-14s %12s %12s  %s@." "level" "atom" "steps" "prunes"
+                   "source";
                  List.iter
                    (fun r ->
-                     Format.printf "  %5d %-14s %12d %12d@." r.Profile.lv_index
-                       r.Profile.lv_name r.Profile.lv_steps r.Profile.lv_prunes)
+                     Format.printf "  %5d %-14s %12d %12d  %s@." r.Profile.lv_index
+                       r.Profile.lv_name r.Profile.lv_steps r.Profile.lv_prunes
+                       r.Profile.lv_source)
                    snap.Profile.levels
                end;
                if snap.Profile.constraints <> [] then begin

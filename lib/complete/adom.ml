@@ -3,6 +3,7 @@ open Ric_relational
 type t = {
   constants : Value.t list;
   fresh : Value.t list;
+  all : Value.t list; (* one list, shared by every infinite-domain variable *)
 }
 
 let build ?db ?(schemas = []) ~master ~cc_constants ~query_constants ~fresh_count () =
@@ -36,11 +37,11 @@ let build ?db ?(schemas = []) ~master ~cc_constants ~query_constants ~fresh_coun
       0 base
   in
   let fresh = List.init fresh_count (fun i -> Value.Int (max_int_const + 1 + i)) in
-  { constants = base; fresh }
+  { constants = base; fresh; all = base @ fresh }
 
 let constants t = t.constants
 let fresh t = t.fresh
-let all t = t.constants @ t.fresh
+let all t = t.all
 
 let candidates t = function
   | Domain.Finite vs -> vs

@@ -35,7 +35,7 @@ let exhaust r =
 type t = {
   limited : bool;
   label : string option;        (* correlation id of the owning request *)
-  deadline : float;            (* absolute wall-clock time; infinity when unset *)
+  deadline : float;            (* absolute monotonic time; infinity when unset *)
   max_steps : int;             (* max_int when unset *)
   cancel : bool Atomic.t list;
   mutable steps : int;
@@ -61,7 +61,7 @@ let unlimited =
 let create ?deadline_after ?max_steps ?cancel ?label () =
   let deadline =
     match deadline_after with
-    | Some d -> Unix.gettimeofday () +. d
+    | Some d -> Ric_obs.Metrics.now_s () +. d
     | None -> infinity
   in
   {
@@ -116,11 +116,11 @@ let check_now t =
     List.iter
       (fun flag -> if Atomic.get flag then exhaust Cancelled)
       t.cancel;
-    if t.deadline < infinity && Unix.gettimeofday () > t.deadline then
+    if t.deadline < infinity && Ric_obs.Metrics.now_s () > t.deadline then
       exhaust Deadline
   end
 
-(* The wall clock and the cancel flags are polled once every 256 steps:
+(* The clock and the cancel flags are polled once every 256 steps:
    a syscall per search leaf would dominate the leaf itself, and a
    deadline overshoot of a few hundred leaves is well inside the
    millisecond noise a caller can observe anyway. *)

@@ -4,7 +4,7 @@
     a single adversarial instance can keep a decider busy for longer
     than any caller is willing to wait.  A [Budget.t] is threaded
     through the valuation search and checked at every search leaf; when
-    the wall-clock deadline passes, the step allowance runs out, or the
+    the deadline passes, the step allowance runs out, or the
     cancel flag is raised, the search aborts with {!Exhausted} and the
     caller reports a [timeout] outcome carrying the work-done counters
     instead of hanging.
@@ -17,7 +17,7 @@
     into the parent with {!add_steps}. *)
 
 type reason =
-  | Deadline    (** the wall-clock deadline passed *)
+  | Deadline    (** the deadline passed *)
   | Step_limit  (** the step allowance ran out *)
   | Cancelled   (** the shared cancel flag was raised *)
 
@@ -38,7 +38,9 @@ val create :
   ?label:string ->
   unit ->
   t
-(** [deadline_after] is in seconds from now; [max_steps] caps the
+(** [deadline_after] is in seconds from now, on the monotonic clock
+    ({!Ric_obs.Metrics.now_s}), so stepping the wall clock neither fires
+    it early nor holds it off; [max_steps] caps the
     number of {!tick}s; [cancel] is polled so another domain can abort
     the search.  Omitted dimensions are unbounded.  [label] carries
     the owning request's correlation id ([req_id]) down into the

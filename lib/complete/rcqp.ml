@@ -493,8 +493,17 @@ let candidate_pool ?(truncate = false) ?(clock = Budget.unlimited) ?profile
                          "candidate generation for one template would enumerate %d raw \
                           instantiations"
                          expected));
+             (* once the empty database is consistent, the candidates
+                are drawn from the generator CCs and checked against the
+                others; otherwise none is consistent, and the product is
+                enumerated and rejected as before *)
+             let empty_ok = Lazy.force cons.empty_ok in
+             let gen =
+               if empty_ok then Checker.generator cons.chk a cands
+               else Checker.product cands
+             in
              let (_ : bool) =
-               Valuation.enumerate_iter cands (fun nu ->
+               Checker.generate gen Valuation.empty (fun nu ->
                    incr ticks;
                    Budget.tick clock;
                    (match Valuation.tuple_of_terms nu a.Atom.args with
@@ -505,8 +514,10 @@ let candidate_pool ?(truncate = false) ?(clock = Budget.unlimited) ?profile
                          part of a consistent set *)
                       let single = Database.add_tuple empty_db a.Atom.rel tuple in
                       if
-                        consistent_add cons ~base:empty_db ~delta:single
-                          a.Atom.rel tuple
+                        empty_ok
+                        && Checker.check_generated cons.chk ~base:empty_db
+                             ~delta:single ~rel:a.Atom.rel ~tuple
+                           = None
                       then begin
                         let summary =
                           List.filter_map

@@ -123,7 +123,14 @@ type ctx = {
   c_base : Database.t; (* the fixed part of every checked database *)
   c_delta_ok : bool; (* the root satisfies every CC *)
   c_levels : level array;
+  c_gens : Checker.gen array; (* each level's candidates *)
 }
+
+(* A level's candidates: drawn from its generator CCs once the root
+   holds, so that only the other CCs are checked per step; otherwise
+   the plain product, every step fully checked. *)
+let level_gen ~chk ~delta_ok (a : Atom.t) doms =
+  if delta_ok then Checker.generator chk a doms else Checker.product doms
 
 (* The root is [base] itself: in [`Against_base D] mode the search
    checks [D ∪ μ(T)], in [`Delta_only] mode [μ(T)] alone.  Once the
@@ -142,7 +149,20 @@ let make_ctx ~master ~ccs ~mode ~levels (tab : Tableau.t) =
     | Some _ | (exception Invalid_argument _) -> false
   in
   { c_tab = tab; c_chk = chk; c_base = base; c_delta_ok = delta_ok;
-    c_levels = levels }
+    c_levels = levels;
+    c_gens = Array.map (fun l -> level_gen ~chk ~delta_ok l.l_atom l.l_doms) levels }
+
+(* The candidates of level [lv] under [mu].  Par-mode pin-splitting
+   seeds [mu] with some of the level's own variables; those are read
+   from [mu] and only the rest enumerated (tick-neutral: the pinned
+   tasks' candidates partition the level's).  The sequential path
+   never pins, so it keeps the precomputed generator. *)
+let gen_at ctx lv mu =
+  let l = ctx.c_levels.(lv) in
+  if List.exists (fun (x, _) -> Valuation.mem x mu) l.l_doms then
+    level_gen ~chk:ctx.c_chk ~delta_ok:ctx.c_delta_ok l.l_atom
+      (List.filter (fun (x, _) -> not (Valuation.mem x mu)) l.l_doms)
+  else ctx.c_gens.(lv)
 
 (* Enumerate every candidate instantiation of the atom at level [lv],
    charging one budget tick per candidate, and call [child] with the
@@ -152,29 +172,13 @@ let make_ctx ~master ~ccs ~mode ~levels (tab : Tableau.t) =
    production path): each budget tick is mirrored as a level step, and
    a pruned branch is attributed to the constraint the check names. *)
 let expand ctx ~budget ~prof ~on_prune lv mu delta child =
-  let { l_atom = a; l_doms = doms0; _ } = ctx.c_levels.(lv) in
-  (* par-mode pin-splitting seeds [mu] with some of this level's own
-     variables; enumerate only the rest (tick-neutral: the pinned
-     tasks' combo counts sum to the full level width).  The sequential
-     path never pins, so it keeps the precomputed list as-is. *)
-  let doms =
-    if List.exists (fun (x, _) -> Valuation.mem x mu) doms0 then
-      List.filter (fun (x, _) -> not (Valuation.mem x mu)) doms0
-    else doms0
-  in
-  Valuation.enumerate_iter doms (fun partial ->
+  let a = ctx.c_levels.(lv).l_atom in
+  Checker.generate (gen_at ctx lv mu) mu (fun mu' ->
     (* profile before tick: [tick] counts the step even when it raises
        [Exhausted], so attributing first keeps a timed-out run's
        profile in exact agreement with the budget's step total *)
     (match prof with None -> () | Some sr -> Profile.step sr lv);
     Budget.tick budget;
-    let mu' =
-      if Valuation.is_empty mu then partial
-      else
-        List.fold_left
-          (fun m (x, c) -> Valuation.add x c m)
-          mu (Valuation.bindings partial)
-    in
     if not (neqs_ground_ok ctx.c_tab mu') then false
     else
       match Valuation.tuple_of_terms mu' a.Atom.args with
@@ -183,7 +187,7 @@ let expand ctx ~budget ~prof ~on_prune lv mu delta child =
         let delta' = Database.add_tuple delta a.Atom.rel tuple in
         let violated =
           if ctx.c_delta_ok then
-            Checker.check_add ctx.c_chk ~base:ctx.c_base ~delta:delta'
+            Checker.check_generated ctx.c_chk ~base:ctx.c_base ~delta:delta'
               ~rel:a.Atom.rel ~tuple
           else Checker.check ctx.c_chk ~base:ctx.c_base ~delta:delta'
         in
@@ -203,8 +207,16 @@ let rec dfs ctx ~budget ~prof ~on_prune ~visit lv mu delta =
     expand ctx ~budget ~prof ~on_prune lv mu delta
       (dfs ctx ~budget ~prof ~on_prune ~visit (lv + 1))
 
-let level_names levels =
-  Array.map (fun l -> l.l_atom.Atom.rel) levels
+let level_names ctx = Array.map (fun l -> l.l_atom.Atom.rel) ctx.c_levels
+
+(* What explain shows as each level's candidate source. *)
+let level_sources ctx =
+  Array.map
+    (fun g ->
+      match Checker.sources g with
+      | [] -> "adom"
+      | names -> String.concat "," names)
+    ctx.c_gens
 
 let iter_valid ?(budget = Budget.unlimited) ?profile ~master ~ccs ~mode ~adom
     ?(on_prune = fun () -> ()) (tab : Tableau.t) visit =
@@ -217,7 +229,9 @@ let iter_valid ?(budget = Budget.unlimited) ?profile ~master ~ccs ~mode ~adom
   | Some p ->
     (* merge even when the budget exhausts mid-search: a timeout
        verdict still reports where the spent steps went *)
-    let sr = Profile.start_search p ~names:(level_names levels) in
+    let sr =
+      Profile.start_search p ~names:(level_names ctx) ~sources:(level_sources ctx)
+    in
     Fun.protect ~finally:(fun () -> Profile.finish_search p sr) @@ fun () ->
     dfs ctx ~budget ~prof:(Some sr) ~on_prune ~visit 0 Valuation.empty root
 
@@ -373,45 +387,34 @@ let iter_valid_par ?(budget = Budget.unlimited) ?profile ~domains
       let on_prune_local () = incr pr in
       (* When the frontier is starved (fewer queued tasks than
          workers), split the popped task instead of running it whole.
-         Preferred split: {e pin} the widest not-yet-pinned variable of
-         the current level — one child task per candidate value, no
-         ticks spent, so the widest variable (not blindly the first)
-         carries the partitioning and skewed partitions keep
-         subdividing on demand.  When every variable of the level is
-         pinned down to a single candidate, descend instead: expand the
-         level (its ticks and checks) and push one task per surviving
-         child subtree.  Tasks only ever cut the tree at variable or
-         atom boundaries, so step/prune/verdict parity with seq is
-         preserved. *)
+         Preferred split: {e pin} the outermost not-yet-pinned
+         variable of the current level that the level's generator gives
+         two values or more — one child task per value, no ticks spent,
+         so skewed partitions keep subdividing on demand; the variables
+         before it have one value each and are pinned to it in every
+         child.  When no variable of the level has two values, descend
+         instead: expand the level (its ticks and checks) and push one
+         task per surviving child subtree.  Tasks only ever cut the
+         tree at variable or atom boundaries, so step/prune/verdict
+         parity with seq is preserved. *)
+      let rec split mu =
+        match Checker.first_values (gen_at ctx t.t_lv mu) mu with
+        | Some (x, [ v ]) -> split (Valuation.add x v mu)
+        | Some (x, (_ :: _ :: _ as vs)) -> `Pin (mu, x, vs)
+        | Some (_, []) | None -> if t.t_lv + 1 < n_levels then `Descend else `Run
+      in
       let choice =
         if t.t_depth >= depth_cap || Atomic.get queued >= workers then `Run
-        else begin
-          let unpinned =
-            List.filter
-              (fun (x, _) -> not (Valuation.mem x t.t_mu))
-              levels.(t.t_lv).l_doms
-          in
-          let widest =
-            List.fold_left
-              (fun best ((_, cs) as d) ->
-                match best with
-                | Some (_, bcs) when List.length bcs >= List.length cs -> best
-                | _ -> Some d)
-              None unpinned
-          in
-          match widest with
-          | Some (x, cs) when List.length cs >= 2 -> `Pin (x, cs)
-          | _ -> if t.t_lv + 1 < n_levels then `Descend else `Run
-        end
+        else split t.t_mu
       in
       match choice with
-      | `Pin (x, cs) ->
+      | `Pin (mu, x, cs) ->
         List.iter
           (fun v ->
             push_new
               {
                 t with
-                t_mu = Valuation.add x v t.t_mu;
+                t_mu = Valuation.add x v mu;
                 t_depth = t.t_depth + 1;
                 t_producer = wid;
                 t_attempts = 0;
@@ -439,7 +442,7 @@ let iter_valid_par ?(budget = Budget.unlimited) ?profile ~domains
           (dfs ctx ~budget:child_budget ~prof:sr ~on_prune:on_prune_local
              ~visit:visit_sync t.t_lv t.t_mu t.t_delta)
     in
-    let names = level_names levels in
+    let names = level_names ctx and sources = level_sources ctx in
     let worker wid =
       let child = Budget.fork_shared ~shared ~cancel:stop budget in
       (* a private recorder per worker domain: plain array bumps on the
@@ -447,7 +450,7 @@ let iter_valid_par ?(budget = Budget.unlimited) ?profile ~domains
       let sr =
         match profile with
         | None -> None
-        | Some p -> Some (Profile.start_search p ~names)
+        | Some p -> Some (Profile.start_search p ~names ~sources)
       in
       let pr = ref 0 in
       let rec loop spins =

@@ -16,8 +16,32 @@
     when the root satisfies every constraint, each step runs only the
     delta check — the constraints reading the grown relation, through
     the joins that use the new tuple — and otherwise each step runs the
-    full check.  Verdicts, prunes and their attribution are identical
-    either way. *)
+    full check.
+
+    {b Search by join.}  Once the root holds, each level's candidates
+    are not the whole product of its unbound variables' [adom(y)]
+    lists: they are drawn from the level's {e generator} CCs — those
+    whose normalised LHS is one atom with no inequality, an IND whose
+    constants and repeated variables may select
+    ({!Ric_constraints.Checker.generate}).
+    - Soundness: with the root consistent and every accepted step
+      keeping the state so, a new tuple [t] of [R] violates a generator
+      CC [R(x̄) ⇒ p] iff [t] matches [R(x̄)] and its head escapes [p] —
+      the only new LHS answer is [t]'s own.  So a product candidate the
+      generation leaves out is exactly one the parent's [check_add]
+      would have rejected for a generator, and every candidate it
+      yields satisfies all of them; the per-step check then covers the
+      other CCs only, and names the same first violated CC as a check
+      of all of them would.
+    - Order: the generation enumerates the same variables in the same
+      level order, each over its candidate list in list order, only
+      skipping values (a drawn variable's RHS values are put back in
+      [adom(y)] order).  The surviving sequence is therefore the
+      parent's, node for node: visits, counterexamples and witnesses
+      are the same, and only the ticks and prunes of the skipped
+      candidates are gone.
+    When the root fails, every level is the plain product and each step
+    runs the full check, so an unsafe LHS still raises where it did. *)
 
 open Ric_relational
 open Ric_query
@@ -43,9 +67,11 @@ val iter_valid :
     the search with {!Budget.Exhausted} before doing any work.
 
     [profile] (explain mode) mirrors every tick as a per-level step in
-    the profile and attributes each pruned branch to the containment
-    constraint that cut it (the first one the check names); partial
-    counts are merged even when the budget exhausts mid-search.
+    the profile, records where each level's candidates come from (its
+    generator CCs, or ["adom"]), and attributes each pruned branch to
+    the containment constraint that cut it (the first one the check
+    names); partial counts are merged even when the budget exhausts
+    mid-search.
     Omitted, the only cost is one option match per candidate. *)
 
 val iter_valid_par :

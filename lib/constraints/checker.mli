@@ -62,6 +62,67 @@ val check_add :
 (** [check_adds ~added:[ (rel, tuple) ]]: the search's per-step
     check. *)
 
+val check_generated :
+  t ->
+  base:Database.t ->
+  delta:Database.t ->
+  rel:string ->
+  tuple:Tuple.t ->
+  string option
+(** {!check_add} for a tuple {!generate} produced: the generator CCs of
+    [rel] are skipped, since the tuple satisfies each of them and they
+    read nothing else.  It names the same CC as {!check_add}. *)
+
+(** {2 Candidate generation}
+
+    A {e generator} CC is one whose normalised LHS is a single atom with
+    no inequality: an IND, possibly with constants or repeated variables
+    acting as a selection, projecting onto [p(Dm)] or [empty].  Whether
+    a tuple violates it depends on that tuple alone — it matches the
+    atom and its head escapes the RHS — so rather than test the
+    candidates of a tableau atom against it, the search draws them from
+    its RHS. *)
+
+type gen
+(** One tableau atom's candidate enumeration, compiled against the
+    generator CCs of its relation.  Immutable; domain-safe. *)
+
+val generator : t -> Ric_query.Atom.t -> (string * Value.t list) list -> gen
+(** [generator t a doms] enumerates, in [doms] order, the variables of
+    [a] listed there over their candidate lists; [a]'s other variables
+    are read from the valuation {!generate} is given.  The generator CCs
+    that can match [a] are compiled in: those whose constants clash
+    with [a]'s are left out. *)
+
+val product : (string * Value.t list) list -> gen
+(** The plain product of [doms], with no generator: every variable
+    ranges over its whole list. *)
+
+val sources : gen -> string list
+(** The generator CCs compiled into [gen], in declaration order; [[]]
+    for a plain product. *)
+
+val generate :
+  gen -> Ric_query.Valuation.t -> (Ric_query.Valuation.t -> bool) -> bool
+(** [generate g mu visit] visits [mu] extended by each candidate of the
+    product — outermost variable first, each in its list's order —
+    whose atom tuple satisfies every generator CC of [g], skipping the
+    others; stops at the first [true] and says whether there was one.
+    Exactly the product candidates a {!check_add} would not reject for
+    a generator CC, in the same order.  A variable a matching
+    generator's head covers is drawn from the RHS rows agreeing with
+    the columns already bound (an index probe), so the work is the
+    candidates yielded plus one probe per drawn variable and node —
+    except where no column is bound yet and the RHS is at least half
+    as long as the variable's list: that list is filtered, one probe
+    per value, stopping with the visit. *)
+
+val first_values :
+  gen -> Ric_query.Valuation.t -> (string * Value.t list) option
+(** The outermost enumerated variable and, in order, the values
+    {!generate} gives it on top of the valuation; [None] when [gen]
+    enumerates no variable.  Every candidate takes one of them. *)
+
 val drop_indexes : t -> unit
 (** Forget the cached indexes of the bases checked so far.  A checker
     kept across changing bases (a session's, across writes) calls this

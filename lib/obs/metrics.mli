@@ -46,6 +46,10 @@ val histogram : ?help:string -> ?labels:(string * string) list -> string -> hist
 val observe : histogram -> float -> unit
 
 (** Convenience: observe the elapsed time of [f] in seconds. *)
+val now_s : unit -> float
+(** Seconds on the monotonic clock, from an arbitrary origin: for
+    durations and deadlines, which a wall-clock step must not move. *)
+
 val time : histogram -> (unit -> 'a) -> 'a
 
 (** Upper bounds (in seconds) of the finite histogram buckets, in

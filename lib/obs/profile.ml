@@ -1,9 +1,10 @@
-(* Aggregate keyed by (level index, atom name): a UCQ decide runs one
-   search per disjunct, and disjuncts may instantiate different atoms
-   at the same depth — keeping the name in the key keeps the rows
-   honest instead of summing unrelated atoms. *)
+(* Aggregate keyed by (level index, atom name, candidate source): a
+   UCQ decide runs one search per disjunct, and disjuncts may
+   instantiate different atoms at the same depth, or draw one atom's
+   candidates differently — keeping both in the key keeps the rows
+   honest instead of summing unrelated levels. *)
 
-type level_key = { k_index : int; k_name : string }
+type level_key = { k_index : int; k_name : string; k_source : string }
 
 type level_cell = { mutable c_steps : int; mutable c_prunes : int }
 
@@ -27,6 +28,7 @@ let create () =
 type search = {
   owner : t;
   names : string array;
+  sources : string array;
   steps : int array;
   prunes : int array;
   (* per-constraint prune counts stay a small assoc list: a search
@@ -34,9 +36,9 @@ type search = {
   mutable by_cc : (string * int ref) list;
 }
 
-let start_search owner ~names =
+let start_search owner ~names ~sources =
   let n = Array.length names in
-  { owner; names; steps = Array.make n 0; prunes = Array.make n 0; by_cc = [] }
+  { owner; names; sources; steps = Array.make n 0; prunes = Array.make n 0; by_cc = [] }
 
 let step sr i = sr.steps.(i) <- sr.steps.(i) + 1
 
@@ -63,7 +65,7 @@ let finish_search t sr =
   Array.iteri
     (fun i name ->
       if sr.steps.(i) <> 0 || sr.prunes.(i) <> 0 then begin
-        let key = { k_index = i; k_name = name } in
+        let key = { k_index = i; k_name = name; k_source = sr.sources.(i) } in
         let cell =
           match Hashtbl.find_opt t.levels key with
           | Some c -> c
@@ -87,6 +89,7 @@ let note t k v =
 type level_row = {
   lv_index : int;
   lv_name : string;
+  lv_source : string;
   lv_steps : int;
   lv_prunes : int;
 }
@@ -107,14 +110,14 @@ let snapshot t =
   let levels =
     Hashtbl.fold
       (fun k c acc ->
-        { lv_index = k.k_index; lv_name = k.k_name; lv_steps = c.c_steps;
-          lv_prunes = c.c_prunes }
+        { lv_index = k.k_index; lv_name = k.k_name; lv_source = k.k_source;
+          lv_steps = c.c_steps; lv_prunes = c.c_prunes }
         :: acc)
       t.levels []
     |> List.sort (fun a b ->
-           match compare a.lv_index b.lv_index with
-           | 0 -> String.compare a.lv_name b.lv_name
-           | c -> c)
+           compare
+             (a.lv_index, a.lv_name, a.lv_source)
+             (b.lv_index, b.lv_name, b.lv_source))
   in
   {
     levels;

@@ -2,10 +2,10 @@
 
     A {!t} accumulates, for one decide request, where the budgeted
     search steps went: per search level (one level per tableau atom
-    instantiated, keyed by level index and atom relation), which
-    containment constraint pruned each cut branch, and a set of named
-    auxiliary counters for tick sites outside the valuation search
-    (candidate pools, witness growth, e2 nodes).
+    instantiated, keyed by level index, atom relation and candidate
+    source), which containment constraint pruned each cut branch, and
+    a set of named auxiliary counters for tick sites outside the
+    valuation search (candidate pools, witness growth, e2 nodes).
 
     The accumulator is shared across the worker domains of a parallel
     search: each worker records into a private {!search} handle (plain
@@ -28,9 +28,12 @@ type search
 (** One search invocation's private recorder: cheap int-array bumps,
     single-owner, merged on {!finish_search}. *)
 
-val start_search : t -> names:string array -> search
+val start_search : t -> names:string array -> sources:string array -> search
 (** [names.(i)] labels level [i] — the relation of the atom
-    instantiated at that depth of the search plan. *)
+    instantiated at that depth of the search plan — and [sources.(i)]
+    says where its candidates come from: the generator CCs that supply
+    them (comma-separated), or ["adom"] for the active-domain
+    product. *)
 
 val step : search -> int -> unit
 (** One candidate instantiation at level [i] (mirror every
@@ -59,12 +62,13 @@ val note : t -> string -> string -> unit
 type level_row = {
   lv_index : int;
   lv_name : string;  (** atom relation at this depth *)
+  lv_source : string;  (** its candidates' source: generator CCs, or ["adom"] *)
   lv_steps : int;  (** candidate fan-out: instantiations tried *)
   lv_prunes : int;  (** branches the constraint check cut here *)
 }
 
 type snapshot = {
-  levels : level_row list;  (** by level index, then name *)
+  levels : level_row list;  (** by level index, then name, then source *)
   constraints : (string * int) list;  (** cc name -> prunes, by name *)
   counters : (string * int) list;  (** by name *)
   notes : (string * string) list;  (** by key *)

@@ -320,6 +320,7 @@ let profile_json ~clock p =
                  [
                    ("level", Json.Int r.lv_index);
                    ("atom", Json.Str r.lv_name);
+                   ("source", Json.Str r.lv_source);
                    ("steps", Json.Int r.lv_steps);
                    ("prunes", Json.Int r.lv_prunes);
                  ])

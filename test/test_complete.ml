@@ -102,8 +102,11 @@ let test_iter_valid_neq_pruning () =
   in
   Alcotest.(check bool) "no x = y valuation visited" false !bad
 
+(* A CC forbidding R tuples whose a is the first fresh value.  Written
+   as one atom it is a generator: the forbidden candidates are never
+   drawn, so nothing is pruned.  Written as a join it is checked per
+   step, and cuts them. *)
 let test_iter_valid_cc_pruning () =
-  (* a constraint that forbids R tuples with a = first fresh value *)
   let q = Cq.make ~head:[ v "x" ] [ Atom.make "R" [ v "x"; v "b" ] ] in
   let tab = Option.get (Tableau.of_cq schema q) in
   let adom =
@@ -111,27 +114,37 @@ let test_iter_valid_cc_pruning () =
       ~query_constants:[] ~fresh_count:1 ()
   in
   let fresh = List.hd (Adom.fresh adom) in
-  let forbid =
-    Containment.make ~name:"forbid"
-      (Lang.Q_cq (Cq.make ~head:[ v "b" ] [ Atom.make "R" [ Term.const fresh; v "b" ] ]))
-      Projection.Empty
+  let forbidden = Atom.make "R" [ Term.const fresh; v "b" ] in
+  let run atoms =
+    let forbid =
+      Containment.make ~name:"forbid" (Lang.Q_cq (Cq.make ~head:[ v "b" ] atoms))
+        Projection.Empty
+    in
+    let pruned = ref 0 in
+    let visited = ref 0 in
+    let (_ : bool) =
+      Valuation_search.iter_valid ~master:empty_master ~ccs:[ forbid ] ~mode:`Delta_only
+        ~adom
+        ~on_prune:(fun () -> incr pruned)
+        tab
+        (fun mu _ ->
+          incr visited;
+          Alcotest.(check bool) "forbidden value never reached" false
+            (match Valuation.find "x" mu with
+             | Some c -> Value.equal c fresh
+             | None -> false);
+          false)
+    in
+    (!pruned, !visited)
   in
-  let pruned = ref 0 in
-  let visited = ref 0 in
-  let (_ : bool) =
-    Valuation_search.iter_valid ~master:empty_master ~ccs:[ forbid ] ~mode:`Delta_only ~adom
-      ~on_prune:(fun () -> incr pruned)
-      tab
-      (fun mu _ ->
-        incr visited;
-        Alcotest.(check bool) "forbidden value never reached" false
-          (match Valuation.find "x" mu with
-           | Some c -> Value.equal c fresh
-           | None -> false);
-        false)
-  in
-  Alcotest.(check bool) "some branches pruned" true (!pruned > 0);
-  Alcotest.(check bool) "others visited" true (!visited > 0)
+  (* x over the whole adom but the fresh value, b over {0, 1} *)
+  let allowed = 2 * (Adom.size adom - 1) in
+  let pruned, visited = run [ forbidden ] in
+  Alcotest.(check int) "a generator prunes nothing" 0 pruned;
+  Alcotest.(check int) "a generator yields every other candidate" allowed visited;
+  let pruned, visited = run [ forbidden; Atom.make "R" [ v "y"; v "c" ] ] in
+  Alcotest.(check int) "a join prunes the forbidden candidates" 2 pruned;
+  Alcotest.(check int) "a join visits the others" allowed visited
 
 (* ------------------------------------------------------------------ *)
 (* Guidance *)

@@ -375,7 +375,7 @@ let test_tracing_changes_no_verdict () =
 
 let test_profile_accumulator () =
   let p = Profile.create () in
-  let s = Profile.start_search p ~names:[| "R"; "S" |] in
+  let s = Profile.start_search p ~names:[| "R"; "S" |] ~sources:[| "adom"; "adom" |] in
   Profile.step s 0;
   Profile.step s 0;
   Profile.step s 1;
@@ -383,7 +383,7 @@ let test_profile_accumulator () =
   Profile.prune s 1 None;
   Profile.finish_search p s;
   (* a second search with the same plan merges, not replaces *)
-  let s2 = Profile.start_search p ~names:[| "R"; "S" |] in
+  let s2 = Profile.start_search p ~names:[| "R"; "S" |] ~sources:[| "adom"; "adom" |] in
   Profile.step s2 0;
   Profile.prune s2 0 (Some "cc1");
   Profile.finish_search p s2;
@@ -495,6 +495,29 @@ let test_profile_deterministic () =
   let _, steps2, snap2 = rcdp_profiled ~search:Search_mode.Seq s q in
   Alcotest.(check int) "steps deterministic" steps1 steps2;
   Alcotest.(check bool) "snapshot deterministic" true (snap1 = snap2)
+
+(* Explain names where each level's candidates come from: QU's two U
+   levels are drawn from BU, the IND on U, in every mode; a level no
+   generator CC covers sweeps the active domain. *)
+let test_profile_level_sources () =
+  let s = Scenario.parse parity_source in
+  let qu = Option.get (Scenario.find_query s "QU") in
+  List.iter
+    (fun search ->
+      let _, _, snap = rcdp_profiled ~search s qu in
+      Alcotest.(check (list (triple int string string)))
+        (Search_mode.to_string search ^ " QU levels are drawn from BU")
+        [ (0, "U", "BU"); (1, "U", "BU") ]
+        (List.map
+           (fun r -> (r.Profile.lv_index, r.Profile.lv_name, r.Profile.lv_source))
+           snap.Profile.levels))
+    [ Search_mode.Seq; Search_mode.Par 2 ];
+  let bare = Scenario.parse "schema T(k).\nrows T { (m0) }.\nquery QT(k) :- T(k).\n" in
+  let _, _, snap =
+    rcdp_profiled ~search:Search_mode.Seq bare (Option.get (Scenario.find_query bare "QT"))
+  in
+  Alcotest.(check (list string)) "an unbounded level sweeps adom" [ "adom" ]
+    (List.map (fun r -> r.Profile.lv_source) snap.Profile.levels)
 
 let test_profile_rcqp_parity () =
   let s = Scenario.parse parity_source in
@@ -654,6 +677,7 @@ let () =
           Alcotest.test_case "deterministic snapshots" `Quick
             test_profile_deterministic;
           Alcotest.test_case "rcqp parity" `Quick test_profile_rcqp_parity;
+          Alcotest.test_case "level sources" `Quick test_profile_level_sources;
         ] );
       ( "recorder",
         [

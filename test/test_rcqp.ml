@@ -226,8 +226,7 @@ let test_semi_decide_finds_witness () =
 (* Brute-force cross-check: Nonempty must have a small witness when
    the universe is small; Empty must have none. *)
 
-let brute_force_has_witness ~values ~max_tuples ccs q =
-  let m = master [] in
+let brute_force_has_witness ?master:(m = master []) ~values ~max_tuples ccs q =
   let tuples =
     List.concat_map
       (fun e -> List.concat_map (fun d -> List.map (fun c -> [ e; d; c ]) values) values)
@@ -259,6 +258,124 @@ let test_brute_force_agreement () =
     (brute_force_has_witness ~values:[ "e0"; "d0"; "c0" ] ~max_tuples:1 fd_dept q2_tuples)
 
 (* ------------------------------------------------------------------ *)
+(* Generator-shaped CCs, whose RHS the search and the candidate pool
+   draw candidates from.  Random small instances mix some of the five
+   shapes with one multi-atom CC, declared in random order over a
+   random master; RCDP must agree with the bounded extension oracle
+   (and seq with par:2 on steps, when complete), RCQP with the
+   brute-force witness search. *)
+
+let shapes_master_schema =
+  Schema.make
+    [
+      Schema.relation "MCust" [ Schema.attribute "cid" ];
+      Schema.relation "MPair" [ Schema.attribute "x"; Schema.attribute "y" ];
+      Schema.relation "MTrip"
+        [ Schema.attribute "x"; Schema.attribute "y"; Schema.attribute "z" ];
+    ]
+
+let supt e d c = Atom.make "Supt" [ e; d; c ]
+let single name head atom rhs = Containment.make ~name (Lang.Q_cq (Cq.make ~head [ atom ])) rhs
+
+let generator_shapes =
+  [
+    single "plain" [ v "e"; v "d"; v "c" ] (supt (v "e") (v "d") (v "c"))
+      (Projection.proj "MTrip" [ 0; 1; 2 ]);
+    single "constant" [ v "d"; v "c" ] (supt (s "e0") (v "d") (v "c"))
+      (Projection.proj "MPair" [ 0; 1 ]);
+    single "repeated" [ v "x" ] (supt (v "e") (v "x") (v "x")) (Projection.proj "MCust" [ 0 ]);
+    single "partial" [ v "c" ] (supt (v "e") (v "d") (v "c")) (Projection.proj "MPair" [ 1 ]);
+    single "empty" [ v "c" ] (supt (v "e") (s "d1") (v "c")) Projection.Empty;
+  ]
+
+let multi_atom = [ fd_dept; [ support_load 1 ] ]
+
+let shapes_queries =
+  [
+    q2_customers;
+    q2_tuples;
+    q4;
+    Cq.make ~head:[ v "e"; v "c" ] [ supt (v "e") (v "d") (v "c") ];
+  ]
+
+(* a random subset of [xs], one bit each *)
+let subset bits xs = List.filteri (fun i _ -> bits land (1 lsl i) <> 0) xs
+
+let shuffle seed xs =
+  let st = Random.State.make [| seed |] in
+  List.map (fun x -> (Random.State.bits st, x)) xs
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> List.map snd
+
+let prop_generator_shapes =
+  QCheck2.Test.make ~name:"generator-shaped CCs agree with brute force" ~count:60
+    QCheck2.Gen.(
+      tup6 (int_bound 31) (int_bound 1) int (int_bound 511) (int_bound 3) (int_bound 7))
+    (fun (shape_bits, join, order, master_bits, qi, db_bits) ->
+      let ccs =
+        shuffle order (subset shape_bits generator_shapes @ List.nth multi_atom join)
+      in
+      let rows rel tuples = (rel, Relation.of_tuples (List.map Tuple.of_strs tuples)) in
+      let m =
+        Database.of_list shapes_master_schema
+          [
+            rows "MCust" (subset master_bits [ [ "c0" ]; [ "c1" ]; [ "d0" ] ]);
+            rows "MPair"
+              (subset (master_bits lsr 3)
+                 [ [ "d0"; "c0" ]; [ "d1"; "c1" ]; [ "e0"; "c1" ] ]);
+            rows "MTrip"
+              (subset (master_bits lsr 6)
+                 [ [ "e0"; "d0"; "c0" ]; [ "e0"; "d1"; "c1" ]; [ "e1"; "d0"; "c0" ] ]);
+          ]
+      in
+      let q = List.nth shapes_queries qi in
+      let lq = Lang.Q_cq q in
+      (* a partially closed D: candidate rows kept while they keep it so *)
+      let db =
+        List.fold_left
+          (fun db t ->
+            let db' = Database.add_tuple db "Supt" (Tuple.of_strs t) in
+            if Containment.holds_all ~db:db' ~master:m ccs then db' else db)
+          (Database.empty schema)
+          (subset db_bits [ [ "e0"; "d0"; "c0" ]; [ "e0"; "d1"; "c1" ]; [ "e1"; "d0"; "c1" ] ])
+      in
+      let rcdp search =
+        let clock = Budget.create () in
+        let verdict = Rcdp.decide ~clock ~search ~schema ~master:m ~ccs ~db lq in
+        (verdict, Budget.steps clock)
+      in
+      let verdict, seq_steps = rcdp Search_mode.Seq in
+      (match
+         ( verdict,
+           Rcdp.semi_decide ~max_tuples:1 ~fresh_values:3 ~schema ~master:m ~ccs ~db lq )
+       with
+       | Rcdp.Complete, Rcdp.No_counterexample _ ->
+         let _, par_steps = rcdp (Search_mode.Par 2) in
+         if par_steps <> seq_steps then
+           QCheck2.Test.fail_reportf "complete: seq %d steps, par:2 %d" seq_steps par_steps
+       | Rcdp.Incomplete _, Rcdp.Refuted _ -> ()
+       | Rcdp.Complete, Rcdp.Refuted _ ->
+         QCheck2.Test.fail_report "RCDP complete, but an extension refutes it"
+       | Rcdp.Incomplete _, Rcdp.No_counterexample _ ->
+         QCheck2.Test.fail_report "RCDP incomplete, but no extension refutes it");
+      let brute =
+        brute_force_has_witness ~master:m ~values:[ "e0"; "d0"; "d1"; "c0" ] ~max_tuples:1
+          ccs q
+      in
+      (* a few of these instances take the E2 search minutes: those are
+         capped, and a capped run decides nothing *)
+      let clock = Budget.create ~max_steps:20_000 () in
+      match Rcqp.decide ~clock ~schema ~master:m ~ccs lq with
+      | exception Budget.Exhausted _ -> true
+      | Rcqp.Empty _ ->
+        (not brute) || QCheck2.Test.fail_report "RCQP empty, but brute force finds a witness"
+      | Rcqp.Nonempty { witness = Some w; _ } ->
+        (Containment.holds_all ~db:w ~master:m ccs
+        && Rcdp.decide ~schema ~master:m ~ccs ~db:w lq = Rcdp.Complete)
+        || QCheck2.Test.fail_report "RCQP witness does not verify"
+      | Rcqp.Nonempty { witness = None; _ } | Rcqp.Unknown _ -> true)
+
+(* ------------------------------------------------------------------ *)
 (* Properties *)
 
 let prop_witnesses_verify =
@@ -275,7 +392,8 @@ let prop_witnesses_verify =
            = Rcdp.Complete
       | Rcqp.Nonempty { witness = None; _ } | Rcqp.Empty _ | Rcqp.Unknown _ -> true)
 
-let properties = List.map QCheck_alcotest.to_alcotest [ prop_witnesses_verify ]
+let properties =
+  List.map QCheck_alcotest.to_alcotest [ prop_witnesses_verify; prop_generator_shapes ]
 
 let () =
   Alcotest.run "rcqp"

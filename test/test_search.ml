@@ -1,7 +1,9 @@
 (* Tests for the valuation-search performance layer: Search_mode
-   parsing, Budget fork_shared cap/cancel, the constraint checker's delta
-   and full checks (differential against Containment.holds_all, prune
-   attribution in declaration order, each CC watched once), seq/par
+   parsing, Budget fork_shared cap/cancel and deadlines, the constraint
+   checker's delta and full checks (differential against
+   Containment.holds_all, prune attribution in declaration order, each
+   CC watched once), candidate generation from the generator CCs
+   (differential against the filtered product), seq/par
    verdict agreement on every scenario file, and the satellite
    regressions — duplicate-atom removal (remove one occurrence, not
    every physically-shared copy) and budget checks at search entry. *)
@@ -54,6 +56,30 @@ let test_budget_fork_cancel () =
   match Budget.check_now (Budget.fork_shared ~shared:(Atomic.make 0) flagged) with
   | () -> Alcotest.fail "parent cancel flag must propagate to forks"
   | exception Budget.Exhausted Budget.Cancelled -> ()
+
+(* A deadline budget trips once its duration has passed on the
+   monotonic clock, and never before: every poll that starts after the
+   deadline raises, and the one that raises ends after it. *)
+let test_budget_deadline () =
+  let d = 0.05 in
+  let now = Ric_obs.Metrics.now_s in
+  let before = now () in
+  let b = Budget.create ~deadline_after:d () in
+  let after = now () in
+  let rec poll () =
+    let t = now () in
+    match Budget.check_now b with
+    | () ->
+      if t > after +. d then
+        Alcotest.failf "still running %.3f s into a %.3f s deadline" (t -. before) d;
+      Unix.sleepf 0.002;
+      poll ()
+    | exception Budget.Exhausted Budget.Deadline ->
+      let t' = now () in
+      if t' < before +. d then
+        Alcotest.failf "tripped %.3f s into a %.3f s deadline" (t' -. before) d
+  in
+  poll ()
 
 (* Shared-counter families: the cap binds the family total exactly,
    whichever child performs the tick — the par-mode fix for concurrent
@@ -327,41 +353,203 @@ let test_self_join_checked_once () =
   Alcotest.(check (option string)) "a new key keeps it" None
     (check (Tuple.of_strs [ "1"; "1" ]))
 
+(* ------------------------------------------------------------------ *)
+(* Candidate generation: [Checker.generate] yields exactly the product
+   candidates that every generator CC accepts, in product order, for
+   random atoms (constants, repeated variables, variables bound on
+   entry) over random candidate lists, against random generator CCs
+   (every shape: plain, constant and repeated-variable selections,
+   partial projections, a constant head column, an empty RHS) declared
+   in random order.  The oracle is the full check of the singleton
+   tuple against the generators alone. *)
+
+let gen_schema =
+  Schema.make
+    [ Schema.relation "R" [ Schema.attribute "a"; Schema.attribute "b"; Schema.attribute "c" ] ]
+
+let gen_master_schema =
+  Schema.make
+    [
+      Schema.relation "M1" [ Schema.attribute "x" ];
+      Schema.relation "M2" [ Schema.attribute "x"; Schema.attribute "y" ];
+      Schema.relation "M3" [ Schema.attribute "x"; Schema.attribute "y"; Schema.attribute "z" ];
+    ]
+
+let generator_ccs =
+  let r a b c = Atom.make "R" [ a; b; c ] in
+  let k i = Term.const (Value.Str (string_of_int i)) in
+  let cc name head atom rhs = Containment.make ~name (Lang.Q_cq (Cq.make ~head [ atom ])) rhs in
+  [
+    cc "plain" [ v "x"; v "y"; v "z" ] (r (v "x") (v "y") (v "z")) (Projection.proj "M3" [ 0; 1; 2 ]);
+    cc "constant" [ v "y"; v "z" ] (r (k 1) (v "y") (v "z")) (Projection.proj "M2" [ 0; 1 ]);
+    cc "repeated" [ v "z" ] (r (v "x") (v "x") (v "z")) (Projection.proj "M1" [ 0 ]);
+    cc "partial" [ v "y" ] (r (v "x") (v "y") (v "z")) (Projection.proj "M3" [ 2 ]);
+    cc "swapped" [ v "z"; v "x" ] (r (v "x") (v "y") (v "z")) (Projection.proj "M2" [ 0; 1 ]);
+    cc "headconst" [ v "x"; k 2 ] (r (v "x") (v "y") (v "z")) (Projection.proj "M2" [ 1; 0 ]);
+    cc "empty" [ v "x" ] (r (v "x") (k 2) (v "z")) Projection.Empty;
+  ]
+
+let prop_generate =
+  QCheck2.Test.make ~name:"generate ≡ product filtered by the generator CCs" ~count:500
+    QCheck2.Gen.(
+      let term = oneof [ map (fun i -> `Const i) (int_bound 3); map (fun i -> `Var i) (int_bound 2) ] in
+      let rows n = list_size (int_bound 6) (list_repeat n (int_bound 3)) in
+      tup6 (triple term term term) (int_bound 127) int
+        (triple (rows 1) (rows 2) (rows 3))
+        (list_repeat 3 (pair (int_bound 7) (list_size (int_bound 5) (int_bound 4))))
+        (list_repeat 3 (int_bound 4)))
+    (fun ((t1, t2, t3), cc_bits, order, (m1, m2, m3), doms, outer_vals) ->
+      let str i = Value.Str (string_of_int i) in
+      let term = function `Const i -> Term.const (str i) | `Var i -> v (Printf.sprintf "u%d" i) in
+      let atom = Atom.make "R" [ term t1; term t2; term t3 ] in
+      let rel rows = Relation.of_tuples (List.map (fun r -> Tuple.make (List.map str r)) rows) in
+      let master =
+        Database.of_list gen_master_schema [ ("M1", rel m1); ("M2", rel m2); ("M3", rel m3) ]
+      in
+      let st = Random.State.make [| order |] in
+      let gens =
+        List.filteri (fun i _ -> cc_bits land (1 lsl i) <> 0) generator_ccs
+        |> List.map (fun cc -> (Random.State.bits st, cc))
+        |> List.sort compare |> List.map snd
+      in
+      (* each atom variable is enumerated, over a list in random order
+         (4 stands for a value no master holds), or bound on entry *)
+      let slot x = Char.code x.[1] - Char.code '0' (* "u<i>" *) in
+      let enumerated, bound =
+        List.partition (fun x -> fst (List.nth doms (slot x)) land 1 = 0) (Atom.vars atom)
+      in
+      let doms =
+        List.map
+          (fun x ->
+            let is = List.sort_uniq compare (snd (List.nth doms (slot x))) in
+            (x, List.map str (if order land 2 = 0 then is else List.rev is)))
+          enumerated
+      in
+      let mu =
+        Valuation.of_list (List.map (fun x -> (x, str (List.nth outer_vals (slot x)))) bound)
+      in
+      let chk = Checker.create ~master gens in
+      let empty = Database.empty gen_schema in
+      let accepted mu' =
+        match Valuation.tuple_of_terms mu' atom.Atom.args with
+        | None -> QCheck2.Test.fail_report "unbound atom variable"
+        | Some tuple -> Checker.check chk ~base:empty ~delta:(Database.add_tuple empty "R" tuple) = None
+      in
+      let expected = ref [] and generated = ref [] in
+      let (_ : bool) =
+        Valuation.enumerate_iter doms (fun partial ->
+            let mu' =
+              List.fold_left (fun m (x, c) -> Valuation.add x c m) mu (Valuation.bindings partial)
+            in
+            if accepted mu' then expected := mu' :: !expected;
+            false)
+      in
+      let g = Checker.generator chk atom doms in
+      let (_ : bool) =
+        Checker.generate g mu (fun mu' ->
+            generated := mu' :: !generated;
+            false)
+      in
+      let show l = String.concat " " (List.map (Format.asprintf "%a" Valuation.pp) (List.rev l)) in
+      if not (List.equal Valuation.equal !generated !expected) then
+        QCheck2.Test.fail_reportf "%a: generated [%s], expected [%s]" Atom.pp atom (show !generated)
+          (show !expected);
+      (match (Checker.first_values g mu, doms) with
+       | None, [] -> ()
+       | Some (x, vs), (y, _) :: _ when String.equal x y ->
+         let firsts =
+           List.fold_left
+             (fun acc m ->
+               let c = Option.get (Valuation.find x m) in
+               if List.exists (Value.equal c) acc then acc else acc @ [ c ])
+             [] (List.rev !expected)
+         in
+         (* every candidate's first value is offered, in order *)
+         if not (List.for_all (fun c -> List.exists (Value.equal c) vs) firsts) then
+           QCheck2.Test.fail_report "first_values misses a candidate's value"
+       | _ -> QCheck2.Test.fail_report "first_values names the wrong variable");
+      true)
+
 let scenarios_dir () =
   if Sys.file_exists "../../../scenarios" then "../../../scenarios" else "scenarios"
 
-(* supply_chain.ric declares ApprovedSupplier and CataloguedPart before
-   the OrderKey FD: the ActiveSuppliers search must charge its prunes to
-   the CCs in that order, in every mode. *)
+(* The explain profile of an exhaustive (Complete) RCDP decide:
+   per-constraint prune charges and per-level (atom, source) rows. *)
+let attribution ~search (s : Scenario.t) qname =
+  let q = Option.get (Scenario.find_query s qname) in
+  let profile = Ric_obs.Profile.create () in
+  (match
+     Rcdp.decide ~search ~profile ~schema:s.Scenario.db_schema
+       ~master:s.Scenario.master ~ccs:(Scenario.all_ccs s) ~db:s.Scenario.db q
+   with
+   | Rcdp.Complete -> ()
+   | Rcdp.Incomplete _ -> Alcotest.failf "%s must be complete" qname);
+  let snap = Ric_obs.Profile.snapshot profile in
+  ( snap.Ric_obs.Profile.constraints,
+    List.map
+      (fun r -> (r.Ric_obs.Profile.lv_name, r.Ric_obs.Profile.lv_source))
+      snap.Ric_obs.Profile.levels )
+
+(* supply_chain.ric declares ApprovedSupplier and CataloguedPart, two
+   INDs on Order, before the OrderKey FD.  The INDs are generators: the
+   ActiveSuppliers search draws its Order candidates from them, so they
+   are charged nothing and are listed as the level's source, and the FD
+   CCs checked per step are charged in declaration order — in every
+   mode. *)
 let test_supply_chain_attribution () =
   let s = Scenario.load (Filename.concat (scenarios_dir ()) "supply_chain.ric") in
-  let q = Option.get (Scenario.find_query s "ActiveSuppliers") in
-  let attribution search =
-    let profile = Ric_obs.Profile.create () in
-    (match
-       Rcdp.decide ~search ~profile ~schema:s.Scenario.db_schema
-         ~master:s.Scenario.master ~ccs:(Scenario.all_ccs s) ~db:s.Scenario.db q
-     with
-     | Rcdp.Complete -> ()
-     | Rcdp.Incomplete _ -> Alcotest.fail "ActiveSuppliers must be complete");
-    (Ric_obs.Profile.snapshot profile).Ric_obs.Profile.constraints
-  in
-  let seq = attribution Search_mode.Seq in
+  let seq, levels = attribution ~search:Search_mode.Seq s "ActiveSuppliers" in
   let charged name = Option.value ~default:0 (List.assoc_opt name seq) in
-  let fd_max =
-    List.fold_left
-      (fun m (name, k) ->
-        if String.starts_with ~prefix:"OrderKey" name then max m k else m)
-      0 seq
-  in
-  (* most candidate orders name an unapproved supplier, and those are
-     charged to the first CC they break *)
-  Alcotest.(check bool) "ApprovedSupplier is charged the most" true
-    (charged "ApprovedSupplier" > charged "CataloguedPart");
-  Alcotest.(check bool) "CataloguedPart is charged more than any FD CC" true
-    (charged "CataloguedPart" > fd_max);
+  Alcotest.(check int) "ApprovedSupplier is charged nothing" 0 (charged "ApprovedSupplier");
+  Alcotest.(check int) "CataloguedPart is charged nothing" 0 (charged "CataloguedPart");
+  Alcotest.(check (list (pair string string)))
+    "both INDs are the Order level's source"
+    [ ("Order", "ApprovedSupplier,CataloguedPart") ]
+    levels;
+  Alcotest.(check bool) "the first OrderKey CC is charged the most" true
+    (charged "OrderKey_pair_col1" > charged "OrderKey_pair_col2"
+     && charged "OrderKey_pair_col1" > charged "OrderKey_pair_col3");
   Alcotest.(check bool) "par charges the same CCs" true
-    (List.sort compare (attribution (Search_mode.Par 2)) = List.sort compare seq)
+    (attribution ~search:(Search_mode.Par 2) s "ActiveSuppliers" = (seq, levels))
+
+(* Two FDs that both cut most of the same candidates: the IND on k
+   draws every candidate with k = a, and R(a, w, z) breaks the FD on w
+   whenever w <> 1 and the one on z whenever z <> 1.  A candidate
+   breaking both is charged to whichever is declared first, so the
+   first is charged the most in either order. *)
+let test_fd_declaration_first () =
+  let scenario fds =
+    Scenario.parse
+      (Printf.sprintf
+         {|
+  schema R(k, w, z).
+  master M(k).
+  rows M { (a) }.
+  rows R { (a, 1, 1) }.
+  constraint Keys(k) :- R(k, w, z) => M[0].
+  %s
+  query Q(k) :- R(k, w, z).
+|}
+         fds)
+  in
+  List.iter
+    (fun (fds, first, second) ->
+      let s = scenario fds in
+      let seq, levels = attribution ~search:Search_mode.Seq s "Q" in
+      let charged name = Option.value ~default:0 (List.assoc_opt name seq) in
+      Alcotest.(check (list (pair string string))) "the IND is the source"
+        [ ("R", "Keys") ] levels;
+      Alcotest.(check int) "the IND is charged nothing" 0 (charged "Keys");
+      Alcotest.(check bool)
+        (Printf.sprintf "%s is charged more than %s" first second)
+        true
+        (charged first > charged second && charged second > 0);
+      Alcotest.(check bool) "par charges the same CCs" true
+        (attribution ~search:(Search_mode.Par 2) s "Q" = (seq, levels)))
+    [
+      ("fd W R: k -> w.\n  fd Z R: k -> z.", "W_pair_col1", "Z_pair_col2");
+      ("fd Z R: k -> z.\n  fd W R: k -> w.", "Z_pair_col2", "W_pair_col1");
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* seq / par verdict agreement on every scenario file *)
@@ -660,6 +848,7 @@ let () =
         [
           Alcotest.test_case "fork cancel flags" `Quick test_budget_fork_cancel;
           Alcotest.test_case "shared family cap is exact" `Quick test_budget_fork_shared_cap;
+          Alcotest.test_case "deadline trips on time" `Quick test_budget_deadline;
         ] );
       ( "regressions",
         [
@@ -676,6 +865,9 @@ let () =
             test_self_join_checked_once;
           Alcotest.test_case "supply_chain prune attribution" `Quick
             test_supply_chain_attribution;
+          Alcotest.test_case "FD prunes charged declaration-first" `Quick
+            test_fd_declaration_first;
+          QCheck_alcotest.to_alcotest prop_generate;
         ] );
       ( "mode agreement",
         [

@@ -557,7 +557,9 @@ let test_service_explain_profile () =
   (match get "levels" p with
    | Json.List (row :: _) ->
      Alcotest.(check string) "levels name the tableau atoms" "Cust"
-       (get_str "atom" row)
+       (get_str "atom" row);
+     Alcotest.(check string) "and their candidates' source" "BC"
+       (get_str "source" row)
    | _ -> Alcotest.fail "no levels in profile");
   (* explain bypasses the cache read: this is never a cached reply *)
   Alcotest.(check bool) "explain recomputes" false (get_bool "cached" r);
