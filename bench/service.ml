@@ -63,7 +63,6 @@ let with_server ~domains f =
             root = None;
             journal = None;
             recover = false;
-            search = Ric_complete.Search_mode.Seq;
             metrics = None;
             trace = None;
             flight = None;
@@ -448,7 +447,6 @@ let bench_soak () =
         root = None;
         journal = None;
         recover = false;
-        search = Ric_complete.Search_mode.Seq;
         metrics = None;
         trace = None;
         flight = None;

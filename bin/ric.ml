@@ -169,18 +169,17 @@ let file_query_arg =
 let json_arg = Arg.(value & flag & info [ "json" ] ~doc:"Emit machine-readable JSON")
 
 let search_conv =
-  let parse s = Result.map_error (fun m -> `Msg m) (Search_mode.of_string s) in
-  let print ppf m = Format.pp_print_string ppf (Search_mode.to_string m) in
-  Arg.conv ~docv:"MODE" (parse, print)
+  let parse s =
+    Result.map_error (fun m -> `Msg m) (Ric_service.Protocol.check_search s)
+  in
+  Arg.conv ~docv:"MODE" (parse, Format.pp_print_string)
 
 let search_doc =
-  "Valuation-search strategy: $(b,seq) (one domain) or $(b,par) / \
-   $(b,par:N) (N worker domains sharing the search tree); both use the same \
-   constraint checker and return identical verdicts.  $(b,inc), a retired \
-   mode, is accepted as an alias for $(b,seq)"
+  "Accepted for compatibility, always sequential: $(b,seq), $(b,inc), $(b,par) \
+   and $(b,par:N) (N >= 1) all run the one sequential valuation search"
 
 let search_arg =
-  Arg.(value & opt search_conv Search_mode.Seq & info [ "search" ] ~doc:search_doc)
+  Arg.(value & opt search_conv "seq" & info [ "search" ] ~doc:search_doc)
 
 let file_trace_arg =
   Arg.(
@@ -235,7 +234,7 @@ let file_show_cmd =
     Term.(const run $ file_arg)
 
 let file_audit_cmd =
-  let run path qname json search trace =
+  let run path qname json (_search : string) trace =
     with_scenario path (fun s ->
         match pick_query s qname with
         | Error m ->
@@ -245,7 +244,7 @@ let file_audit_cmd =
           (try
              let result =
                with_trace trace (fun clock ->
-                   Guidance.audit ~clock ~search ~schema:s.Ric_text.Scenario.db_schema
+                   Guidance.audit ~clock ~schema:s.Ric_text.Scenario.db_schema
                      ~master:s.Ric_text.Scenario.master
                      ~ccs:(Ric_text.Scenario.all_ccs s)
                      ~db:s.Ric_text.Scenario.db q)
@@ -266,7 +265,7 @@ let file_audit_cmd =
     Term.(const run $ file_arg $ file_query_arg $ json_arg $ search_arg $ file_trace_arg)
 
 let file_rcqp_cmd =
-  let run path qname json search trace =
+  let run path qname json (_search : string) trace =
     with_scenario path (fun s ->
         match pick_query s qname with
         | Error m ->
@@ -276,7 +275,7 @@ let file_rcqp_cmd =
           (try
              let verdict =
                with_trace trace (fun clock ->
-                   Rcqp.decide ~clock ~search ~schema:s.Ric_text.Scenario.db_schema
+                   Rcqp.decide ~clock ~schema:s.Ric_text.Scenario.db_schema
                      ~master:s.Ric_text.Scenario.master
                      ~ccs:(Ric_text.Scenario.all_ccs s) q)
              in
@@ -297,7 +296,7 @@ let file_rcqp_cmd =
     Term.(const run $ file_arg $ file_query_arg $ json_arg $ search_arg $ file_trace_arg)
 
 let file_rcdp_cmd =
-  let run path qname json search trace =
+  let run path qname json (_search : string) trace =
     with_scenario path (fun s ->
         match pick_query s qname with
         | Error m ->
@@ -307,7 +306,7 @@ let file_rcdp_cmd =
           (try
              let verdict =
                with_trace trace (fun clock ->
-                   Rcdp.decide ~clock ~search ~schema:s.Ric_text.Scenario.db_schema
+                   Rcdp.decide ~clock ~schema:s.Ric_text.Scenario.db_schema
                      ~master:s.Ric_text.Scenario.master
                      ~ccs:(Ric_text.Scenario.all_ccs s) ~db:s.Ric_text.Scenario.db q)
              in
@@ -398,7 +397,7 @@ let explain_modes =
 
 let explain_cmd =
   let module Profile = Ric_obs.Profile in
-  let run path qname mode search timeout_ms json =
+  let run path qname mode (_search : string) timeout_ms json =
     with_scenario path (fun s ->
         match pick_query s qname with
         | Error m ->
@@ -422,18 +421,18 @@ let explain_cmd =
                  match mode with
                  | `Rcdp -> (
                    match
-                     Rcdp.decide ~clock ~search ~profile ~schema ~master ~ccs ~db q
+                     Rcdp.decide ~clock ~profile ~schema ~master ~ccs ~db q
                    with
                    | Rcdp.Complete -> "complete"
                    | Rcdp.Incomplete _ -> "incomplete")
                  | `Rcqp -> (
-                   match Rcqp.decide ~clock ~search ~profile ~schema ~master ~ccs q with
+                   match Rcqp.decide ~clock ~profile ~schema ~master ~ccs q with
                    | Rcqp.Nonempty _ -> "nonempty"
                    | Rcqp.Empty _ -> "empty"
                    | Rcqp.Unknown _ -> "unknown")
                  | `Audit -> (
                    match
-                     Guidance.audit ~clock ~search ~profile ~schema ~master ~ccs ~db q
+                     Guidance.audit ~clock ~profile ~schema ~master ~ccs ~db q
                    with
                    | Guidance.Already_complete -> "already_complete"
                    | Guidance.Completable _ -> "completable"
@@ -861,7 +860,7 @@ let socket_arg =
 
 let serve_cmd =
   let run socket domains queue max_conns read_deadline write_deadline root journal
-      recover search metrics trace flight verbose =
+      recover (_search : string) metrics trace flight verbose =
     Logs.set_reporter (Logs_fmt.reporter ());
     Logs.set_level (Some (if verbose then Logs.Info else Logs.App));
     match
@@ -876,7 +875,6 @@ let serve_cmd =
           root;
           journal;
           recover;
-          search;
           metrics;
           trace;
           flight;
@@ -1065,8 +1063,8 @@ let request_search_arg =
     & opt (some search_conv) None
     & info [ "search" ]
         ~doc:
-          "Valuation-search strategy for this request ($(b,seq), $(b,inc), \
-           $(b,par), $(b,par:N)); omitted, the server's default applies")
+          "Accepted for compatibility, always sequential: $(b,seq), $(b,inc), \
+           $(b,par) or $(b,par:N), sent as the request's search field")
 
 let explain_flag =
   Arg.(

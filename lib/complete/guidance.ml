@@ -16,7 +16,7 @@ type audit_result =
   | Not_completable of { reason : string }
   | Inconclusive of { reason : string }
 
-let audit ?clock ?search ?profile ?(max_rounds = 64) ~schema ~master ~ccs ~db q =
+let audit ?clock ?profile ?(max_rounds = 64) ~schema ~master ~ccs ~db q =
   Trace.with_span "guidance.audit" @@ fun sp ->
   Metrics.incr m_audits;
   let outcome result =
@@ -32,11 +32,11 @@ let audit ?clock ?search ?profile ?(max_rounds = 64) ~schema ~master ~ccs ~db q 
   in
   outcome
   @@
-  match Rcdp.decide ?clock ?search ?profile ~schema ~master ~ccs ~db q with
+  match Rcdp.decide ?clock ?profile ~schema ~master ~ccs ~db q with
   | Rcdp.Complete -> Already_complete
   | Rcdp.Incomplete first ->
     (* Is completion possible at all? *)
-    (match Rcqp.decide ?clock ?search ?profile ~schema ~master ~ccs q with
+    (match Rcqp.decide ?clock ?profile ~schema ~master ~ccs q with
      | Rcqp.Empty { reason } ->
        Not_completable
          { reason = Printf.sprintf "no complete database exists: %s" reason }
@@ -55,8 +55,7 @@ let audit ?clock ?search ?profile ?(max_rounds = 64) ~schema ~master ~ccs ~db q 
          else begin
            let current = Database.union current cex.Rcdp.cex_extension in
            match
-             Rcdp.decide ?clock ?search ?profile ~schema ~master ~ccs
-               ~db:current q
+             Rcdp.decide ?clock ?profile ~schema ~master ~ccs ~db:current q
            with
            | Rcdp.Complete ->
              let additions =

@@ -29,7 +29,6 @@ type audit_result =
 
 val audit :
   ?clock:Budget.t ->
-  ?search:Search_mode.t ->
   ?profile:Ric_obs.Profile.t ->
   ?max_rounds:int ->
   schema:Schema.t ->
@@ -41,8 +40,7 @@ val audit :
 (** Runs the RCDP decider, replaying counterexample extensions into
     the database for up to [max_rounds] (default 64) iterations, and
     consults the RCQP decider before giving up.  [clock] bounds the
-    whole audit (it is shared across every decide round); [search]
-    selects the valuation-search strategy of every round; [profile]
+    whole audit (it is shared across every decide round); [profile]
     (explain mode) is shared across every round, so the profile sums
     the whole audit's search work.
     @raise Rcdp.Unsupported for undecidable language combinations.

@@ -104,18 +104,13 @@ let dynamic_ccs ccs rels =
    (condition C2, Proposition 3.3) to [μ(T_Q)] alone (condition C3,
    Corollary 3.4 — valid when every CC is an IND). *)
 
-let search_disjunct ~clock ~search ~profile ~master ~dyn_ccs
-    ~ind_mode ~db ~qd ~adom ~visited ~pruned ~disjunct (tab : Tableau.t) =
+let search_disjunct ~clock ~profile ~checker ~ind_mode ~db ~qd ~adom ~visited
+    ~pruned ~disjunct (tab : Tableau.t) =
   let found = ref None in
   let mode = if ind_mode then `Delta_only else `Against_base db in
-  let iter =
-    match search with
-    | Search_mode.Par domains when domains > 1 ->
-      Valuation_search.iter_valid_par ~domains
-    | Search_mode.Seq | Search_mode.Par _ -> Valuation_search.iter_valid
-  in
   let (_ : bool) =
-    iter ~budget:clock ?profile ~master ~ccs:dyn_ccs ~mode ~adom
+    Valuation_search.iter_valid ~budget:clock ?profile
+      ~checker:(Lazy.force checker) ~mode ~adom
       ~on_prune:(fun () -> incr pruned)
       tab
       (fun mu delta ->
@@ -137,17 +132,16 @@ let search_disjunct ~clock ~search ~profile ~master ~dyn_ccs
   !found
 
 let decide_ucq_with ~ind_mode ?(clock = Budget.unlimited)
-    ?(search = Search_mode.Seq) ?(check_partially_closed = true)
-    ?collect_stats ?profile ~schema ~master ~ccs ~db ucq =
+    ?(check_partially_closed = true) ?collect_stats ?profile ~schema ~master
+    ~ccs ~db ucq =
   Trace.with_span "rcdp.decide" @@ fun sp ->
-  Trace.set_str sp "mode" (Search_mode.to_string search);
   (match Budget.label clock with
    | Some rid -> Trace.set_str sp "req_id" rid
    | None -> ());
   (* the clock may be shared across decide calls (Guidance.audit), so
      charge only this call's delta to the global step counter *)
   let steps0 = Budget.steps clock in
-  (* an already-exhausted clock (timeout_ms = 0, tripped cancel flag)
+  (* an already-exhausted clock (timeout_ms = 0, a spent step cap)
      must abort before the partial-closure check does any work *)
   Budget.check_now clock;
   require_monotone_ccs ccs;
@@ -179,11 +173,10 @@ let decide_ucq_with ~ind_mode ?(clock = Budget.unlimited)
       tableaux
     |> List.sort_uniq String.compare
   in
-  let dyn_ccs = dynamic_ccs ccs tab_rels in
+  (* one checker for every disjunct's search, built by the first *)
+  let checker = lazy (Checker.create ~master (dynamic_ccs ccs tab_rels)) in
   (match profile with
-   | Some p ->
-     Ric_obs.Profile.note p "decider" "rcdp";
-     Ric_obs.Profile.note p "mode" (Search_mode.to_string search)
+   | Some p -> Ric_obs.Profile.note p "decider" "rcdp"
    | None -> ());
   let visited = ref 0 and pruned = ref 0 in
   let record_stats () =
@@ -206,8 +199,8 @@ let decide_ucq_with ~ind_mode ?(clock = Budget.unlimited)
         Trace.with_span "rcdp.disjunct" @@ fun dsp ->
         Trace.set_int dsp "disjunct" i;
         let r =
-          search_disjunct ~clock ~search ~profile ~master ~dyn_ccs
-            ~ind_mode ~db ~qd ~adom ~visited ~pruned ~disjunct:i tab
+          search_disjunct ~clock ~profile ~checker ~ind_mode ~db ~qd ~adom
+            ~visited ~pruned ~disjunct:i tab
         in
         Trace.set_bool dsp "counterexample" (r <> None);
         r
@@ -230,7 +223,7 @@ let decide_ucq_with ~ind_mode ?(clock = Budget.unlimited)
     Trace.set_str sp "reason" (Budget.reason_name reason);
     raise e
 
-let decide ?clock ?search ?check_partially_closed ?collect_stats ?profile
+let decide ?clock ?check_partially_closed ?collect_stats ?profile
     ?(minimize = false) ~schema ~master ~ccs ~db q =
   match Lang.as_ucq q with
   | None ->
@@ -240,14 +233,13 @@ let decide ?clock ?search ?check_partially_closed ?collect_stats ?profile
             (Lang.language_name q)))
   | Some ucq ->
     let ucq = if minimize then List.map (Cq.minimize schema) ucq else ucq in
-    decide_ucq_with ~ind_mode:false ?clock ?search ?check_partially_closed
-      ?collect_stats ?profile ~schema ~master ~ccs ~db ucq
+    decide_ucq_with ~ind_mode:false ?clock ?check_partially_closed ?collect_stats
+      ?profile ~schema ~master ~ccs ~db ucq
 
 let decide_cq ?check_partially_closed ~schema ~master ~ccs ~db q =
   decide ?check_partially_closed ~schema ~master ~ccs ~db (Lang.Q_cq q)
 
-let decide_ind ?clock ?search ?check_partially_closed ~schema ~master ~inds ~db
-    q =
+let decide_ind ?clock ?check_partially_closed ~schema ~master ~inds ~db q =
   let ccs = List.map (Ind.to_cc schema) inds in
   match Lang.as_ucq q with
   | None ->
@@ -256,8 +248,8 @@ let decide_ind ?clock ?search ?check_partially_closed ~schema ~master ~inds ~db
          (Printf.sprintf "RCDP is undecidable for %s queries (Theorem 3.1); use semi_decide"
             (Lang.language_name q)))
   | Some ucq ->
-    decide_ucq_with ~ind_mode:true ?clock ?search ?check_partially_closed
-      ~schema ~master ~ccs ~db ucq
+    decide_ucq_with ~ind_mode:true ?clock ?check_partially_closed ~schema ~master
+      ~ccs ~db ucq
 
 (* ------------------------------------------------------------------ *)
 (* Bounded semi-decision for the undecidable rows of Table I. *)

@@ -49,7 +49,6 @@ type stats = {
 
 val decide :
   ?clock:Budget.t ->
-  ?search:Search_mode.t ->
   ?check_partially_closed:bool ->
   ?collect_stats:stats ref ->
   ?profile:Ric_obs.Profile.t ->
@@ -71,13 +70,13 @@ val decide :
     [clock] (default {!Budget.unlimited}) bounds the Σ₂ᵖ search; when
     it runs out the search aborts with {!Budget.Exhausted}, after
     writing the partial counters into [collect_stats] so the caller
-    can report how much work a timed-out decide had done.  [search]
-    (default [Seq]) selects the execution strategy of the valuation
-    search — see {!Search_mode}; verdicts are identical across modes.
+    can report how much work a timed-out decide had done.  One
+    {!Ric_constraints.Checker} over the constraints the query's
+    relations can disturb serves the search of every disjunct.
 
     [profile] (explain mode) accumulates a request-scoped explain
     profile: per-search-level step and prune counts, per-constraint
-    prune attribution, and decider/mode notes — see
+    prune attribution, and a decider note — see
     {!Ric_obs.Profile}.  Partial counts survive budget exhaustion.
     When omitted (the default) the hot path pays one option match per
     candidate and allocates nothing.
@@ -99,7 +98,6 @@ val decide_cq :
 
 val decide_ind :
   ?clock:Budget.t ->
-  ?search:Search_mode.t ->
   ?check_partially_closed:bool ->
   schema:Schema.t ->
   master:Database.t ->

@@ -162,7 +162,7 @@ let occurrences (tab : Tableau.t) x =
 (* ------------------------------------------------------------------ *)
 (* LC = INDs: Proposition 4.3 / Theorem 4.5(1).  Exact and cheap. *)
 
-let ind_witness ~clock ?profile ~budget ~schema ~master ~ccs ~adom tableaux =
+let ind_witness ~clock ?profile ~budget ~schema ~checker ~adom tableaux =
   let module VS = Set.Make (Value) in
   let witness = ref (Database.empty schema) in
   let count = ref 0 in
@@ -180,7 +180,7 @@ let ind_witness ~clock ?profile ~budget ~schema ~master ~ccs ~adom tableaux =
       let covered : (string, VS.t) Hashtbl.t = Hashtbl.create 8 in
       let got_any = ref false in
       let (_ : bool) =
-        Valuation_search.iter_valid ~budget:clock ?profile ~master ~ccs
+        Valuation_search.iter_valid ~budget:clock ?profile ~checker
           ~mode:`Delta_only ~adom tab
           (fun mu delta ->
             incr count;
@@ -223,12 +223,11 @@ let ind_witness ~clock ?profile ~budget ~schema ~master ~ccs ~adom tableaux =
   if !exceeded then None else Some !witness
 
 (* Spans/counters around the decide entry points: [with_decide_obs]
-   stamps mode, verdict, step delta and timeout on whichever path the
+   stamps verdict, step delta and timeout on whichever path the
    decision takes.  The clock may be shared across calls
    (Guidance.audit), so only this call's step delta is charged. *)
-let with_decide_obs ~name ~clock ~search f =
+let with_decide_obs ~name ~clock f =
   Trace.with_span name @@ fun sp ->
-  Trace.set_str sp "mode" (Search_mode.to_string search);
   (match Budget.label clock with
    | Some rid -> Trace.set_str sp "req_id" rid
    | None -> ());
@@ -254,19 +253,17 @@ let with_decide_obs ~name ~clock ~search f =
 (* A witness must be partially closed and complete; [Rcdp.decide]
    checks partial closure at entry, so a database that fails it is
    simply not a witness. *)
-let verify_witness ?clock ?search ?profile ~schema ~master ~ccs q w =
-  match Rcdp.decide ?clock ?search ?profile ~schema ~master ~ccs ~db:w q with
+let verify_witness ?clock ?profile ~schema ~master ~ccs q w =
+  match Rcdp.decide ?clock ?profile ~schema ~master ~ccs ~db:w q with
   | Rcdp.Complete -> true
   | Rcdp.Incomplete _ | (exception Rcdp.Not_partially_closed _) -> false
 
-let decide_ind_core ~clock ~search ~profile ~schema ~master ~inds q =
+let decide_ind_core ~clock ~profile ~schema ~master ~inds q =
   Budget.check_now clock;
   let ucq = as_ucq_or_raise "RCQP" q in
   let ccs = List.map (Ind.to_cc schema) inds in
   (match profile with
-   | Some p ->
-     Profile.note p "decider" "rcqp_ind";
-     Profile.note p "mode" (Search_mode.to_string search)
+   | Some p -> Profile.note p "decider" "rcqp_ind"
    | None -> ());
   let tableaux = satisfiable_tableaux schema ucq in
   if tableaux = [] then
@@ -277,10 +274,12 @@ let decide_ind_core ~clock ~search ~profile ~schema ~master ~inds q =
       }
   else begin
     let _, adom = build_adoms ~budget:default_budget ~schema ~master ~ccs ~ucq in
+    (* one checker for both searches *)
+    let checker = Checker.create ~master ccs in
     let live =
       List.filter
         (fun tab ->
-          Valuation_search.iter_valid ~budget:clock ?profile ~master ~ccs
+          Valuation_search.iter_valid ~budget:clock ?profile ~checker
             ~mode:`Delta_only ~adom tab
             (fun _ _ -> true))
         tableaux
@@ -325,10 +324,10 @@ let decide_ind_core ~clock ~search ~profile ~schema ~master ~inds q =
       | None ->
         let witness =
           match
-            ind_witness ~clock ?profile ~budget:default_budget ~schema
-              ~master ~ccs ~adom live
+            ind_witness ~clock ?profile ~budget:default_budget ~schema ~checker
+              ~adom live
           with
-          | Some w when verify_witness ~clock ~search ?profile ~schema ~master ~ccs q w ->
+          | Some w when verify_witness ~clock ?profile ~schema ~master ~ccs q w ->
             Some w
           | _ -> None
         in
@@ -336,10 +335,9 @@ let decide_ind_core ~clock ~search ~profile ~schema ~master ~inds q =
     end
   end
 
-let decide_ind ?(clock = Budget.unlimited) ?(search = Search_mode.Seq) ?profile
-    ~schema ~master ~inds q =
-  with_decide_obs ~name:"rcqp.decide_ind" ~clock ~search (fun () ->
-      decide_ind_core ~clock ~search ~profile ~schema ~master ~inds q)
+let decide_ind ?(clock = Budget.unlimited) ?profile ~schema ~master ~inds q =
+  with_decide_obs ~name:"rcqp.decide_ind" ~clock (fun () ->
+      decide_ind_core ~clock ~profile ~schema ~master ~inds q)
 
 (* ------------------------------------------------------------------ *)
 (* General monotone LC: Proposition 4.2 / Corollary 4.4.
@@ -570,8 +568,7 @@ type e2_witness = {
    valid valuation [μ] that stays live — [(D_V ∪ μ(T), Dm) ⊨ V] — may
    leave such a variable outside [bvals].  Returns the first offending
    live valuation, or [None] when the condition holds. *)
-let e2_condition ~clock ~profile ~master ~ccs ~adom ~reserved
-    ~tableaux ~dv ~bvals =
+let e2_condition ~clock ~profile ~cons ~adom ~reserved ~tableaux ~dv ~bvals =
   (* Witness preference: a live valuation whose stray output values
      all come from the reserved query-tier fresh values can never be
      bounded by any valuation set (the candidate pool cannot even
@@ -589,7 +586,7 @@ let e2_condition ~clock ~profile ~master ~ccs ~adom ~reserved
         | inf_vars ->
           let found_any = ref false in
           let (_ : bool) =
-            Valuation_search.iter_valid ~budget:clock ?profile ~master ~ccs
+            Valuation_search.iter_valid ~budget:clock ?profile ~checker:cons.chk
               ~mode:(`Against_base dv) ~adom tab
               (fun mu delta ->
                 let unbounded =
@@ -668,8 +665,8 @@ let may_block ~schema ~cc_tableaux c delta =
    blocking μ* needs at least one candidate tuple joined with μ*'s
    tuples, and bounding needs a summary hit), so directed branching is
    exact; memoisation collapses permutations of the same set. *)
-let e2_search ~clock ?profile ~cons ~budget ~schema ~master ~ccs ~adom
-    ~reserved ~tableaux pool =
+let e2_search ~clock ?profile ~cons ~budget ~schema ~ccs ~adom ~reserved
+    ~tableaux pool =
   Trace.with_span "rcqp.e2_search" @@ fun sp ->
   let pool = Array.of_list pool in
   let n = Array.length pool in
@@ -700,8 +697,7 @@ let e2_search ~clock ?profile ~cons ~budget ~schema ~master ~ccs ~adom
         if !nodes > budget.max_nodes then
           raise (Budget_exceeded "E2 search exceeded its node budget");
         match
-          e2_condition ~clock ~profile ~master ~ccs ~adom ~reserved
-            ~tableaux ~dv ~bvals
+          e2_condition ~clock ~profile ~cons ~adom ~reserved ~tableaux ~dv ~bvals
         with
         | None -> found := Some dv
         | Some w ->
@@ -919,8 +915,8 @@ let unconstrained_disjunct ~ccs tableaux =
    the master data in"), a few valid tableau instantiations, a few
    constraint-template instantiations, and a few pairwise unions.
    Each candidate costs a full RCDP run, so the list is kept short. *)
-let heuristic_witness ~clock ?search ?profile ~cons ~budget ~schema ~master
-    ~ccs ~adom ~tableaux q =
+let heuristic_witness ~clock ?profile ~cons ~budget ~schema ~master ~ccs ~adom
+    ~tableaux q =
   Trace.with_span "rcqp.witness_heuristic" @@ fun _sp ->
   let max_verifications = 24 in
   let constants_only =
@@ -939,7 +935,7 @@ let heuristic_witness ~clock ?search ?profile ~cons ~budget ~schema ~master
   List.iter
     (fun tab ->
       let (_ : bool) =
-        Valuation_search.iter_valid ~budget:clock ?profile ~master ~ccs
+        Valuation_search.iter_valid ~budget:clock ?profile ~checker:cons.chk
           ~mode:`Delta_only ~adom tab
           (fun _ delta ->
             incr count;
@@ -968,18 +964,17 @@ let heuristic_witness ~clock ?search ?profile ~cons ~budget ~schema ~master
   in
   let candidates = List.filteri (fun i _ -> i < max_verifications) candidates in
   List.find_opt
-    (verify_witness ~clock ?search ?profile ~schema ~master ~ccs q)
+    (verify_witness ~clock ?profile ~schema ~master ~ccs q)
     candidates
 
-let decide_core ~clock ~search ~profile ~budget ~schema ~master ~ccs q =
+let decide_core ~clock ~profile ~budget ~schema ~master ~ccs q =
   Budget.check_now clock;
   require_monotone_ccs ccs;
   (match profile with
-   | Some p ->
-     Profile.note p "decider" "rcqp";
-     Profile.note p "mode" (Search_mode.to_string search)
+   | Some p -> Profile.note p "decider" "rcqp"
    | None -> ());
-  (* one checker for the pool, E2 DFS and greedy consistency checks *)
+  (* one checker for the pool, the valuation searches and the greedy
+     and E2 consistency checks *)
   let cons = consistency ~schema ~master ccs in
   let ucq = as_ucq_or_raise "RCQP" q in
   let tableaux = satisfiable_tableaux schema ucq in
@@ -998,9 +993,7 @@ let decide_core ~clock ~search ~profile ~budget ~schema ~master ~ccs q =
           greedy_maximal_witness ~clock ?profile ~cons ~budget ~schema ~adom
             tableaux
         with
-        | Some w
-          when verify_witness ~clock ~search ?profile ~schema
-                 ~master ~ccs q w ->
+        | Some w when verify_witness ~clock ?profile ~schema ~master ~ccs q w ->
           Some w
         | _ -> None
       in
@@ -1034,8 +1027,8 @@ let decide_core ~clock ~search ~profile ~budget ~schema ~master ~ccs q =
                (List.filter (fun f -> not (VS.mem f pool_fresh)) (Adom.fresh adom))
            in
            match
-             e2_search ~clock ?profile ~cons ~budget ~schema ~master ~ccs
-               ~adom ~reserved ~tableaux pool
+             e2_search ~clock ?profile ~cons ~budget ~schema ~ccs ~adom ~reserved
+               ~tableaux pool
            with
            | Some dv ->
              let witness =
@@ -1054,9 +1047,7 @@ let decide_core ~clock ~search ~profile ~budget ~schema ~master ~ccs q =
                        w tab.Tableau.patterns)
                    dv tableaux
                in
-               if
-                 verify_witness ~clock ~search ?profile ~schema
-                   ~master ~ccs q w
+               if verify_witness ~clock ?profile ~schema ~master ~ccs q w
                then Some w
                else None
              in
@@ -1070,8 +1061,8 @@ let decide_core ~clock ~search ~profile ~budget ~schema ~master ~ccs q =
                }
          with Budget_exceeded why ->
            (match
-              heuristic_witness ~clock ~search ?profile ~cons
-                ~budget ~schema ~master ~ccs ~adom ~tableaux q
+              heuristic_witness ~clock ?profile ~cons ~budget ~schema ~master
+                ~ccs ~adom ~tableaux q
             with
             | Some w ->
               Nonempty
@@ -1079,10 +1070,10 @@ let decide_core ~clock ~search ~profile ~budget ~schema ~master ~ccs q =
             | None -> Unknown { reason = why }))
   end
 
-let decide ?(clock = Budget.unlimited) ?(search = Search_mode.Seq)
-    ?(budget = default_budget) ?profile ~schema ~master ~ccs q =
-  with_decide_obs ~name:"rcqp.decide" ~clock ~search (fun () ->
-      decide_core ~clock ~search ~profile ~budget ~schema ~master ~ccs q)
+let decide ?(clock = Budget.unlimited) ?(budget = default_budget) ?profile ~schema
+    ~master ~ccs q =
+  with_decide_obs ~name:"rcqp.decide" ~clock (fun () ->
+      decide_core ~clock ~profile ~budget ~schema ~master ~ccs q)
 
 (* ------------------------------------------------------------------ *)
 (* Bounded witness search for the undecidable rows of Table II. *)

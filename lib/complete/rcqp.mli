@@ -66,7 +66,6 @@ val default_budget : budget
 
 val decide_ind :
   ?clock:Budget.t ->
-  ?search:Search_mode.t ->
   ?profile:Ric_obs.Profile.t ->
   schema:Schema.t ->
   master:Database.t ->
@@ -82,7 +81,6 @@ val decide_ind :
 
 val decide :
   ?clock:Budget.t ->
-  ?search:Search_mode.t ->
   ?budget:budget ->
   ?profile:Ric_obs.Profile.t ->
   schema:Schema.t ->
@@ -93,13 +91,12 @@ val decide :
 (** General decision for monotone [LQ]/[LC]; exact within budget, as
     described above.  [budget] caps the {e search shape} (pool size,
     DFS nodes) and degrades to [Unknown]; [clock] is the {e caller's
-    patience} (wall clock / steps / cancel) and aborts the whole call
-    with {!Budget.Exhausted} — the service turns that into a
-    [timeout] verdict.  [search] (default [Seq]) is the strategy of
-    the RCDP runs that verify candidate witnesses; RCQP's own
-    valuation searches are many small nested enumerations with no
-    single fan-out point, so they run sequentially in every mode.
-    Verdicts are identical across modes.
+    patience} (deadline / steps) and aborts the whole call with
+    {!Budget.Exhausted} — the service turns that into a [timeout]
+    verdict.  One {!Ric_constraints.Checker} over [ccs] serves every
+    inner valuation search, the candidate pool and the greedy and E2
+    consistency checks of the call (the RCDP runs verifying a witness
+    build their own).
 
     [profile] (explain mode) accumulates a request-scoped explain
     profile across every inner search: per-level steps and

@@ -506,14 +506,20 @@ let unify_step ~operand ~depth g (a : Atom.t) =
 
 let fresh_cands cs = { values = Array.of_list cs; positions = Atomic.make None }
 
-(* [t]'s record for the list [cs], made on first use *)
+(* [t]'s record for the list [cs], made on first use.  Only the most
+   recent lists are kept: a checker serves every search of a decide,
+   and a finite domain intersected from two columns is a new list in
+   each search, so keeping them all would grow without bound (a miss
+   only costs the positions map being built again). *)
+let max_lists = 16
+
 let shared_cands t cs =
   let known = Atomic.get t.lists in
   match List.assq_opt cs known with
   | Some c -> c
   | None ->
     let c = fresh_cands cs in
-    Atomic.set t.lists ((cs, c) :: known);
+    Atomic.set t.lists ((cs, c) :: List.filteri (fun i _ -> i < max_lists - 1) known);
     c
 
 let build ~cands_of doms outer steps =
@@ -584,8 +590,7 @@ let sources g =
   Array.to_list
     (Array.map (fun s -> Option.get s.s_gen.g_entry.violated) g.steps)
 
-(* Enumerate the first [upto] variables of [g] on top of [mu]. *)
-let enumerate g mu ~upto visit =
+let generate g mu visit =
   let k = Array.length g.vars in
   let regs = Array.make (k + Array.length g.outer) 0 in
   Array.iteri
@@ -658,7 +663,7 @@ let enumerate g mu ~upto visit =
     List.sort_uniq Int.compare !acc
   in
   let rec go j mu =
-    if j = upto then visit mu
+    if j = k then visit mu
     else begin
       let source = List.find_opt (fun i -> on.(i)) g.drawn.(j) in
       let others i = source <> Some i && on.(i) in
@@ -678,18 +683,3 @@ let enumerate g mu ~upto visit =
     end
   in
   decide (-1) && go 0 mu
-
-let generate g mu visit = enumerate g mu ~upto:(Array.length g.vars) visit
-
-let first_values g mu =
-  if Array.length g.vars = 0 then None
-  else begin
-    let x = g.vars.(0) in
-    let vs = ref [] in
-    let (_ : bool) =
-      enumerate g mu ~upto:1 (fun mu' ->
-          vs := Option.get (Valuation.find x mu') :: !vs;
-          false)
-    in
-    Some (x, List.rev !vs)
-  end

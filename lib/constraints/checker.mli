@@ -23,7 +23,7 @@
     are evaluated in full against the cached RHS, so they raise exactly
     where {!Containment.holds_all} would.  Domain-safe: the index store
     and the interner serialise internally, so one checker may be shared
-    by the parallel search's worker domains. *)
+    across domains. *)
 
 open Ric_relational
 
@@ -116,12 +116,6 @@ val generate :
     except where no column is bound yet and the RHS is at least half
     as long as the variable's list: that list is filtered, one probe
     per value, stopping with the visit. *)
-
-val first_values :
-  gen -> Ric_query.Valuation.t -> (string * Value.t list) option
-(** The outermost enumerated variable and, in order, the values
-    {!generate} gives it on top of the valuation; [None] when [gen]
-    enumerates no variable.  Every candidate takes one of them. *)
 
 val drop_indexes : t -> unit
 (** Forget the cached indexes of the bases checked so far.  A checker

@@ -9,7 +9,6 @@ type level_key = { k_index : int; k_name : string; k_source : string }
 type level_cell = { mutable c_steps : int; mutable c_prunes : int }
 
 type t = {
-  mutex : Mutex.t;
   levels : (level_key, level_cell) Hashtbl.t;
   constraints : (string, int ref) Hashtbl.t;
   counters : (string, int ref) Hashtbl.t;
@@ -18,7 +17,6 @@ type t = {
 
 let create () =
   {
-    mutex = Mutex.create ();
     levels = Hashtbl.create 16;
     constraints = Hashtbl.create 8;
     counters = Hashtbl.create 8;
@@ -51,17 +49,12 @@ let prune sr i cc =
     | Some r -> incr r
     | None -> sr.by_cc <- (name, ref 1) :: sr.by_cc)
 
-let locked t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
-
 let add_counter tbl name n =
   match Hashtbl.find_opt tbl name with
   | Some r -> r := !r + n
   | None -> Hashtbl.replace tbl name (ref n)
 
 let finish_search t sr =
-  locked t @@ fun () ->
   Array.iteri
     (fun i name ->
       if sr.steps.(i) <> 0 || sr.prunes.(i) <> 0 then begin
@@ -80,11 +73,9 @@ let finish_search t sr =
     sr.names;
   List.iter (fun (name, r) -> add_counter t.constraints name !r) sr.by_cc
 
-let bump t name n = locked t @@ fun () -> add_counter t.counters name n
+let bump t name n = add_counter t.counters name n
 
-let note t k v =
-  locked t @@ fun () ->
-  t.notes <- (k, v) :: List.remove_assoc k t.notes
+let note t k v = t.notes <- (k, v) :: List.remove_assoc k t.notes
 
 type level_row = {
   lv_index : int;
@@ -105,8 +96,7 @@ let sorted_counts tbl =
   Hashtbl.fold (fun k r acc -> (k, !r) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let snapshot t =
-  locked t @@ fun () ->
+let snapshot (t : t) =
   let levels =
     Hashtbl.fold
       (fun k c acc ->

@@ -7,12 +7,9 @@
     a set of named auxiliary counters for tick sites outside the
     valuation search (candidate pools, witness growth, e2 nodes).
 
-    The accumulator is shared across the worker domains of a parallel
-    search: each worker records into a private {!search} handle (plain
-    mutable arrays, no synchronisation on the hot path) and merges it
-    into the aggregate under the profile's own mutex when its search
-    finishes.  Because the parallel tree is node-for-node the
-    sequential tree, the merged totals equal the sequential ones.
+    A profile has one owner, the domain running its request: each
+    valuation search records into its own {!search} handle (plain
+    mutable arrays) and merges it into the aggregate when it finishes.
 
     Everything here is optional plumbing: deciders take a
     [?profile:t] and the per-candidate cost when no profile is
@@ -44,7 +41,7 @@ val prune : search -> int -> string option -> unit
     identified which containment constraint rejected the extension. *)
 
 val finish_search : t -> search -> unit
-(** Fold the search's counters into the aggregate (thread-safe). *)
+(** Fold the search's counters into the aggregate. *)
 
 (** {2 Named counters and notes} *)
 

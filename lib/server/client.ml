@@ -46,7 +46,7 @@ module Breaker = struct
         match b.opened_at with
         | None -> Closed
         | Some t0 ->
-          if b.probing || Unix.gettimeofday () -. t0 >= b.cooldown then Half_open
+          if b.probing || Ric_obs.Metrics.now_s () -. t0 >= b.cooldown then Half_open
           else Open)
 
   let allow b =
@@ -55,7 +55,7 @@ module Breaker = struct
         | None -> true
         | Some t0 ->
           if b.probing then false (* one probe in flight is enough *)
-          else if Unix.gettimeofday () -. t0 >= b.cooldown then begin
+          else if Ric_obs.Metrics.now_s () -. t0 >= b.cooldown then begin
             b.probing <- true;
             true
           end
@@ -72,7 +72,7 @@ module Breaker = struct
         b.consecutive <- b.consecutive + 1;
         if b.probing || b.consecutive >= b.threshold then begin
           (* a failed half-open probe re-opens for a fresh cooldown *)
-          b.opened_at <- Some (Unix.gettimeofday ());
+          b.opened_at <- Some (Ric_obs.Metrics.now_s ());
           b.probing <- false
         end)
 end

@@ -54,11 +54,6 @@ let fire point =
 let tear () =
   match take "tear_write" with Some (Tear n) -> Some n | Some _ | None -> None
 
-(* Point the par-search fault hook (a ref, because ric_complete cannot
-   depend on this library) at the shared table: arming "search_worker"
-   crashes a worker mid-task, exercising the retry-once path. *)
-let () = Ric_complete.Valuation_search.set_fault_hook (fun () -> fire "search_worker")
-
 (* Client-side injection points: a harness thread consults these just
    before writing a request frame, so the *server* experiences a
    stalled or truncated incoming frame and must defend itself. *)

@@ -9,7 +9,7 @@ type request =
       query : string;
       nocache : bool;
       timeout_ms : int option;
-      search : Ric_complete.Search_mode.t option;
+      search : string option;
       req_id : string option;
       explain : bool;
     }
@@ -18,7 +18,7 @@ type request =
       query : string;
       nocache : bool;
       timeout_ms : int option;
-      search : Ric_complete.Search_mode.t option;
+      search : string option;
       req_id : string option;
       explain : bool;
     }
@@ -27,7 +27,7 @@ type request =
       query : string;
       nocache : bool;
       timeout_ms : int option;
-      search : Ric_complete.Search_mode.t option;
+      search : string option;
       req_id : string option;
       explain : bool;
     }
@@ -110,11 +110,18 @@ let bool_field_default fields k default =
   | None -> Ok default
   | Some _ -> Error (Printf.sprintf "field %S must be a boolean" k)
 
+let check_search s =
+  let par_count n = match int_of_string_opt n with Some n -> n >= 1 | None -> false in
+  match String.split_on_char ':' s with
+  | [ ("seq" | "inc" | "par") ] -> Ok s
+  | [ "par"; n ] when par_count n -> Ok s
+  | _ -> Error (Printf.sprintf "unknown search mode %S (expected seq, par or par:N)" s)
+
 let opt_search_field fields k =
   match field fields k with
   | Some (Json.Str s) ->
-    (match Ric_complete.Search_mode.of_string s with
-     | Ok m -> Ok (Some m)
+    (match check_search s with
+     | Ok s -> Ok (Some s)
      | Error e -> Error (Printf.sprintf "field %S: %s" k e))
   | Some Json.Null | None -> Ok None
   | Some _ -> Error (Printf.sprintf "field %S must be a string" k)
@@ -247,10 +254,7 @@ let to_json req =
       @ (match timeout_ms with Some ms -> [ ("timeout_ms", Json.Int ms) ] | None -> [])
       @ opt "req_id" req_id
       @ (if explain then [ ("explain", Json.Bool true) ] else [])
-      @
-      match search with
-      | Some m -> [ ("search", Json.Str (Ric_complete.Search_mode.to_string m)) ]
-      | None -> [])
+      @ opt "search" search)
   | Mine { session; nocache; timeout_ms; min_support; workers } ->
     let opt_int k = function Some n -> [ (k, Json.Int n) ] | None -> [] in
     Json.Obj

@@ -36,10 +36,10 @@
     Σ₂ᵖ/NEXPTIME search.  Timed-out verdicts are never cached.
 
     They also accept an optional ["search": "seq"|"inc"|"par"|"par:N"]
-    field selecting the valuation-search strategy
-    ({!Ric_complete.Search_mode}); omitted, the server's configured
-    default applies.  Verdicts are identical across modes, so cache
-    keys ignore it.
+    field ([N >= 1]), checked by {!check_search}.  It is accepted for
+    compatibility and ignored: the valuation search is always
+    sequential, so the reply is the same whichever spelling a request
+    carries, and cache keys ignore it.
 
     {2 Correlation and explain}
 
@@ -105,7 +105,8 @@
     {2 Stats}
 
     [stats] reports the daemon's telemetry: [uptime_s], the legacy
-    [requests]/[timeouts]/[ops]/[search_modes] counters, the open
+    [requests]/[timeouts]/[ops] counters (the [search_modes] and
+    [search_default] fields went with the parallel search), the open
     [sessions], a [cache] object ([entries], [hits], [misses],
     [hit_rate] — a decimal string like ["0.833"], ["0.000"] before any
     lookup — [carried], [dropped]), a [workers] pool-health object
@@ -129,7 +130,7 @@ type request =
       query : string;
       nocache : bool;
       timeout_ms : int option;
-      search : Ric_complete.Search_mode.t option;
+      search : string option;
       req_id : string option;  (** correlation id (minted when absent) *)
       explain : bool;  (** attach an explain profile to the reply *)
     }
@@ -138,7 +139,7 @@ type request =
       query : string;
       nocache : bool;
       timeout_ms : int option;
-      search : Ric_complete.Search_mode.t option;
+      search : string option;
       req_id : string option;
       explain : bool;
     }
@@ -147,7 +148,7 @@ type request =
       query : string;
       nocache : bool;
       timeout_ms : int option;
-      search : Ric_complete.Search_mode.t option;
+      search : string option;
       req_id : string option;
       explain : bool;
     }
@@ -185,6 +186,12 @@ type request =
       (** Write the flight recorder to the daemon's configured JSONL
           path and report how many events were dumped. *)
   | Shutdown
+
+val check_search : string -> (string, string) result
+(** [Ok s] for a spelling of the ["search"] field or of [ric --search]
+    ([seq], [inc], [par], [par:N] with [N >= 1]), an error naming the
+    accepted spellings otherwise.  Every accepted spelling means the
+    sequential search. *)
 
 val of_json : Ric_text.Json.t -> (request, string) result
 (** Decode a request object; the error names the missing or ill-typed

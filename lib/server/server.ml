@@ -13,7 +13,6 @@ type config = {
   root : string option;
   journal : string option;
   recover : bool;
-  search : Ric_complete.Search_mode.t;
   metrics : string option;
   trace : string option;
   flight : string option;
@@ -32,7 +31,6 @@ let default_config =
     root = None;
     journal = None;
     recover = false;
-    search = Ric_complete.Search_mode.Seq;
     metrics = None;
     trace = None;
     flight = None;
@@ -237,8 +235,8 @@ let mint_req_id () =
 let run_job service push_completion (conn, payload, admitted_at) =
   match
     Faults.fire "worker";
-    Metrics.observe m_queue_wait (Unix.gettimeofday () -. admitted_at);
-    let t0 = Unix.gettimeofday () in
+    Metrics.observe m_queue_wait (Metrics.now_s () -. admitted_at);
+    let t0 = Metrics.now_s () in
     let op, req_id, response =
       match Json.of_string payload with
       | exception Json.Parse_error (msg, line, col) ->
@@ -260,7 +258,7 @@ let run_job service push_completion (conn, payload, admitted_at) =
              (Protocol.op_name req);
            (Protocol.op_name req, Some rid, Service.handle service ~admitted_at req))
     in
-    let elapsed_us = int_of_float ((Unix.gettimeofday () -. t0) *. 1e6) in
+    let elapsed_us = int_of_float ((Metrics.now_s () -. t0) *. 1e6) in
     Recorder.record ~kind:"reply" ?req_id ~conn:conn.cid
       (Printf.sprintf "op=%s elapsed_us=%d" op elapsed_us);
     Log.info (fun m ->
@@ -297,7 +295,7 @@ let run_inner config ~flight_path =
      Ric_obs.Trace.open_file path;
      Log.app (fun m -> m "tracing spans to %s" path)
    | None -> ());
-  let service = Service.create ?root:config.root ~default_search:config.search () in
+  let service = Service.create ?root:config.root () in
   Service.set_flight_path service flight_path;
   install_signal_handlers service;
   let journal = setup_journal service config in
@@ -407,7 +405,7 @@ let run_inner config ~flight_path =
            Queue.push { buf = Bytes.sub buf 0 (min n (Bytes.length buf)); off = 0 } conn.wq;
            conn.close_after_flush <- true
          | None -> Queue.push { buf; off = 0 } conn.wq);
-        conn.wq_progress_at <- Unix.gettimeofday ()
+        conn.wq_progress_at <- Metrics.now_s ()
       | exception Protocol.Frame_error msg ->
         Log.err (fun m -> m "conn=%d reply unframeable: %s" conn.cid msg);
         close_conn conn
@@ -420,7 +418,7 @@ let run_inner config ~flight_path =
     if (not conn.closed) && (not conn.in_flight) && not (Queue.is_empty conn.pending)
     then begin
       let payload = Queue.pop conn.pending in
-      let admitted_at = Unix.gettimeofday () in
+      let admitted_at = Metrics.now_s () in
       if Pool.try_submit pool (conn, payload, admitted_at) then begin
         conn.in_flight <- true;
         incr jobs_outstanding
@@ -467,7 +465,7 @@ let run_inner config ~flight_path =
        slow drip of subsequent ones) *)
     if conn.rlen = 0 then conn.frame_deadline <- None
     else if conn.frame_deadline = None then
-      conn.frame_deadline <- Some (Unix.gettimeofday () +. config.read_deadline_s)
+      conn.frame_deadline <- Some (Metrics.now_s () +. config.read_deadline_s)
   in
   let handle_readable conn =
     if (not conn.closed) && not conn.eof then begin
@@ -497,7 +495,7 @@ let run_inner config ~flight_path =
         match Unix.write conn.fd w.buf w.off (Bytes.length w.buf - w.off) with
         | n ->
           w.off <- w.off + n;
-          conn.wq_progress_at <- Unix.gettimeofday ();
+          conn.wq_progress_at <- Metrics.now_s ();
           if w.off >= Bytes.length w.buf then ignore (Queue.pop conn.wq)
         | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
           ->
@@ -522,7 +520,7 @@ let run_inner config ~flight_path =
         pending = Queue.create ();
         in_flight = false;
         wq = Queue.create ();
-        wq_progress_at = Unix.gettimeofday ();
+        wq_progress_at = Metrics.now_s ();
         close_after_flush = false;
         eof = false;
         closed = false;
@@ -583,7 +581,7 @@ let run_inner config ~flight_path =
       batch
   in
   let evict_stale () =
-    let now = Unix.gettimeofday () in
+    let now = Metrics.now_s () in
     let victims = ref [] in
     Hashtbl.iter
       (fun _ conn ->

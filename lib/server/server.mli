@@ -67,9 +67,6 @@ type config = {
   root : string option;  (** base directory for [open] paths *)
   journal : string option;  (** session journal path; [None] = no durability *)
   recover : bool;  (** replay the journal at startup before serving *)
-  search : Ric_complete.Search_mode.t;
-      (** default valuation-search strategy for decide requests that
-          carry no ["search"] field *)
   metrics : string option;
       (** second Unix socket serving a Prometheus text-format snapshot
           of the {!Ric_obs.Metrics} registry per connection — plain
@@ -86,8 +83,7 @@ type config = {
 
 val default_config : config
 (** [/tmp/ricd.sock], 2 domains, queue capacity 64, 960 connections,
-    10 s read/write deadlines, no root, no journal, sequential search,
-    no metrics socket, no tracing, flight recorder beside the
+    10 s read/write deadlines, no root, no journal, no metrics socket, no tracing, flight recorder beside the
     socket. *)
 
 val src : Logs.src

@@ -40,8 +40,6 @@ type t = {
   started_at : float;
   stop : bool Atomic.t;
   op_counts : (string, int) Hashtbl.t;
-  search_counts : (string, int) Hashtbl.t;
-  default_search : Search_mode.t;
   mutable requests : int;
   mutable timeouts : int;
   mutable journal : Journal.t option;
@@ -59,18 +57,16 @@ let with_lock t f =
     Mutex.unlock t.mutex;
     raise e
 
-let create ?root ?(default_search = Search_mode.Seq) () =
+let create ?root () =
   let t =
     {
       registry = Session.create ();
       cache = Cache.create ();
       mutex = Mutex.create ();
       root;
-      started_at = Unix.gettimeofday ();
+      started_at = Metrics.now_s ();
       stop = Atomic.make false;
       op_counts = Hashtbl.create 8;
-      search_counts = Hashtbl.create 4;
-      default_search;
       requests = 0;
       timeouts = 0;
       journal = None;
@@ -153,7 +149,7 @@ let verdict_response ?profile ~session ~query ~epoch ~cached ~revalidated
      ]
     @ match profile with Some p -> [ ("profile", p) ] | None -> [])
 
-let elapsed_us t0 = int_of_float ((Unix.gettimeofday () -. t0) *. 1e6)
+let elapsed_us t0 = int_of_float ((Metrics.now_s () -. t0) *. 1e6)
 
 (* ------------------------------------------------------------------ *)
 (* open *)
@@ -264,19 +260,8 @@ let note_timeout t =
   Metrics.incr m_timeouts;
   with_lock t (fun () -> t.timeouts <- t.timeouts + 1)
 
-(* a request's effective search mode: its own "search" field, else the
-   server default; counted per decide under the stats bucket of its
-   name, so operators can see which strategies a workload exercises *)
-let resolve_search t requested =
-  let mode = Option.value requested ~default:t.default_search in
-  with_lock t (fun () ->
-      let name = Search_mode.name mode in
-      Hashtbl.replace t.search_counts name
-        (1 + Option.value ~default:0 (Hashtbl.find_opt t.search_counts name)));
-  mode
-
 (* A request's deadline is anchored at [admitted_at] (when the front
-   end accepted it), not at decider start: time spent waiting in the
+   end accepted it, on the monotonic clock), not at decider start: time spent waiting in the
    job queue counts against [timeout_ms], so a long-queued job answers
    a timeout verdict quickly instead of running after its caller gave
    up.  A deadline already in the past yields a budget that raises on
@@ -287,7 +272,7 @@ let clock_of_timeout ?admitted_at ?label ?(explain = false) timeout_ms =
     let d = float_of_int ms /. 1000. in
     let d =
       match admitted_at with
-      | Some t0 -> t0 +. d -. Unix.gettimeofday ()
+      | Some t0 -> t0 +. d -. Metrics.now_s ()
       | None -> d
     in
     Budget.create ~deadline_after:d ?label ()
@@ -356,7 +341,7 @@ let cached_decide t ~kind ~session ~query ~nocache ~explain ~key ~compute sn =
          ~revalidated:e.Cache.revalidated ~elapsed_us:e.Cache.elapsed_us e.Cache.result
      | None ->
        Faults.fire "decide";
-       let t0 = Unix.gettimeofday () in
+       let t0 = Metrics.now_s () in
        let c = compute sn in
        let elapsed = elapsed_us t0 in
        if (not nocache) && c.c_cacheable then
@@ -378,7 +363,7 @@ let cached_decide t ~kind ~session ~query ~nocache ~explain ~key ~compute sn =
        verdict_response ?profile:c.c_profile ~session ~query ~epoch:sn.sn_epoch
          ~cached:false ~revalidated:false ~elapsed_us:elapsed c.c_result)
 
-let compute_rcdp t ?admitted_at ?req_id ~explain ~timeout_ms ~search sn =
+let compute_rcdp t ?admitted_at ?req_id ~explain ~timeout_ms sn =
   let sc = sn.sn_scenario in
   let clock = clock_of_timeout ?admitted_at ?label:req_id ~explain timeout_ms in
   let profile = if explain then Some (Ric_obs.Profile.create ()) else None in
@@ -388,7 +373,7 @@ let compute_rcdp t ?admitted_at ?req_id ~explain ~timeout_ms ~search sn =
   match
     (* partial closure is tracked per-session and already checked;
        skip the decider's own O(|V|) re-verification *)
-    Rcdp.decide ~clock ~search ~collect_stats:stats ?profile
+    Rcdp.decide ~clock ~collect_stats:stats ?profile
       ~check_partially_closed:false ~schema:sc.Scenario.db_schema
       ~master:sc.Scenario.master ~ccs:(Scenario.all_ccs sc) ~db:sn.sn_db
       sn.sn_query
@@ -416,13 +401,13 @@ let compute_rcdp t ?admitted_at ?req_id ~explain ~timeout_ms ~search sn =
       c_profile = prof ();
     }
 
-let compute_audit t ?admitted_at ?req_id ~explain ~timeout_ms ~search sn =
+let compute_audit t ?admitted_at ?req_id ~explain ~timeout_ms sn =
   let sc = sn.sn_scenario in
   let clock = clock_of_timeout ?admitted_at ?label:req_id ~explain timeout_ms in
   let profile = if explain then Some (Ric_obs.Profile.create ()) else None in
   let prof () = Option.map (profile_json ~clock) profile in
   match
-    Guidance.audit ~clock ~search ?profile ~schema:sc.Scenario.db_schema
+    Guidance.audit ~clock ?profile ~schema:sc.Scenario.db_schema
       ~master:sc.Scenario.master ~ccs:(Scenario.all_ccs sc) ~db:sn.sn_db
       sn.sn_query
   with
@@ -456,8 +441,8 @@ let compute_audit t ?admitted_at ?req_id ~explain ~timeout_ms ~search sn =
       c_profile = prof ();
     }
 
-let handle_rcdp t ~admitted_at ~session ~query ~nocache ~timeout_ms ~search
-    ~req_id ~explain =
+let handle_rcdp t ~admitted_at ~session ~query ~nocache ~timeout_ms ~req_id
+    ~explain =
   match snapshot t ~session ~query with
   | Error e -> e
   | Ok sn ->
@@ -465,11 +450,11 @@ let handle_rcdp t ~admitted_at ~session ~query ~nocache ~timeout_ms ~search
       Cache.rcdp_key ~session ~fingerprint:sn.sn_fingerprint ~epoch:sn.sn_epoch ~query
     in
     cached_decide t ~kind:Cache.K_rcdp ~session ~query ~nocache ~explain ~key
-      ~compute:(compute_rcdp t ?admitted_at ?req_id ~explain ~timeout_ms ~search)
+      ~compute:(compute_rcdp t ?admitted_at ?req_id ~explain ~timeout_ms)
       sn
 
-let handle_audit t ~admitted_at ~session ~query ~nocache ~timeout_ms ~search
-    ~req_id ~explain =
+let handle_audit t ~admitted_at ~session ~query ~nocache ~timeout_ms ~req_id
+    ~explain =
   match snapshot t ~session ~query with
   | Error e -> e
   | Ok sn ->
@@ -477,11 +462,11 @@ let handle_audit t ~admitted_at ~session ~query ~nocache ~timeout_ms ~search
       Cache.audit_key ~session ~fingerprint:sn.sn_fingerprint ~epoch:sn.sn_epoch ~query
     in
     cached_decide t ~kind:Cache.K_audit ~session ~query ~nocache ~explain ~key
-      ~compute:(compute_audit t ?admitted_at ?req_id ~explain ~timeout_ms ~search)
+      ~compute:(compute_audit t ?admitted_at ?req_id ~explain ~timeout_ms)
       sn
 
-let handle_rcqp t ~admitted_at ~session ~query ~nocache ~timeout_ms ~search
-    ~req_id ~explain =
+let handle_rcqp t ~admitted_at ~session ~query ~nocache ~timeout_ms ~req_id
+    ~explain =
   match snapshot t ~session ~query with
   | Error e -> e
   | Ok sn ->
@@ -500,10 +485,10 @@ let handle_rcqp t ~admitted_at ~session ~query ~nocache ~timeout_ms ~search
        let sc = sn.sn_scenario in
        let clock = clock_of_timeout ?admitted_at ?label:req_id ~explain timeout_ms in
        let profile = if explain then Some (Ric_obs.Profile.create ()) else None in
-       let t0 = Unix.gettimeofday () in
+       let t0 = Metrics.now_s () in
        let result, cacheable =
          match
-           Rcqp.decide ~clock ~search ?profile ~schema:sc.Scenario.db_schema
+           Rcqp.decide ~clock ?profile ~schema:sc.Scenario.db_schema
              ~master:sc.Scenario.master ~ccs:(Scenario.all_ccs sc) sn.sn_query
          with
          | verdict -> (Report.rcqp_verdict verdict, true)
@@ -609,7 +594,7 @@ let handle_mine t ~admitted_at ~session ~nocache ~timeout_ms ~min_support =
      | None ->
        Faults.fire "decide";
        let clock = clock_of_timeout ?admitted_at timeout_ms in
-       let t0 = Unix.gettimeofday () in
+       let t0 = Metrics.now_s () in
        let r =
          Ric_mining.Mine.run ~config ~budget:clock
            ~db_schema:sc.Scenario.db_schema
@@ -840,18 +825,12 @@ let handle_stats t =
         Hashtbl.fold (fun op n acc -> (op, Json.Int n) :: acc) t.op_counts []
         |> List.sort compare
       in
-      let searches =
-        Hashtbl.fold (fun m n acc -> (m, Json.Int n) :: acc) t.search_counts []
-        |> List.sort compare
-      in
       ok
         ([
-           ("uptime_s", Json.Int (int_of_float (Unix.gettimeofday () -. t.started_at)));
+           ("uptime_s", Json.Int (int_of_float (Metrics.now_s () -. t.started_at)));
            ("requests", Json.Int t.requests);
            ("timeouts", Json.Int t.timeouts);
            ("ops", Json.Obj ops);
-           ("search_default", Json.Str (Search_mode.name t.default_search));
-           ("search_modes", Json.Obj searches);
            ("sessions", Json.List sessions);
            ( "cache",
              Json.Obj
@@ -992,18 +971,17 @@ and dispatch_req t ?admitted_at req =
   match req with
   | Protocol.Ping -> ok [ ("pong", Json.Bool true) ]
   | Protocol.Open { path; source; name } -> handle_open t ~path ~source ~name
-  | Protocol.Rcdp { session; query; nocache; timeout_ms; search; req_id; explain }
+  (* the "search" field is accepted for compatibility and ignored: the
+     valuation search is always sequential *)
+  | Protocol.Rcdp { session; query; nocache; timeout_ms; search = _; req_id; explain }
     ->
-    handle_rcdp t ~admitted_at ~session ~query ~nocache ~timeout_ms
-      ~search:(resolve_search t search) ~req_id ~explain
-  | Protocol.Rcqp { session; query; nocache; timeout_ms; search; req_id; explain }
+    handle_rcdp t ~admitted_at ~session ~query ~nocache ~timeout_ms ~req_id ~explain
+  | Protocol.Rcqp { session; query; nocache; timeout_ms; search = _; req_id; explain }
     ->
-    handle_rcqp t ~admitted_at ~session ~query ~nocache ~timeout_ms
-      ~search:(resolve_search t search) ~req_id ~explain
-  | Protocol.Audit { session; query; nocache; timeout_ms; search; req_id; explain }
+    handle_rcqp t ~admitted_at ~session ~query ~nocache ~timeout_ms ~req_id ~explain
+  | Protocol.Audit { session; query; nocache; timeout_ms; search = _; req_id; explain }
     ->
-    handle_audit t ~admitted_at ~session ~query ~nocache ~timeout_ms
-      ~search:(resolve_search t search) ~req_id ~explain
+    handle_audit t ~admitted_at ~session ~query ~nocache ~timeout_ms ~req_id ~explain
   | Protocol.Mine { session; nocache; timeout_ms; min_support; workers = _ } ->
     handle_mine t ~admitted_at ~session ~nocache ~timeout_ms ~min_support
   | Protocol.Insert { session; rel; rows } -> handle_insert t ~session ~rel ~rows

@@ -17,12 +17,9 @@
 
 type t
 
-val create :
-  ?root:string -> ?default_search:Ric_complete.Search_mode.t -> unit -> t
+val create : ?root:string -> unit -> t
 (** [root] anchors relative [path]s of [open] requests (defaults to
-    the daemon's working directory).  [default_search] is the
-    valuation-search strategy applied to decide requests that carry no
-    ["search"] field of their own (defaults to [Seq]). *)
+    the daemon's working directory). *)
 
 val handle : t -> ?admitted_at:float -> Protocol.request -> Ric_text.Json.t
 (** Serve one request.  Never raises: malformed scenarios, unknown
@@ -32,7 +29,8 @@ val handle : t -> ?admitted_at:float -> Protocol.request -> Ric_text.Json.t
     {!shutdown_requested} and still returns a response for the
     transport to flush.
 
-    [admitted_at] (a [Unix.gettimeofday] stamp) anchors the request's
+    [admitted_at] (a {!Ric_obs.Metrics.now_s} stamp, on the monotonic
+    clock) anchors the request's
     [timeout_ms] deadline at the moment the front end admitted it, so
     time spent queued behind other jobs counts against the budget; a
     deadline already spent answers a ["timeout"] verdict on the

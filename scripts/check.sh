@@ -350,17 +350,16 @@ bench_guard "soak p99 (us)" BENCH_serve.json "$SOAK_OUT" '"p99_us' lower \
   || { rm -f "$SOAK_OUT"; exit 1; }
 rm -f "$SOAK_OUT"
 
-echo "== search-mode bench smoke test"
-# both valuation-search strategies on the hostile instance with a
-# small step budget; the bench exits nonzero if any scenario query gets
-# a different verdict under seq vs par
+echo "== search bench smoke test"
+# the valuation search on the hostile instance with a small step
+# budget; the bench must run and record every scenario query's verdict
 BENCH_OUT="${TMPDIR:-/tmp}/ricd-check-$$-bench.json"
 RIC_BENCH_STEPS=20000 RIC_BENCH_OUT="$BENCH_OUT" \
   _build/default/bench/main.exe search \
-  || { echo "FAIL: search-mode verdicts diverged" >&2; rm -f "$BENCH_OUT"; exit 1; }
+  || { echo "FAIL: search bench failed" >&2; rm -f "$BENCH_OUT"; exit 1; }
 case "$(cat "$BENCH_OUT")" in
-  *'"all_agree":true'*) ;;
-  *) echo "FAIL: $BENCH_OUT does not record agreement" >&2; rm -f "$BENCH_OUT"; exit 1 ;;
+  *'"verdicts":[{'*) ;;
+  *) echo "FAIL: $BENCH_OUT records no verdicts" >&2; rm -f "$BENCH_OUT"; exit 1 ;;
 esac
 rm -f "$BENCH_OUT"
 
@@ -447,27 +446,7 @@ if [ -f "$BASELINE" ]; then
   bench_guard "seq steps/s" "$BASELINE" "$GUARD_OUT" \
     '"mode":"seq"[^}]*"steps_per_sec' higher "${RIC_BENCH_TOLERANCE_PCT:-5}" \
     || { rm -f "$GUARD_OUT"; exit 1; }
-
-  echo "== par-vs-seq guard (parallel mode must not cost throughput)"
-  # same fresh run: the bench times seq and par:4 within each interleaved
-  # round and records the best paired par/seq ratio — that pairing
-  # cancels the ~10% run-to-run load swing of a shared host, so the
-  # gate can stay tight at RIC_BENCH_PAR_TOLERANCE_PCT (default 5)
-  # percent; on a one-core host the par engine degrades to seq, so
-  # anything below is coordination overhead leaking back in; scaling
-  # itself is asserted by the bench's forced worker sweep (steal
-  # counter + per-worker utilisation)
-  bench_guard "par:4 vs seq best paired-round ratio (%)" 100 "$GUARD_OUT" \
-    '"par_vs_seq_best_round_ratio_pct' higher "${RIC_BENCH_PAR_TOLERANCE_PCT:-5}" \
-    || { rm -f "$GUARD_OUT"; exit 1; }
   rm -f "$GUARD_OUT"
-
-  # the committed baseline must carry the scaling sweep (steals and
-  # per-worker utilisation under forced workers)
-  case "$(cat "$BASELINE")" in
-    *'"scaling":'*'"steals":'*) ;;
-    *) echo "FAIL: $BASELINE has no scaling section" >&2; exit 1 ;;
-  esac
 else
   echo "skip: no $BASELINE baseline committed"
 fi

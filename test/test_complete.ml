@@ -71,7 +71,8 @@ let test_iter_valid_enumerates () =
   in
   let count = ref 0 in
   let (_ : bool) =
-    Valuation_search.iter_valid ~master:empty_master ~ccs:[] ~mode:`Delta_only ~adom tab
+    Valuation_search.iter_valid ~checker:(Checker.create ~master:empty_master [])
+      ~mode:`Delta_only ~adom tab
       (fun _ _ ->
         incr count;
         false)
@@ -93,7 +94,8 @@ let test_iter_valid_neq_pruning () =
   in
   let bad = ref false in
   let (_ : bool) =
-    Valuation_search.iter_valid ~master:empty_master ~ccs:[] ~mode:`Delta_only ~adom tab
+    Valuation_search.iter_valid ~checker:(Checker.create ~master:empty_master [])
+      ~mode:`Delta_only ~adom tab
       (fun mu _ ->
         (match Valuation.find "x" mu, Valuation.find "y" mu with
          | Some a, Some b -> if Value.equal a b then bad := true
@@ -123,8 +125,9 @@ let test_iter_valid_cc_pruning () =
     let pruned = ref 0 in
     let visited = ref 0 in
     let (_ : bool) =
-      Valuation_search.iter_valid ~master:empty_master ~ccs:[ forbid ] ~mode:`Delta_only
-        ~adom
+      Valuation_search.iter_valid
+        ~checker:(Checker.create ~master:empty_master [ forbid ])
+        ~mode:`Delta_only ~adom
         ~on_prune:(fun () -> incr pruned)
         tab
         (fun mu _ ->

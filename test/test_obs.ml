@@ -418,11 +418,9 @@ let test_profile_accumulator () =
 
 (* Exact parity with the budget: in the CQ decide paths every
    [Budget.tick] is mirrored into the profile (search levels, pool,
-   witness growth), so the attributed steps equal [Budget.steps] — in
-   every search mode, including the parallel fan-out.  QJ is
-   Incomplete, so how much of the tree a first-witness exit skips
-   depends on how real workers race; QU is Complete, so every mode
-   walks the whole tree. *)
+   witness growth), so the attributed steps equal [Budget.steps], on
+   an Incomplete query (QJ: the search stops at the first witness) and
+   a Complete one (QU: it walks the whole tree). *)
 
 let parity_source =
   {|
@@ -443,12 +441,12 @@ let parity_source =
   constraint BU(k) :- U(k) => N[0].
 |}
 
-let rcdp_profiled ~search s q =
+let rcdp_profiled s q =
   let profile = Profile.create () in
   let clock = Budget.create () in
   let verdict =
     match
-      Rcdp.decide ~clock ~search ~profile ~schema:s.Scenario.db_schema
+      Rcdp.decide ~clock ~profile ~schema:s.Scenario.db_schema
         ~master:s.Scenario.master ~ccs:(Scenario.all_ccs s)
         ~db:s.Scenario.db q
     with
@@ -465,56 +463,40 @@ let test_profile_budget_parity () =
     | None -> Alcotest.failf "%s missing" name
   in
   let qj = query "QJ" and qu = query "QU" in
-  let _, seq_steps, seq_snap = rcdp_profiled ~search:Search_mode.Seq s qu in
-  Alcotest.(check bool) "the search did real work" true (seq_steps > 0);
-  List.iter
-    (fun search ->
-      let name = Search_mode.to_string search in
-      let verdict, steps, snap = rcdp_profiled ~search s qj in
-      Alcotest.(check string) (name ^ " QJ verdict unchanged") "incomplete" verdict;
-      Alcotest.(check int)
-        (name ^ " QJ attributed steps = budget steps")
-        steps
-        (Profile.attributed_steps snap);
-      let verdict, steps, snap = rcdp_profiled ~search s qu in
-      Alcotest.(check string) (name ^ " QU verdict unchanged") "complete" verdict;
-      Alcotest.(check int) (name ^ " QU steps match seq") seq_steps steps;
-      (* the parallel tree is node-for-node the sequential tree, so on
-         an exhaustive search the merged per-level totals are the
-         sequential ones *)
-      Alcotest.(check bool)
-        (name ^ " QU per-level totals match seq")
-        true
-        (snap.Profile.levels = seq_snap.Profile.levels))
-    [ Search_mode.Seq; Search_mode.Par 2 ]
+  let verdict, steps, snap = rcdp_profiled s qj in
+  Alcotest.(check string) "QJ verdict unchanged" "incomplete" verdict;
+  Alcotest.(check int) "QJ attributed steps = budget steps" steps
+    (Profile.attributed_steps snap);
+  let verdict, steps, snap = rcdp_profiled s qu in
+  Alcotest.(check bool) "the search did real work" true (steps > 0);
+  Alcotest.(check string) "QU verdict unchanged" "complete" verdict;
+  Alcotest.(check int) "QU attributed steps = budget steps" steps
+    (Profile.attributed_steps snap)
 
 let test_profile_deterministic () =
   let s = Scenario.parse parity_source in
   let q = Option.get (Scenario.find_query s "QJ") in
-  let _, steps1, snap1 = rcdp_profiled ~search:Search_mode.Seq s q in
-  let _, steps2, snap2 = rcdp_profiled ~search:Search_mode.Seq s q in
+  let _, steps1, snap1 = rcdp_profiled s q in
+  let _, steps2, snap2 = rcdp_profiled s q in
   Alcotest.(check int) "steps deterministic" steps1 steps2;
   Alcotest.(check bool) "snapshot deterministic" true (snap1 = snap2)
 
 (* Explain names where each level's candidates come from: QU's two U
-   levels are drawn from BU, the IND on U, in every mode; a level no
-   generator CC covers sweeps the active domain. *)
+   levels are drawn from BU, the IND on U; a level no generator CC
+   covers sweeps the active domain. *)
 let test_profile_level_sources () =
   let s = Scenario.parse parity_source in
   let qu = Option.get (Scenario.find_query s "QU") in
-  List.iter
-    (fun search ->
-      let _, _, snap = rcdp_profiled ~search s qu in
-      Alcotest.(check (list (triple int string string)))
-        (Search_mode.to_string search ^ " QU levels are drawn from BU")
-        [ (0, "U", "BU"); (1, "U", "BU") ]
-        (List.map
-           (fun r -> (r.Profile.lv_index, r.Profile.lv_name, r.Profile.lv_source))
-           snap.Profile.levels))
-    [ Search_mode.Seq; Search_mode.Par 2 ];
+  let _, _, snap = rcdp_profiled s qu in
+  Alcotest.(check (list (triple int string string)))
+    "QU levels are drawn from BU"
+    [ (0, "U", "BU"); (1, "U", "BU") ]
+    (List.map
+       (fun r -> (r.Profile.lv_index, r.Profile.lv_name, r.Profile.lv_source))
+       snap.Profile.levels);
   let bare = Scenario.parse "schema T(k).\nrows T { (m0) }.\nquery QT(k) :- T(k).\n" in
   let _, _, snap =
-    rcdp_profiled ~search:Search_mode.Seq bare (Option.get (Scenario.find_query bare "QT"))
+    rcdp_profiled bare (Option.get (Scenario.find_query bare "QT"))
   in
   Alcotest.(check (list string)) "an unbounded level sweeps adom" [ "adom" ]
     (List.map (fun r -> r.Profile.lv_source) snap.Profile.levels)

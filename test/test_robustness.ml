@@ -107,15 +107,6 @@ let test_budget_deadline () =
   let r = exhausts (fun () -> Budget.check_now b) in
   Alcotest.(check string) "reason" "deadline" (Budget.reason_name r)
 
-let test_budget_cancel () =
-  let flag = Atomic.make false in
-  let b = Budget.create ~cancel:flag () in
-  Budget.check_now b;
-  (* no raise while unset *)
-  Atomic.set flag true;
-  let r = exhausts (fun () -> Budget.check_now b) in
-  Alcotest.(check string) "reason" "cancelled" (Budget.reason_name r)
-
 let test_budget_unlimited () =
   Alcotest.(check bool) "unlimited" true (Budget.is_unlimited Budget.unlimited);
   for _ = 1 to 10_000 do
@@ -315,7 +306,6 @@ let with_server ?(domains = 2) ?(queue_capacity = 16) ?(read_deadline = 2.) ?jou
             root = None;
             journal;
             recover;
-            search = Ric_complete.Search_mode.Seq;
             metrics = None;
             trace = None;
             flight = None;
@@ -675,7 +665,7 @@ let test_service_recovery () =
 
 (* Requests written while the retired "inc" search mode existed must
    keep working: a recovered session answers an "inc" request off the
-   wire, as the seq search it now is. *)
+   wire, with the one sequential search. *)
 let test_recovered_inc_request () =
   let jpath = Filename.temp_file "ric-journal" ".jsonl" in
   let svc1 = Service.create () in
@@ -693,8 +683,7 @@ let test_recovered_inc_request () =
   in
   (match Protocol.of_json wire with
    | Ok (Protocol.Rcdp { search; _ } as req) ->
-     Alcotest.(check bool) "inc decodes as seq" true
-       (search = Some Ric_complete.Search_mode.Seq);
+     Alcotest.(check (option string)) "inc is accepted" (Some "inc") search;
      let q = Service.handle svc2 req in
      assert_ok q;
      Alcotest.(check string) "verdict reflects the replayed insert" "complete"
@@ -856,7 +845,6 @@ let () =
         [
           Alcotest.test_case "step limit" `Quick test_budget_steps;
           Alcotest.test_case "deadline" `Quick test_budget_deadline;
-          Alcotest.test_case "cancel flag" `Quick test_budget_cancel;
           Alcotest.test_case "unlimited" `Quick test_budget_unlimited;
         ] );
       ( "deadlines",

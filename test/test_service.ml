@@ -107,14 +107,13 @@ let test_protocol_roundtrip () =
       rcdp "s1" "Q0";
       rcdp ~nocache:true "s1" "Q0";
       rcdp ~timeout_ms:250 "s1" "Q0";
-      rcdp ~search:Ric_complete.Search_mode.Seq "s1" "Q0";
-      rcdp ~search:(Ric_complete.Search_mode.Par 4) "s1" "Q0";
+      rcdp ~search:"seq" "s1" "Q0";
       rcdp ~req_id:"ric-1-2-3" ~explain:true "s1" "Q0";
       rcqp "s2" "Q";
       rcqp ~req_id:"x" "s2" "Q";
-      rcqp ~search:Ric_complete.Search_mode.Seq "s2" "Q";
+      rcqp ~search:"inc" "s2" "Q";
       audit "s1" "Q2";
-      audit ~search:(Ric_complete.Search_mode.Par 2) "s1" "Q2";
+      audit ~search:"par:2" "s1" "Q2";
       audit ~req_id:"a-1" ~explain:true "s1" "Q2";
       Protocol.Dump;
       insert "s1" "Cust" [ [ "c1"; "bob" ] ];
@@ -149,6 +148,13 @@ let test_protocol_rejects () =
           ("session", Json.Str "s1");
           ("query", Json.Str "Q0");
           ("search", Json.Str "warp");
+        ];
+      Json.Obj
+        [
+          ("op", Json.Str "rcdp");
+          ("session", Json.Str "s1");
+          ("query", Json.Str "Q0");
+          ("search", Json.Str "par:0");
         ];
       Json.Obj
         [
@@ -457,6 +463,53 @@ let test_service_close_purges () =
   let r = Service.handle service (rcdp sid "Q") in
   Alcotest.(check string) "session gone" "unknown_session" (get_str "kind" r)
 
+(* Every spelling of the "search" field is accepted for compatibility
+   and runs the one sequential search: a par:4 request's reply is the
+   seq request's, byte for byte, less its [elapsed_us]. *)
+let scenarios_dir () =
+  if Sys.file_exists "../../../scenarios" then "../../../scenarios" else "scenarios"
+
+let test_service_search_spellings () =
+  let service = Service.create ~root:(scenarios_dir ()) () in
+  let o =
+    Service.handle service
+      (Protocol.Open { path = Some "crm.ric"; source = None; name = None })
+  in
+  assert_ok o;
+  let sid = get_str "session" o in
+  let reply req =
+    let r = Service.handle service req in
+    assert_ok r;
+    match r with
+    | Json.Obj fields -> Json.to_string (Json.Obj (List.remove_assoc "elapsed_us" fields))
+    | j -> Alcotest.failf "reply is not an object: %s" (Json.to_string j)
+  in
+  List.iter
+    (fun query ->
+      List.iter
+        (fun (name, req) ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s %s: par:4 reply = seq reply" name query)
+            (reply (req "seq")) (reply (req "par:4")))
+        [
+          ("rcdp", fun search -> rcdp ~nocache:true ~search sid query);
+          ("rcqp", fun search -> rcqp ~nocache:true ~search sid query);
+          ("audit", fun search -> audit ~nocache:true ~search sid query);
+        ])
+    [ "Q0"; "Q2" ]
+
+(* [admitted_at] is a monotonic stamp: a request admitted just now with
+   a 10 s budget gets a real verdict, not an instant timeout. *)
+let test_service_monotonic_admission () =
+  let service = Service.create () in
+  let sid = open_session service in
+  let r =
+    Service.handle service ~admitted_at:(Ric_obs.Metrics.now_s ())
+      (rcdp ~nocache:true ~timeout_ms:10_000 sid "Q")
+  in
+  assert_ok r;
+  Alcotest.(check string) "a real verdict" "incomplete" (verdict_of r)
+
 (* The stats op's telemetry contract (see protocol.mli): a decimal
    hit_rate string, a metrics array mirroring the registry, and
    counters that are process-lifetime totals — never reset, not even
@@ -638,7 +691,6 @@ let with_server ?(domains = 2) f =
             root = None;
             journal = None;
             recover = false;
-            search = Ric_complete.Search_mode.Seq;
             metrics = None;
             trace = None;
             flight = None;
@@ -1079,6 +1131,10 @@ let () =
             test_service_audit_cached_and_dropped;
           Alcotest.test_case "close purges" `Quick test_service_close_purges;
           Alcotest.test_case "stats telemetry" `Quick test_service_stats_telemetry;
+          Alcotest.test_case "search spellings get the seq reply" `Quick
+            test_service_search_spellings;
+          Alcotest.test_case "admission stamp is monotonic" `Quick
+            test_service_monotonic_admission;
           Alcotest.test_case "bad insert rejected" `Quick test_service_bad_insert_rejected;
           Alcotest.test_case "explain profile" `Quick test_service_explain_profile;
           Alcotest.test_case "flight-recorder dump op" `Quick test_service_dump;
