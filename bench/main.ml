@@ -547,32 +547,10 @@ let ablation () =
   assert (r1 = r2);
   Printf.printf "  C3 vs C2    : IND fast path %.1f ms vs generic %.1f ms (%.1fx)\n"
     (1e3 *. t_fast) (1e3 *. t_slow) (t_slow /. (t_fast +. 1e-9));
-  (* 4. query minimization before the RCDP search *)
+  (* 4. pruning effectiveness in the RCDP search (a complete-case
+     verdict, so the search exhausts the space) *)
   let master = Crm.master ~customers:4 ~managers:[] () in
   let db = Crm.db ~master ~keep:1.0 ~supported_by:[ ("e0", [ "d0" ]) ] () in
-  let redundant =
-    (* Q0 with two redundant copies of the Cust atom: 9 variables
-       instead of 3 before minimization *)
-    Cq.make
-      ~head:[ v "c"; v "n" ]
-      [
-        Atom.make "Cust" [ v "c"; v "n"; Term.str "01"; Term.str "908"; v "p" ];
-        Atom.make "Cust" [ v "c"; v "n2"; Term.str "01"; Term.str "908"; v "p2" ];
-        Atom.make "Cust" [ v "c"; v "n3"; Term.str "01"; Term.str "908"; v "p3" ];
-      ]
-  in
-  let run minimize =
-    Rcdp.decide ~minimize ~schema:Crm.db_schema ~master ~ccs:[ Crm.cc_domestic_customers ]
-      ~db (Lang.Q_cq redundant)
-  in
-  let (r1, t_min) = time (fun () -> run true) in
-  let (r2, t_raw) = time (fun () -> run false) in
-  assert ((r1 = Rcdp.Complete) = (r2 = Rcdp.Complete));
-  Printf.printf
-    "  minimization: core-first %.1f ms vs raw 9-variable query %.1f ms (%.1fx)\n"
-    (1e3 *. t_min) (1e3 *. t_raw) (t_raw /. (t_min +. 1e-9));
-  (* 5. pruning effectiveness in the RCDP search (a complete-case
-     verdict, so the search exhausts the space) *)
   let stats = ref { Rcdp.valuations_visited = 0; branches_pruned = 0 } in
   ignore
     (Rcdp.decide ~collect_stats:stats ~schema:Crm.db_schema ~master

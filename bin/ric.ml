@@ -842,8 +842,8 @@ let trace_group =
     Cmd.v
       (Cmd.info "summarize"
          ~doc:
-           "Reconstruct a --trace span file: slowest spans, per-phase step rates, \
-            per-mode breakdown, and the slowest call tree")
+           "Reconstruct a --trace span file: slowest spans, per-phase step rates \
+            and the slowest call tree")
       Term.(const run $ trace_pos $ top_arg $ req_id_filter_arg)
   in
   Cmd.group (Cmd.info "trace" ~doc:"Inspect span-trace files written by --trace")

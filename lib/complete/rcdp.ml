@@ -223,8 +223,8 @@ let decide_ucq_with ~ind_mode ?(clock = Budget.unlimited)
     Trace.set_str sp "reason" (Budget.reason_name reason);
     raise e
 
-let decide ?clock ?check_partially_closed ?collect_stats ?profile
-    ?(minimize = false) ~schema ~master ~ccs ~db q =
+let decide ?clock ?check_partially_closed ?collect_stats ?profile ~schema ~master
+    ~ccs ~db q =
   match Lang.as_ucq q with
   | None ->
     raise
@@ -232,12 +232,8 @@ let decide ?clock ?check_partially_closed ?collect_stats ?profile
          (Printf.sprintf "RCDP is undecidable for %s queries (Theorem 3.1); use semi_decide"
             (Lang.language_name q)))
   | Some ucq ->
-    let ucq = if minimize then List.map (Cq.minimize schema) ucq else ucq in
     decide_ucq_with ~ind_mode:false ?clock ?check_partially_closed ?collect_stats
       ?profile ~schema ~master ~ccs ~db ucq
-
-let decide_cq ?check_partially_closed ~schema ~master ~ccs ~db q =
-  decide ?check_partially_closed ~schema ~master ~ccs ~db (Lang.Q_cq q)
 
 let decide_ind ?clock ?check_partially_closed ~schema ~master ~inds ~db q =
   let ccs = List.map (Ind.to_cc schema) inds in

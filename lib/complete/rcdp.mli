@@ -52,7 +52,6 @@ val decide :
   ?check_partially_closed:bool ->
   ?collect_stats:stats ref ->
   ?profile:Ric_obs.Profile.t ->
-  ?minimize:bool ->
   schema:Schema.t ->
   master:Database.t ->
   ccs:Containment.t list ->
@@ -62,10 +61,6 @@ val decide :
 (** Exact decision for [LQ ∈ {CQ, UCQ, ∃FO⁺}] and monotone [LC]
     (CQ/UCQ/∃FO⁺ containment constraints, including INDs).  ∃FO⁺
     queries go through their UCQ expansion, as in Theorem 3.6(4).
-    [minimize] (default false) first replaces each inequality-free
-    disjunct by its core ({!Cq.minimize}) — sound, and worthwhile for
-    queries with redundant atoms since the search is exponential in
-    the number of tableau variables.
 
     [clock] (default {!Budget.unlimited}) bounds the Σ₂ᵖ search; when
     it runs out the search aborts with {!Budget.Exhausted}, after
@@ -86,15 +81,6 @@ val decide :
     @raise Not_partially_closed if [(D, Dm) ⊭ V]
       (skipped when [check_partially_closed] is [false]).
     @raise Budget.Exhausted when [clock] runs out mid-search. *)
-
-val decide_cq :
-  ?check_partially_closed:bool ->
-  schema:Schema.t ->
-  master:Database.t ->
-  ccs:Containment.t list ->
-  db:Database.t ->
-  Cq.t ->
-  verdict
 
 val decide_ind :
   ?clock:Budget.t ->

@@ -13,42 +13,31 @@ let plain_cq (cc : Containment.t) =
   | Lang.Q_cq q when q.Cq.neqs = [] -> Some q
   | _ -> None
 
-let classify sch ccs =
-  let keep = ref [] in
-  let drop = ref [] in
-  List.iteri
-    (fun i cc ->
-      let reason =
-        match cc.Containment.lhs with
-        | Lang.Q_cq q when not (Cq.satisfiable sch q) ->
-          Some "left-hand query is unsatisfiable: the constraint always holds"
-        | _ ->
-          (match plain_cq cc with
-           | None -> None
-           | Some q ->
-             List.find_map
-               (fun (j, other) ->
-                 if i = j then None
-                 else
-                   match plain_cq other with
-                   | Some q'
-                     when same_target cc.Containment.rhs other.Containment.rhs
-                          && Cq.contained_in sch q q' ->
-                     (* keep the subsuming one; on mutual containment
-                        (equivalence) keep the earlier *)
-                     if Cq.contained_in sch q' q && j > i then None
-                     else
-                       Some
-                         (Printf.sprintf "subsumed by %s (its query contains this one's)"
-                            other.Containment.cc_name)
-                   | _ -> None)
-               (List.mapi (fun j c -> (j, c)) ccs))
-      in
-      match reason with
-      | Some r -> drop := (cc, r) :: !drop
-      | None -> keep := cc :: !keep)
-    ccs;
-  (List.rev !keep, List.rev !drop)
+(* Chandra–Merlin [q ⊑ q']; a pair the test rejects (an unsafe query,
+   say) is conservatively "not contained" *)
+let contained sch q q' = try Cq.contained_in sch q q' with Invalid_argument _ -> false
 
-let normalize sch ccs = fst (classify sch ccs)
-let dropped sch ccs = snd (classify sch ccs)
+let normalize sch ccs =
+  let indexed = List.mapi (fun j c -> (j, c)) ccs in
+  let redundant i cc =
+    match cc.Containment.lhs with
+    | Lang.Q_cq q when not (Cq.satisfiable sch q) -> true
+    | _ ->
+      (match plain_cq cc with
+       | None -> false
+       | Some q ->
+         List.exists
+           (fun (j, other) ->
+             i <> j
+             &&
+             match plain_cq other with
+             | Some q'
+               when same_target cc.Containment.rhs other.Containment.rhs
+                    && contained sch q q' ->
+               (* keep the subsuming one; on mutual containment
+                  (equivalence) keep the earlier *)
+               not (j > i && contained sch q' q)
+             | _ -> false)
+           indexed)
+  in
+  List.filteri (fun i cc -> not (redundant i cc)) ccs

@@ -1,9 +1,6 @@
-(** Normalising a set of containment constraints before handing it to
-    the deciders.
-
-    The deciders re-check every constraint at every node of their
-    searches, so provably redundant constraints are pure overhead.
-    Three sound simplifications:
+(** Normalising a set of containment constraints: dropping the ones
+    the rest of the set provably implies.  Three sound
+    simplifications:
 
     - a constraint whose left-hand query is unsatisfiable always
       holds — drop it;
@@ -14,14 +11,15 @@
       subsumed one.
 
     Constraints this module cannot analyse (UCQ/∃FO⁺/FO/FP left-hand
-    sides, or CQs with inequalities) are kept untouched. *)
+    sides, or CQs with inequalities) are kept untouched, and a pair
+    the containment test rejects ([Invalid_argument], e.g. an unsafe
+    query) counts as "not subsumed".
+
+    This is the one constraint-subsumption routine: {!Ric_mining.Mine}
+    reduces its accepted constraints to a minimal cover with it. *)
 
 open Ric_relational
 
 val normalize : Schema.t -> Containment.t list -> Containment.t list
 (** Sound: a database satisfies the result iff it satisfies the input
-    (property-tested). *)
-
-val dropped : Schema.t -> Containment.t list -> (Containment.t * string) list
-(** The constraints {!normalize} would remove, with reasons — for
-    audit logs. *)
+    (property-tested).  The survivors keep their input order. *)

@@ -24,20 +24,6 @@ let make sch tabs =
     tabs;
   { sch; tabs }
 
-let of_database db =
-  let sch = Database.schema db in
-  let tabs =
-    List.filter_map
-      (fun (rs : Schema.relation_schema) ->
-        let rel = Database.relation db rs.Schema.rel_name in
-        if Relation.is_empty rel then None
-        else
-          Some
-            (Ctable.make ~rel:rs.Schema.rel_name ~arity:(Schema.arity rs)
-               (List.map Ctable.ground (Relation.elements rel))))
-      (Schema.relations sch)
-  in
-  make sch tabs
 
 let schema t = t.sch
 let tables t = t.tabs

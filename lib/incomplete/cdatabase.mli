@@ -12,9 +12,6 @@ val make : Schema.t -> Ctable.t list -> t
     @raise Invalid_argument on unknown relations, duplicate tables or
     arity mismatches with the schema. *)
 
-val of_database : Database.t -> t
-(** A fully known c-database. *)
-
 val schema : t -> Schema.t
 
 val tables : t -> Ctable.t list

@@ -106,35 +106,6 @@ let order =
   in
   List.sort cmp
 
-(* [b] subsumes [a] when both project into the same master target and
-   q_a ⊆ q_b (Chandra–Merlin; inequality-free only): if q_b(D) ⊆ p
-   holds then q_a(D) ⊆ p is implied. *)
-let subsumes ~db_schema (a : Enumerate.candidate) (b : Enumerate.candidate) =
-  a.Enumerate.rhs = b.Enumerate.rhs
-  && a.Enumerate.neqs = [] && b.Enumerate.neqs = []
-  &&
-  try Cq.contained_in db_schema (Score.cq_of a) (Score.cq_of b)
-  with Invalid_argument _ -> false
-
-(* Pairwise, not greedy: a candidate is redundant when any {e other}
-   accepted one subsumes it — order-independent, so a constant-refined
-   body is dropped whenever its generalisation was also accepted.
-   Mutually-equivalent pairs keep the key-least representative. *)
-let minimal_cover ~db_schema sorted =
-  List.filter
-    (fun (s : Score.scored) ->
-      let c = s.Score.candidate in
-      not
-        (List.exists
-           (fun (k : Score.scored) ->
-             let kc = k.Score.candidate in
-             kc.Enumerate.key <> c.Enumerate.key
-             && subsumes ~db_schema c kc
-             && ((not (subsumes ~db_schema kc c))
-                 || kc.Enumerate.key < c.Enumerate.key))
-           sorted))
-    sorted
-
 let mined_name i = "mined-" ^ string_of_int (i + 1)
 
 (* ------------------------------------------------------------------ *)
@@ -159,9 +130,22 @@ let run ?(config = default) ?(budget = Budget.unlimited) ~db_schema
            s.Score.support >= config.min_support && s.Score.confidence >= 1.0)
          scored)
   in
+  (* The minimal cover drops an accepted constraint that another
+     accepted one implies.  Equivalent candidates have equal support,
+     so [normalize]'s "keep the earlier of an equivalent pair" keeps
+     the key-least one of the sorted list. *)
   let accepted_scored =
-    if config.minimal_cover then minimal_cover ~db_schema accepted_all
-    else accepted_all
+    if not config.minimal_cover then accepted_all
+    else
+      let ccs =
+        List.map
+          (fun (s : Score.scored) ->
+            let c = s.Score.candidate in
+            (Score.cc_of ~name:c.Enumerate.key c, s))
+          accepted_all
+      in
+      let kept = Optimize.normalize db_schema (List.map fst ccs) in
+      List.filter_map (fun (cc, s) -> if List.memq cc kept then Some s else None) ccs
   in
   let near =
     order

@@ -7,8 +7,10 @@
     accepted when their confidence is exactly [1.0] and their support
     reaches the threshold.  Accepted constraints are ordered deterministically
     (support descending, then canonical key), optionally reduced to a
-    minimal cover (a constraint implied by an accepted more-general
-    one via Chandra–Merlin containment is dropped), and named
+    minimal cover by {!Ric_constraints.Optimize.normalize} (a
+    constraint implied by an accepted more-general one via
+    Chandra–Merlin containment, or whose body is unsatisfiable, is
+    dropped), and named
     [mined-1], [mined-2], … — valid scenario identifiers, so the
     emitted block round-trips through the [.ric] parser.
 

@@ -5,7 +5,6 @@
    a scrape needs. *)
 
 type counter = int Atomic.t
-type gauge = int Atomic.t
 
 (* Durations are accumulated in nanoseconds as ints: atomic float adds
    don't exist, and 2^62 ns is ~146 years of accumulated latency. *)
@@ -19,7 +18,6 @@ let bucket_bounds = Array.init 13 (fun i -> 1e-6 *. (4. ** float_of_int i))
 
 type kind =
   | K_counter of counter
-  | K_gauge of gauge
   | K_gauge_fn of (unit -> int) ref
   | K_histogram of histogram
 
@@ -32,7 +30,7 @@ type metric = {
 
 let kind_name = function
   | K_counter _ -> "counter"
-  | K_gauge _ | K_gauge_fn _ -> "gauge"
+  | K_gauge_fn _ -> "gauge"
   | K_histogram _ -> "histogram"
 
 let registry : (string * (string * string) list, metric) Hashtbl.t =
@@ -90,18 +88,6 @@ let counter ?(help = "") ?(labels = []) name =
 let incr c = Atomic.incr c
 let add c n = ignore (Atomic.fetch_and_add c n)
 let counter_value c = Atomic.get c
-
-let gauge ?(help = "") ?(labels = []) name =
-  match
-    (register ~help ~labels name (fun () -> K_gauge (Atomic.make 0))).m_kind
-  with
-  | K_gauge g -> g
-  | k ->
-    invalid_arg
-      (Printf.sprintf "Metrics: %s is a %s, not a gauge" name (kind_name k))
-
-let set_gauge g v = Atomic.set g v
-let gauge_value g = Atomic.get g
 
 let gauge_fn ?(help = "") ?(labels = []) name f =
   match
@@ -186,7 +172,6 @@ let sample_of_metric m =
   let value =
     match m.m_kind with
     | K_counter c -> Counter (Atomic.get c)
-    | K_gauge g -> Gauge (Atomic.get g)
     | K_gauge_fn f -> Gauge (try !f () with _ -> 0)
     | K_histogram h -> Histogram (snapshot_histogram h)
   in

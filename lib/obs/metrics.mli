@@ -13,7 +13,6 @@
     the [stats] op contract in [Protocol]. *)
 
 type counter
-type gauge
 type histogram
 
 (** [counter ?help ?labels name] registers (or finds) a counter.
@@ -24,12 +23,6 @@ val counter : ?help:string -> ?labels:(string * string) list -> string -> counte
 val incr : counter -> unit
 val add : counter -> int -> unit
 val counter_value : counter -> int
-
-(** Set-table gauge for values owned by the instrumentation site. *)
-val gauge : ?help:string -> ?labels:(string * string) list -> string -> gauge
-
-val set_gauge : gauge -> int -> unit
-val gauge_value : gauge -> int
 
 (** [gauge_fn name f] registers a pull gauge: [f] is evaluated at
     snapshot/exposition time.  Re-registering replaces the function —

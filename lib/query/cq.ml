@@ -343,35 +343,6 @@ let contained_in sch q1 q2 =
     | None -> true (* q1 unsatisfiable: contained in anything *)
     | Some (frozen, head_tuple) -> Relation.mem head_tuple (eval frozen q2)
 
-let equivalent sch q1 q2 = contained_in sch q1 q2 && contained_in sch q2 q1
-
-let minimize sch q =
-  if q.neqs <> [] then q
-  else
-    match normalize q with
-    | None -> q
-    | Some n ->
-      let base = { head = n.n_head; atoms = n.n_atoms; eqs = []; neqs = [] } in
-      (* dropping an atom relaxes the query, so [smaller ⊆ q] is the
-         only direction to check; head variables must stay covered *)
-      let head_vars = List.sort_uniq String.compare (term_vars base.head) in
-      let covered atoms =
-        let avars = List.concat_map Atom.vars atoms in
-        List.for_all (fun x -> List.mem x avars) head_vars
-      in
-      let rec shrink atoms =
-        let try_drop a =
-          let rest = List.filter (fun x -> not (x == a)) atoms in
-          if rest <> [] && covered rest && contained_in sch { base with atoms = rest } base
-          then Some rest
-          else None
-        in
-        match List.find_map try_drop atoms with
-        | Some rest -> shrink rest
-        | None -> atoms
-      in
-      { base with atoms = shrink base.atoms }
-
 let pp_pair op ppf (s, t) = Format.fprintf ppf "%a %s %a" Term.pp s op Term.pp t
 
 let pp ppf q =

@@ -80,15 +80,7 @@ val satisfiable : Schema.t -> t -> bool
 
 val contained_in : Schema.t -> t -> t -> bool
 (** Chandra–Merlin containment test [q1 ⊆ q2] for inequality-free
-    CQs.  @raise Invalid_argument if either query has inequalities. *)
-
-val minimize : Schema.t -> t -> t
-(** Compute the core of an inequality-free CQ: drop atoms whose
-    removal keeps the query equivalent (Chandra–Merlin).  Worth doing
-    before the completeness deciders — their search is exponential in
-    the number of tableau variables.  Queries with inequalities are
-    returned unchanged. *)
-
-val equivalent : Schema.t -> t -> t -> bool
+    CQs.  @raise Invalid_argument if either query has inequalities,
+    or if [q2] is unsafe (see {!eval}). *)
 
 val pp : Format.formatter -> t -> unit

@@ -19,8 +19,6 @@ let encode source =
   in
   { source; width; single = Schema.make [ Schema.relation rel_name attrs ] }
 
-let single_schema t = t.single
-
 let encode_db t db =
   Database.fold
     (fun name rel acc ->

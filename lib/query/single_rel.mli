@@ -19,9 +19,6 @@ type t
 val encode : Schema.t -> t
 (** @raise Invalid_argument on an empty schema. *)
 
-val single_schema : t -> Schema.t
-(** A schema containing exactly one relation, named ["_U"]. *)
-
 val encode_db : t -> Database.t -> Database.t
 (** [f_D]. *)
 

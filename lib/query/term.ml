@@ -18,10 +18,6 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
-let is_var = function
-  | Var _ -> true
-  | Const _ -> false
-
 let pp ppf = function
   | Var x -> Format.fprintf ppf "%s" x
   | Const v -> Value.pp_quoted ppf v

@@ -21,6 +21,4 @@ val compare : t -> t -> int
 
 val equal : t -> t -> bool
 
-val is_var : t -> bool
-
 val pp : Format.formatter -> t -> unit

@@ -92,20 +92,6 @@ let adom d =
 
 let fold f d acc = SMap.fold f d.rels acc
 
-let rename_relations f target d =
-  SMap.fold
-    (fun name rel acc ->
-      if Relation.is_empty rel then acc
-      else
-        let name' = f name in
-        let merged =
-          match SMap.find_opt name' acc.rels with
-          | Some existing -> Relation.union existing rel
-          | None -> rel
-        in
-        set_relation acc name' merged)
-    d.rels (empty target)
-
 let pp ppf d =
   let first = ref true in
   SMap.iter

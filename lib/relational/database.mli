@@ -51,10 +51,4 @@ val adom : t -> Value.t list
 
 val fold : (string -> Relation.t -> 'a -> 'a) -> t -> 'a -> 'a
 
-val rename_relations : (string -> string) -> Schema.t -> t -> t
-(** [rename_relations f target d] reinterprets [d] over [target]: the
-    relation named [r] in [d] becomes relation [f r] of [target].  Used
-    by the single-relation encoding and the reductions.
-    @raise Invalid_argument if the image schema does not match. *)
-
 val pp : Format.formatter -> t -> unit

@@ -20,11 +20,6 @@ let arm ?(times = 1) point action =
   Hashtbl.replace table point { action; remaining = times };
   Mutex.unlock mutex
 
-let disarm point =
-  Mutex.lock mutex;
-  Hashtbl.remove table point;
-  Mutex.unlock mutex
-
 let reset () =
   Mutex.lock mutex;
   Hashtbl.reset table;

@@ -41,8 +41,6 @@ exception Dropped
 val arm : ?times:int -> string -> action -> unit
 (** Arm [point] for [times] firings (default 1; negative = unlimited). *)
 
-val disarm : string -> unit
-
 val reset : unit -> unit
 (** Disarm everything (tests call this between cases). *)
 

@@ -108,26 +108,15 @@ type phase_row = {
   ph_steps : int;
 }
 
-type mode_row = {
-  md_mode : string;
-  md_count : int;
-  md_total_us : int;
-  md_steps : int;
-}
-
 type summary = {
   total_spans : int;
   roots : int;
   wall_us : int;
   slowest : span list;
   phases : phase_row list;
-  modes : mode_row list;
 }
 
 let steps_of sp = Option.value ~default:0 (int_field sp.attrs "steps")
-
-let mode_of sp =
-  match List.assoc_opt "mode" sp.attrs with Some (Json.Str m) -> Some m | _ -> None
 
 let summarize ?(top = 10) spans =
   let by_dur =
@@ -135,7 +124,6 @@ let summarize ?(top = 10) spans =
   in
   let slowest = List.filteri (fun i _ -> i < top) by_dur in
   let phase_tbl = Hashtbl.create 16 in
-  let mode_tbl = Hashtbl.create 4 in
   List.iter
     (fun sp ->
       let row =
@@ -151,30 +139,11 @@ let summarize ?(top = 10) spans =
           ph_total_us = row.ph_total_us + sp.dur_us;
           ph_max_us = max row.ph_max_us sp.dur_us;
           ph_steps = row.ph_steps + steps_of sp;
-        };
-      match mode_of sp with
-      | None -> ()
-      | Some m ->
-        let row =
-          match Hashtbl.find_opt mode_tbl m with
-          | Some r -> r
-          | None -> { md_mode = m; md_count = 0; md_total_us = 0; md_steps = 0 }
-        in
-        Hashtbl.replace mode_tbl m
-          {
-            row with
-            md_count = row.md_count + 1;
-            md_total_us = row.md_total_us + sp.dur_us;
-            md_steps = row.md_steps + steps_of sp;
-          })
+        })
     spans;
   let phases =
     Hashtbl.fold (fun _ r acc -> r :: acc) phase_tbl []
     |> List.sort (fun a b -> compare b.ph_total_us a.ph_total_us)
-  in
-  let modes =
-    Hashtbl.fold (fun _ r acc -> r :: acc) mode_tbl []
-    |> List.sort (fun a b -> compare b.md_total_us a.md_total_us)
   in
   let ids = List.map (fun sp -> sp.id) spans in
   let roots =
@@ -195,7 +164,7 @@ let summarize ?(top = 10) spans =
       in
       hi - lo
   in
-  { total_spans = List.length spans; roots; wall_us; slowest; phases; modes }
+  { total_spans = List.length spans; roots; wall_us; slowest; phases }
 
 let children spans sp =
   List.filter (fun c -> c.parent = sp.id && c.id <> sp.id) spans
@@ -258,17 +227,6 @@ let pp ppf ~malformed spans summary =
           (ms r.ph_total_us) r.ph_steps
           (rate_per_s ~steps:r.ph_steps ~us:r.ph_total_us))
       summary.phases
-  end;
-  if summary.modes <> [] then begin
-    Format.fprintf ppf "@.per-mode breakdown@.";
-    Format.fprintf ppf "  %-8s %7s %12s %12s %12s@." "mode" "spans" "total_ms"
-      "steps" "steps/s";
-    List.iter
-      (fun r ->
-        Format.fprintf ppf "  %-8s %7d %12.3f %12d %12.0f@." r.md_mode r.md_count
-          (ms r.md_total_us) r.md_steps
-          (rate_per_s ~steps:r.md_steps ~us:r.md_total_us))
-      summary.modes
   end;
   (* the slowest root's tree: how one decide call spent its time *)
   let ids = List.map (fun sp -> sp.id) spans in

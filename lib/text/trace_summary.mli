@@ -2,8 +2,8 @@
 
     [ric trace summarize FILE] loads the span events a traced run
     wrote, rebuilds the parent/child tree, and reports the top-N
-    slowest spans, per-phase totals and step rates, the per-mode
-    breakdown, and the slowest root's span tree. *)
+    slowest spans, per-phase totals and step rates, and the slowest
+    root's span tree. *)
 
 type span = {
   id : int;
@@ -36,20 +36,12 @@ type phase_row = {
   ph_steps : int;  (** summed ["steps"] attributes *)
 }
 
-type mode_row = {
-  md_mode : string;  (** the ["mode"] attribute *)
-  md_count : int;
-  md_total_us : int;
-  md_steps : int;
-}
-
 type summary = {
   total_spans : int;
   roots : int;
   wall_us : int;  (** latest end minus earliest start *)
   slowest : span list;  (** top N by duration, longest first *)
   phases : phase_row list;  (** per span name, by total time desc *)
-  modes : mode_row list;  (** by total time desc; spans without a mode are absent *)
 }
 
 val summarize : ?top:int -> span list -> summary

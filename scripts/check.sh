@@ -41,6 +41,30 @@ bench_guard() {
   }
 }
 
+echo "== dead-module guard"
+# Every module under lib/ must be named by some .ml file under lib/
+# bin/ bench/ examples/ ricbench/ other than its own: a module only the
+# tests reach is dead weight unless it is listed here with a reason.
+#   Single_rel — the Lemma 3.2 encoding, kept as an executable proof
+#                (validated in test/test_query.ml), not a decider input
+DEAD_OK="Single_rel"
+DEAD=""
+for f in $(find lib -name '*.ml' | sort); do
+  m=$(basename "$f" .ml)
+  M=$(printf '%s' "$m" | cut -c1 | tr 'a-z' 'A-Z')$(printf '%s' "$m" | cut -c2-)
+  if [ -z "$(grep -rlw --include='*.ml' "$M" lib bin bench examples ricbench | grep -vxF "$f")" ]; then
+    case " $DEAD_OK " in
+      *" $M "*) echo "allowed: $M ($f), listed in DEAD_OK" ;;
+      *) DEAD="$DEAD $M" ;;
+    esac
+  fi
+done
+if [ -n "$DEAD" ]; then
+  echo "FAIL: modules no program code references:$DEAD" >&2
+  echo "      delete them, or list them in DEAD_OK with a reason" >&2
+  exit 1
+fi
+
 echo "== dune build @all"
 dune build @all
 

@@ -75,48 +75,3 @@ let chain_query cfg ~length =
           ((Term.var (Printf.sprintf "x%d" i) :: pads) @ [ Term.var (Printf.sprintf "x%d" (i + 1)) ]))
   in
   Cq.make ~head:[ Term.var "x0"; Term.var (Printf.sprintf "x%d" length) ] atoms
-
-let star_query cfg ~branches =
-  let counter = ref 0 in
-  let atoms =
-    List.init branches (fun i ->
-        let pads = pad_vars "p" !counter (cfg.arity - 2) in
-        counter := !counter + cfg.arity - 2;
-        Atom.make
-          (rel_name (i mod cfg.relations))
-          ((Term.var "hub" :: pads) @ [ Term.var (Printf.sprintf "leaf%d" i) ]))
-  in
-  Cq.make
-    ~head:(Term.var "hub" :: List.init branches (fun i -> Term.var (Printf.sprintf "leaf%d" i)))
-    atoms
-
-let random_cq cfg ~atoms:n_atoms =
-  let rand = lcg (cfg.seed + 2) in
-  let var_pool = ref [ "v0" ] in
-  let fresh_var () =
-    let name = Printf.sprintf "v%d" (List.length !var_pool) in
-    var_pool := name :: !var_pool;
-    name
-  in
-  let pick_term () =
-    match rand 4 with
-    | 0 -> Term.int (rand cfg.domain) (* constant *)
-    | 1 ->
-      (* reuse an existing variable: creates joins *)
-      let pool = !var_pool in
-      Term.var (List.nth pool (rand (List.length pool)))
-    | _ -> Term.var (fresh_var ())
-  in
-  let atoms =
-    List.init n_atoms (fun _ ->
-        Atom.make (rel_name (rand cfg.relations)) (List.init cfg.arity (fun _ -> pick_term ())))
-  in
-  (* head: up to two variables that actually occur in atoms *)
-  let occurring = List.concat_map Atom.vars atoms in
-  let head =
-    match occurring with
-    | [] -> []
-    | [ x ] -> [ Term.var x ]
-    | x :: y :: _ -> [ Term.var x; Term.var y ]
-  in
-  Cq.make ~head atoms

@@ -1,7 +1,7 @@
-(** Deterministic pseudo-random instance generators for benches and
-    stress tests: databases over a configurable star schema, random
-    conjunctive queries, and random containment constraints that the
-    generated databases are guaranteed to satisfy. *)
+(** Deterministic pseudo-random instances for the decider tests:
+    databases over a configurable schema, master data covering them,
+    the INDs they are guaranteed to satisfy, and join-chain
+    queries. *)
 
 open Ric_relational
 open Ric_query
@@ -36,10 +36,3 @@ val inds : config -> Ind.t list
 val chain_query : config -> length:int -> Cq.t
 (** A join chain [R0(x0, x1, ...), R0(x1, x2, ...), ...] of the given
     length with head [x0, x_length]. *)
-
-val star_query : config -> branches:int -> Cq.t
-(** Atoms sharing their first variable. *)
-
-val random_cq : config -> atoms:int -> Cq.t
-(** Random atoms over random relations with a random mix of fresh and
-    shared variables and occasional constants; always safe. *)

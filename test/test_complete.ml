@@ -201,7 +201,6 @@ let test_guidance_already_complete () =
 (* Random-generator workloads drive the deciders end to end *)
 
 let test_random_workload_roundtrip () =
-  let open Ric_workloads in
   let cfg = { Random_gen.default with Random_gen.tuples = 6; domain = 4 } in
   let schema = Random_gen.schema cfg in
   let db = Random_gen.database cfg in

@@ -274,12 +274,7 @@ let test_optimize_unsat_dropped () =
       [ Atom.make "S" [ v "x"; v "y" ] ]
   in
   let cc = Containment.make ~name:"unsat" (Lang.Q_cq q) Projection.Empty in
-  Alcotest.(check int) "dropped" 0 (List.length (Optimize.normalize schema [ cc ]));
-  (match Optimize.dropped schema [ cc ] with
-   | [ (_, reason) ] ->
-     Alcotest.(check bool) "reason mentions unsatisfiable" true
-       (String.length reason > 0)
-   | _ -> Alcotest.fail "expected one dropped constraint")
+  Alcotest.(check int) "dropped" 0 (List.length (Optimize.normalize schema [ cc ]))
 
 let test_optimize_subsumption () =
   (* q1 (a self-join pattern) is contained in q2 (any S row); with the
@@ -308,6 +303,40 @@ let test_optimize_duplicates () =
   Alcotest.(check int) "one of two equals" 1
     (List.length (Optimize.normalize schema [ cc "a"; cc "b" ]))
 
+let test_optimize_equivalent_keeps_first () =
+  (* S(x,y) and S(x,y) ∧ S(x,y') are equivalent: whichever comes first
+     in the list survives *)
+  let plain = Cq.make ~head:[ v "x" ] [ Atom.make "S" [ v "x"; v "y" ] ] in
+  let padded =
+    Cq.make ~head:[ v "x" ] [ Atom.make "S" [ v "x"; v "y" ]; Atom.make "S" [ v "x"; v "y'" ] ]
+  in
+  let cc name q = Containment.make ~name (Lang.Q_cq q) (Projection.proj "M" [ 0 ]) in
+  let names ccs = List.map (fun c -> c.Containment.cc_name) (Optimize.normalize schema ccs) in
+  Alcotest.(check (list string)) "plain first" [ "plain" ]
+    (names [ cc "plain" plain; cc "padded" padded ]);
+  Alcotest.(check (list string)) "padded first" [ "padded" ]
+    (names [ cc "padded" padded; cc "plain" plain ])
+
+let test_optimize_containment_rejected () =
+  (* the unsafe query's head variable z occurs in no atom, so
+     [Cq.contained_in] raises Invalid_argument on the pair: neither
+     constraint counts as subsumed and both are kept *)
+  let safe = Cq.make ~head:[ v "x" ] [ Atom.make "S" [ v "x"; v "y" ] ] in
+  let unsafe = Cq.make ~head:[ v "z" ] [ Atom.make "S" [ v "x"; v "y" ] ] in
+  Alcotest.(check bool) "the pair is rejected" true
+    (try
+       ignore (Cq.contained_in schema safe unsafe);
+       false
+     with Invalid_argument _ -> true);
+  let ccs =
+    [
+      Containment.make ~name:"safe" (Lang.Q_cq safe) (Projection.proj "M" [ 0 ]);
+      Containment.make ~name:"unsafe" (Lang.Q_cq unsafe) (Projection.proj "M" [ 0 ]);
+    ]
+  in
+  Alcotest.(check (list string)) "both kept" [ "safe"; "unsafe" ]
+    (List.map (fun c -> c.Containment.cc_name) (Optimize.normalize schema ccs))
+
 let prop_optimize_sound =
   QCheck2.Test.make ~name:"normalisation preserves satisfaction" ~count:100
     QCheck2.Gen.(list_size (int_bound 6) (pair (int_bound 2) (int_bound 2)))
@@ -326,71 +355,22 @@ let prop_optimize_sound =
                (Cq.make ~head:[ v "x" ]
                   [ Atom.make "S" [ v "x"; v "y" ]; Atom.make "S" [ v "y"; v "z" ] ]))
             (Projection.proj "M" [ 0 ]);
+          (* equivalent to "all": the earlier one stands for both *)
+          Containment.make ~name:"padded"
+            (Lang.Q_cq
+               (Cq.make ~head:[ v "x" ]
+                  [ Atom.make "S" [ v "x"; v "y" ]; Atom.make "S" [ v "x"; v "y'" ] ]))
+            (Projection.proj "M" [ 0 ]);
+          (* the miner's denial shape: inequalities, so never analysed *)
+          Containment.make ~name:"fd"
+            (Lang.Q_cq
+               (Cq.make ~neqs:[ (v "y", v "y'") ] ~head:[ v "x" ]
+                  [ Atom.make "S" [ v "x"; v "y" ]; Atom.make "S" [ v "x"; v "y'" ] ]))
+            Projection.Empty;
         ]
       in
       Containment.holds_all ~db:d ~master ccs
       = Containment.holds_all ~db:d ~master (Optimize.normalize schema ccs))
-
-(* ------------------------------------------------------------------ *)
-(* FD theory: closures, keys, minimal covers *)
-
-let fd rel lhs rhs = Fd.make ~rel ~lhs ~rhs ()
-
-let textbook =
-  (* R(a b c d): a → b, b → c *)
-  [ fd "R" [ 0 ] [ 1 ]; fd "R" [ 1 ] [ 2 ] ]
-
-let test_fd_closure () =
-  Alcotest.(check (list int)) "a+ = {a,b,c}" [ 0; 1; 2 ] (Fd_theory.closure textbook [ 0 ]);
-  Alcotest.(check (list int)) "b+ = {b,c}" [ 1; 2 ] (Fd_theory.closure textbook [ 1 ]);
-  Alcotest.(check (list int)) "d+ = {d}" [ 2 ] (Fd_theory.closure textbook [ 2 ])
-
-let test_fd_implies () =
-  Alcotest.(check bool) "transitivity" true (Fd_theory.implies textbook (fd "R" [ 0 ] [ 2 ]));
-  Alcotest.(check bool) "augmentation" true
-    (Fd_theory.implies textbook (fd "R" [ 0; 2 ] [ 1 ]));
-  Alcotest.(check bool) "no reverse" false (Fd_theory.implies textbook (fd "R" [ 2 ] [ 0 ]))
-
-let test_fd_keys () =
-  (* R has arity 3 here: a → b, b → c makes {a} the only key *)
-  Alcotest.(check bool) "a is a key" true (Fd_theory.is_key textbook ~arity:3 [ 0 ]);
-  Alcotest.(check bool) "b is not" false (Fd_theory.is_key textbook ~arity:3 [ 1 ]);
-  Alcotest.(check (list (list int))) "candidate keys" [ [ 0 ] ]
-    (Fd_theory.candidate_keys textbook ~arity:3)
-
-let test_fd_minimal_cover () =
-  (* a → bc, b → c, a → c: the cover drops a → c and splits rhs *)
-  let fds = [ fd "R" [ 0 ] [ 1; 2 ]; fd "R" [ 1 ] [ 2 ]; fd "R" [ 0 ] [ 2 ] ] in
-  let cover = Fd_theory.minimal_cover fds in
-  Alcotest.(check bool) "equivalent" true (Fd_theory.equivalent fds cover);
-  Alcotest.(check bool) "smaller" true (List.length cover <= 2);
-  List.iter
-    (fun (f : Fd.t) -> Alcotest.(check int) "singleton rhs" 1 (List.length f.Fd.rhs))
-    cover
-
-let test_fd_extraneous_lhs () =
-  (* ab → c with a → b: b is extraneous... actually a⁺ = {a,b} so
-     a → c suffices *)
-  let fds = [ fd "R" [ 0; 1 ] [ 2 ]; fd "R" [ 0 ] [ 1 ] ] in
-  let cover = Fd_theory.minimal_cover fds in
-  Alcotest.(check bool) "equivalent" true (Fd_theory.equivalent fds cover);
-  Alcotest.(check bool) "ab → c shrunk to a → c" true
-    (List.exists (fun (f : Fd.t) -> f.Fd.lhs = [ 0 ] && f.Fd.rhs = [ 2 ]) cover)
-
-let prop_minimal_cover_equivalent =
-  QCheck2.Test.make ~name:"minimal cover is equivalent to the input" ~count:100
-    QCheck2.Gen.(
-      list_size (int_bound 5)
-        (pair (list_size (int_range 1 2) (int_bound 3)) (list_size (int_range 1 2) (int_bound 3))))
-    (fun raw ->
-      let fds =
-        List.filter_map
-          (fun (lhs, rhs) ->
-            let lhs = List.sort_uniq compare lhs and rhs = List.sort_uniq compare rhs in
-            if lhs = [] || rhs = [] then None else Some (fd "R" lhs rhs))
-          raw
-      in
-      Fd_theory.equivalent fds (Fd_theory.minimal_cover fds))
 
 (* ------------------------------------------------------------------ *)
 (* Properties: the same equivalences on generated databases *)
@@ -431,7 +411,7 @@ let prop_denial_translation =
 let properties =
   List.map QCheck_alcotest.to_alcotest
     [ prop_fd_translation; prop_cfd_translation; prop_cind_translation;
-      prop_denial_translation; prop_minimal_cover_equivalent; prop_optimize_sound ]
+      prop_denial_translation; prop_optimize_sound ]
 
 let () =
   Alcotest.run "constraints"
@@ -473,14 +453,10 @@ let () =
           Alcotest.test_case "subsumption" `Quick test_optimize_subsumption;
           Alcotest.test_case "different targets kept" `Quick test_optimize_different_targets_kept;
           Alcotest.test_case "duplicates" `Quick test_optimize_duplicates;
-        ] );
-      ( "fd-theory",
-        [
-          Alcotest.test_case "closure" `Quick test_fd_closure;
-          Alcotest.test_case "implication" `Quick test_fd_implies;
-          Alcotest.test_case "keys" `Quick test_fd_keys;
-          Alcotest.test_case "minimal cover" `Quick test_fd_minimal_cover;
-          Alcotest.test_case "extraneous lhs" `Quick test_fd_extraneous_lhs;
+          Alcotest.test_case "equivalent pair keeps the first" `Quick
+            test_optimize_equivalent_keeps_first;
+          Alcotest.test_case "rejected containment keeps both" `Quick
+            test_optimize_containment_rejected;
         ] );
       ("properties", properties);
     ]

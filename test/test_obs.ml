@@ -25,8 +25,8 @@ let test_counter_basics () =
   Metrics.incr again;
   Alcotest.(check int) "re-registration returns the same counter" (v0 + 43)
     (Metrics.counter_value c);
-  (match Metrics.gauge "ric_test_counter_basics_total" with
-   | (_ : Metrics.gauge) -> Alcotest.fail "kind clash must be rejected"
+  (match Metrics.gauge_fn "ric_test_counter_basics_total" (fun () -> 0) with
+   | () -> Alcotest.fail "kind clash must be rejected"
    | exception Invalid_argument _ -> ());
   match Metrics.counter "not a metric name" with
   | (_ : Metrics.counter) -> Alcotest.fail "malformed name must be rejected"
@@ -213,7 +213,6 @@ let test_trace_roundtrip () =
   Trace.open_file path;
   Alcotest.(check bool) "enabled after open" true (Trace.enabled ());
   Trace.with_span "outer" (fun outer ->
-      Trace.set_str outer "mode" "seq";
       Trace.set_int outer "steps" 17;
       Trace.set_int outer "steps" 42;
       (* last write wins *)
@@ -256,16 +255,16 @@ let test_trace_roundtrip () =
 
 let test_trace_summarize () =
   (* a hand-written fixture with known durations, a torn line, and a
-     steps/mode attribute per root *)
+     steps attribute per root *)
   let path = Filename.temp_file "ric_obs_fixture" ".jsonl" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
       let oc = open_out path in
       output_string oc
-        {|{"id":1,"parent":0,"name":"decide","start_us":100,"dur_us":900,"attrs":{"mode":"seq","steps":9000}}
+        {|{"id":1,"parent":0,"name":"decide","start_us":100,"dur_us":900,"attrs":{"steps":9000}}
 {"id":2,"parent":1,"name":"disjunct","start_us":150,"dur_us":700,"attrs":{}}
-{"id":3,"parent":0,"name":"decide","start_us":2000,"dur_us":100,"attrs":{"mode":"par","steps":500}}
+{"id":3,"parent":0,"name":"decide","start_us":2000,"dur_us":100,"attrs":{"steps":500}}
 {"id":4,"parent":99,"name":"orphan","start_us":2500,"dur_us":10,"attrs":{}}
 this line is torn
 |};
@@ -294,17 +293,6 @@ this line is torn
       Alcotest.(check int) "decide phase total" 1000 (phase "decide").Trace_summary.ph_total_us;
       Alcotest.(check int) "decide phase steps" 9500 (phase "decide").Trace_summary.ph_steps;
       Alcotest.(check int) "decide phase max" 900 (phase "decide").Trace_summary.ph_max_us;
-      let mode m =
-        match
-          List.find_opt
-            (fun r -> r.Trace_summary.md_mode = m)
-            s.Trace_summary.modes
-        with
-        | Some r -> r
-        | None -> Alcotest.failf "mode %s missing" m
-      in
-      Alcotest.(check int) "seq mode steps" 9000 (mode "seq").Trace_summary.md_steps;
-      Alcotest.(check int) "par mode spans" 1 (mode "par").Trace_summary.md_count;
       (* children: the 700µs disjunct hangs under span 1 *)
       let root = List.find (fun sp -> sp.Trace_summary.id = 1) spans in
       Alcotest.(check int) "one child under the slow decide" 1

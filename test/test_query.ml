@@ -142,14 +142,15 @@ let test_cq_containment () =
   in
   Alcotest.(check bool) "2-paths ⊆ relaxed" true (Cq.contained_in schema paths2 relaxed);
   Alcotest.(check bool) "relaxed ⊄ 2-paths" false (Cq.contained_in schema relaxed paths2);
-  Alcotest.(check bool) "self containment" true (Cq.equivalent schema paths2 paths2)
+  Alcotest.(check bool) "self containment" true (Cq.contained_in schema paths2 paths2)
 
 let test_cq_containment_redundant_atom () =
   let q1 = Cq.make ~head:[ v "x" ] [ Atom.make "E" [ v "x"; v "y" ] ] in
   let q2 =
     Cq.make ~head:[ v "x" ] [ Atom.make "E" [ v "x"; v "y" ]; Atom.make "E" [ v "x"; v "y'" ] ]
   in
-  Alcotest.(check bool) "equivalent modulo redundancy" true (Cq.equivalent schema q1 q2)
+  Alcotest.(check bool) "equivalent modulo redundancy" true
+    (Cq.contained_in schema q1 q2 && Cq.contained_in schema q2 q1)
 
 (* ------------------------------------------------------------------ *)
 (* Tableau round trips *)
@@ -284,88 +285,6 @@ let test_fo_of_cq_agrees () =
   Alcotest.check relation_testable "FO view of CQ" (Cq.eval db q) (Fo.eval db (Fo.of_cq q))
 
 (* ------------------------------------------------------------------ *)
-(* Minimization (core computation) *)
-
-let test_minimize_redundant_atom () =
-  let q =
-    Cq.make ~head:[ v "x" ] [ Atom.make "E" [ v "x"; v "y" ]; Atom.make "E" [ v "x"; v "y'" ] ]
-  in
-  let m = Cq.minimize schema q in
-  Alcotest.(check int) "one atom survives" 1 (List.length m.Cq.atoms);
-  Alcotest.(check bool) "equivalent" true (Cq.equivalent schema q m)
-
-let test_minimize_keeps_core () =
-  (* a genuine 2-path cannot shrink *)
-  let q =
-    Cq.make ~head:[ v "x"; v "z" ]
-      [ Atom.make "E" [ v "x"; v "y" ]; Atom.make "E" [ v "y"; v "z" ] ]
-  in
-  Alcotest.(check int) "both atoms stay" 2 (List.length (Cq.minimize schema q).Cq.atoms)
-
-let test_minimize_folds_constants () =
-  (* E(x,y) ∧ E(x,2): the general atom folds into the specific one
-     only when legal — here dropping E(x,2) changes the query, but
-     dropping E(x,y) keeps it (y existential): check equivalence *)
-  let q = Cq.make ~head:[ v "x" ] [ Atom.make "E" [ v "x"; v "y" ]; Atom.make "E" [ v "x"; i 2 ] ] in
-  let m = Cq.minimize schema q in
-  Alcotest.(check int) "one atom" 1 (List.length m.Cq.atoms);
-  Alcotest.check relation_testable "same answers" (Cq.eval db q) (Cq.eval db m)
-
-let test_minimize_neqs_untouched () =
-  let q =
-    Cq.make ~neqs:[ (v "x", v "y") ] ~head:[ v "x" ]
-      [ Atom.make "E" [ v "x"; v "y" ]; Atom.make "E" [ v "x"; v "y'" ] ]
-  in
-  Alcotest.(check int) "inequalities disable minimization" 2
-    (List.length (Cq.minimize schema q).Cq.atoms)
-
-(* ------------------------------------------------------------------ *)
-(* Relational algebra *)
-
-let test_ralgebra_eval () =
-  (* σ_{dst = 3}(E) — the paper's σ/π vocabulary *)
-  let e = Ralgebra.Select ([ Ralgebra.Col_eq_const (1, Value.int 3) ], Ralgebra.Rel "E") in
-  Alcotest.check relation_testable "selection"
-    (Relation.of_int_rows [ [ 2; 3 ]; [ 1; 3 ] ])
-    (Ralgebra.eval db e);
-  let p = Ralgebra.Project ([ 0 ], e) in
-  Alcotest.check relation_testable "projection"
-    (Relation.of_int_rows [ [ 2 ]; [ 1 ] ])
-    (Ralgebra.eval db p)
-
-let test_ralgebra_product_union_diff () =
-  let sch1 = Schema.make [ Schema.relation "A" [ Schema.attribute "x" ] ] in
-  let d = Database.of_list sch1 [ ("A", Relation.of_int_rows [ [ 1 ]; [ 2 ] ]) ] in
-  let prod = Ralgebra.Product (Ralgebra.Rel "A", Ralgebra.Rel "A") in
-  Alcotest.(check int) "product" 4 (Relation.cardinal (Ralgebra.eval d prod));
-  let selfdiff = Ralgebra.Diff (Ralgebra.Rel "A", Ralgebra.Rel "A") in
-  Alcotest.(check bool) "diff empty" true (Relation.is_empty (Ralgebra.eval d selfdiff));
-  Alcotest.(check bool) "diff not positive" false (Ralgebra.positive selfdiff)
-
-let test_ralgebra_arity_checks () =
-  Alcotest.(check bool) "bad projection rejected" true
-    (try
-       ignore (Ralgebra.arity schema (Ralgebra.Project ([ 5 ], Ralgebra.Rel "E")));
-       false
-     with Invalid_argument _ -> true);
-  Alcotest.(check bool) "bad union rejected" true
-    (try
-       ignore (Ralgebra.arity schema (Ralgebra.Union (Ralgebra.Rel "E", Ralgebra.Project ([ 0 ], Ralgebra.Rel "E"))));
-       false
-     with Invalid_argument _ -> true)
-
-let test_ralgebra_to_ucq () =
-  let e =
-    Ralgebra.Project
-      ( [ 0 ],
-        Ralgebra.Select
-          ( [ Ralgebra.Col_eq_col (1, 2); Ralgebra.Col_neq_const (0, Value.int 3) ],
-            Ralgebra.Product (Ralgebra.Rel "E", Ralgebra.Rel "E") ) )
-  in
-  Alcotest.check relation_testable "σπ× compiles to UCQ" (Ralgebra.eval db e)
-    (Ucq.eval db (Ralgebra.to_ucq schema e))
-
-(* ------------------------------------------------------------------ *)
 (* Lemma 3.2: single-relation encoding *)
 
 let test_single_rel_lemma () =
@@ -449,44 +368,10 @@ let prop_containment_semantic =
       let q2 = Cq.make ~head:[ v "x" ] [ Atom.make "E" [ v "x"; v "y" ] ] in
       (not (Cq.contained_in schema q1 q2)) || Relation.subset (Cq.eval d q1) (Cq.eval d q2))
 
-let prop_ralgebra_ucq_equiv =
-  QCheck2.Test.make ~name:"positive algebra ≡ its UCQ compilation" ~count:60 small_db_gen
-    (fun d ->
-      let exprs =
-        [
-          Ralgebra.Rel "E";
-          Ralgebra.Select ([ Ralgebra.Col_eq_col (0, 1) ], Ralgebra.Rel "E");
-          Ralgebra.Project ([ 1; 0 ], Ralgebra.Rel "E");
-          Ralgebra.Union
-            ( Ralgebra.Project ([ 0; 0 ], Ralgebra.Rel "E"),
-              Ralgebra.Select ([ Ralgebra.Col_neq_const (0, Value.int 0) ], Ralgebra.Rel "E") );
-          Ralgebra.Project
-            ([ 0; 3 ], Ralgebra.Select ([ Ralgebra.Col_eq_col (1, 2) ], Ralgebra.Product (Ralgebra.Rel "E", Ralgebra.Rel "E")));
-        ]
-      in
-      List.for_all
-        (fun e -> Relation.equal (Ralgebra.eval d e) (Ucq.eval d (Ralgebra.to_ucq schema e)))
-        exprs)
-
-let prop_minimize_equivalent =
-  QCheck2.Test.make ~name:"minimization preserves semantics" ~count:60 small_db_gen (fun d ->
-      let qs =
-        [
-          Cq.make ~head:[ v "x" ]
-            [ Atom.make "E" [ v "x"; v "y" ]; Atom.make "E" [ v "x"; v "z" ];
-              Atom.make "E" [ v "z"; v "w" ] ];
-          Cq.make ~head:[ v "x"; v "y" ]
-            [ Atom.make "E" [ v "x"; v "y" ]; Atom.make "E" [ v "x"; v "y" ] ];
-        ]
-      in
-      List.for_all
-        (fun q -> Relation.equal (Cq.eval d q) (Cq.eval d (Cq.minimize schema q)))
-        qs)
-
 let properties =
   List.map QCheck_alcotest.to_alcotest
     [ prop_efo_fo_equiv; prop_cq_monotone; prop_match_engine_naive_equiv;
-      prop_containment_semantic; prop_ralgebra_ucq_equiv; prop_minimize_equivalent ]
+      prop_containment_semantic ]
 
 let () =
   Alcotest.run "query"
@@ -536,20 +421,6 @@ let () =
           Alcotest.test_case "universal" `Quick test_fo_universal;
           Alcotest.test_case "free variables" `Quick test_fo_free_var_check;
           Alcotest.test_case "of_cq" `Quick test_fo_of_cq_agrees;
-        ] );
-      ( "minimization",
-        [
-          Alcotest.test_case "redundant atom" `Quick test_minimize_redundant_atom;
-          Alcotest.test_case "core kept" `Quick test_minimize_keeps_core;
-          Alcotest.test_case "constant folding" `Quick test_minimize_folds_constants;
-          Alcotest.test_case "inequalities untouched" `Quick test_minimize_neqs_untouched;
-        ] );
-      ( "relational algebra",
-        [
-          Alcotest.test_case "select/project" `Quick test_ralgebra_eval;
-          Alcotest.test_case "product/union/diff" `Quick test_ralgebra_product_union_diff;
-          Alcotest.test_case "arity checks" `Quick test_ralgebra_arity_checks;
-          Alcotest.test_case "to_ucq" `Quick test_ralgebra_to_ucq;
         ] );
       ( "single-relation (Lemma 3.2)",
         [ Alcotest.test_case "lemma" `Quick test_single_rel_lemma ] );
