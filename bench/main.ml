@@ -614,8 +614,30 @@ let micro () =
 (* One machine-readable artefact, BENCH_search.json: fixed-step-budget
    throughput of the valuation search on the hostile scenarios/hard.ric
    instance (steps per second at a fixed step cap isolates the per-step
-   cost), plus the verdict of every scenario query under the same cap.
-   The host's core count is recorded with the figures. *)
+   cost), the cost per step — microseconds and minor-heap words — of
+   that capped run and of an exhaustive RCQP decide of ladder rung 5
+   (seeds 1-3), each as min/median/max over seven rounds, plus the
+   verdict of every scenario query under the same cap.  The host's core
+   count is recorded with the figures. *)
+
+(* min, median and max of a non-empty list *)
+let spread xs =
+  let a = Array.of_list (List.sort compare xs) in
+  (a.(0), a.(Array.length a / 2), a.(Array.length a - 1))
+
+let spread_json (lo, mid, hi) =
+  let module Json = Ric_text.Json in
+  let r x = Json.Str (Printf.sprintf "%.3f" x) in
+  Json.Obj [ ("min", r lo); ("median", r mid); ("max", r hi) ]
+
+(* One timed round of [f]: its steps (what [f] returns), monotonic
+   seconds and minor words allocated. *)
+let per_step_round f =
+  let now = Ric_obs.Metrics.now_s in
+  let w0 = Gc.minor_words () and t0 = now () in
+  let steps = f () in
+  let secs = now () -. t0 and words = Gc.minor_words () -. w0 in
+  (steps, secs, words)
 
 let search_bench () =
   hr "Valuation search on scenarios/hard.ric";
@@ -649,33 +671,75 @@ let search_bench () =
     | Some q -> q
     | None -> failwith "hard.ric has no query QH"
   in
-  (* best of five: steps/s feeds the check.sh regression guard, and
-     the best run is the one a transient load spike on a shared host
-     touched least.  Each run also records how often the interning
-     mutex was taken per million search steps. *)
+  (* seven rounds: steps/s of the fastest feeds the check.sh regression
+     guard, the run a transient load spike on a shared host touched
+     least; the cost per step is reported over all seven.  Each run
+     also records how often the interning mutex was taken per million
+     search steps. *)
+  let rounds = 7 in
   let run_once () =
     let locks0 = Intern.lock_acquisitions () in
     let clock = Budget.create ~max_steps:step_cap () in
-    let (label, secs) = time (fun () -> decide_labelled ~clock hard qh) in
-    (label, Budget.steps clock, secs, Intern.lock_acquisitions () - locks0)
+    let label = ref "" in
+    let steps, secs, words =
+      per_step_round (fun () ->
+          label := decide_labelled ~clock hard qh;
+          Budget.steps clock)
+    in
+    (!label, steps, secs, words, Intern.lock_acquisitions () - locks0)
   in
   ignore (run_once ()) (* warm-up: page in scenario + code *);
-  let runs = List.init 5 (fun _ -> run_once ()) in
-  let label, steps, secs, _ =
+  let runs = List.init rounds (fun _ -> run_once ()) in
+  let label, steps, secs, _, _ =
     List.fold_left
-      (fun ((_, _, best, _) as b) ((_, _, secs, _) as r) -> if secs < best then r else b)
+      (fun ((_, _, best, _, _) as b) ((_, _, secs, _, _) as r) -> if secs < best then r else b)
       (List.hd runs) (List.tl runs)
   in
   let lock_per_msteps =
     let locks, steps_sum =
-      List.fold_left (fun (l, n) (_, s, _, la) -> (l + la, n + s)) (0, 0) runs
+      List.fold_left (fun (l, n) (_, s, _, _, la) -> (l + la, n + s)) (0, 0) runs
     in
     1e6 *. float_of_int locks /. float_of_int (max 1 steps_sum)
   in
+  let per_step runs =
+    ( spread (List.map (fun (n, secs, _) -> 1e6 *. secs /. float_of_int (max 1 n)) runs),
+      spread (List.map (fun (n, _, words) -> words /. float_of_int (max 1 n)) runs) )
+  in
+  let qh_us, qh_words = per_step (List.map (fun (_, n, secs, w, _) -> (n, secs, w)) runs) in
   let sps = float_of_int steps /. (secs +. 1e-9) in
+  let show name (us_lo, us_mid, us_hi) (w_lo, w_mid, w_hi) =
+    Printf.printf "  %-22s us/step %.3f [%.3f, %.3f]  words/step %.1f [%.1f, %.1f]\n" name
+      us_mid us_lo us_hi w_mid w_lo w_hi
+  in
   Printf.printf
     "  seq    %-22s %9d steps in %7.1f ms  (%10.0f steps/s, %.2f intern locks/Msteps)\n"
     label steps (1e3 *. secs) sps lock_per_msteps;
+  show "QH capped (median [min, max])" qh_us qh_words;
+  (* an exhaustive RCQP decide of ladder rung 5 at seeds 1-3: each round
+     decides all three, and its cost per step is their total over
+     their total steps *)
+  let ladders =
+    List.map (fun seed -> Gen.ladder_scenario ~rung:5 ~seed) [ 1; 2; 3 ]
+  in
+  let ladder_round () =
+    per_step_round (fun () ->
+        List.fold_left
+          (fun n (s : Scenario.t) ->
+            List.fold_left
+              (fun n (_, q) ->
+                let clock = Budget.create () in
+                ignore
+                  (Rcqp.decide ~clock ~schema:s.Scenario.db_schema ~master:s.Scenario.master
+                     ~ccs:(Scenario.all_ccs s) q);
+                n + Budget.steps clock)
+              n s.Scenario.queries)
+          0 ladders)
+  in
+  ignore (ladder_round ());
+  let ladder_runs = List.init rounds (fun _ -> ladder_round ()) in
+  let ladder_steps = match ladder_runs with (n, _, _) :: _ -> n | [] -> 0 in
+  let ladder_us, ladder_words = per_step ladder_runs in
+  show "ladder r5 rcqp (s1-3)" ladder_us ladder_words;
   (* the verdict of every scenario file and query *)
   let files =
     Sys.readdir dir |> Array.to_list
@@ -719,6 +783,26 @@ let search_bench () =
                   ("steps_per_sec", Json.Int (int_of_float sps));
                   ( "intern_lock_acq_per_msteps",
                     Json.Str (Printf.sprintf "%.2f" lock_per_msteps) );
+                ];
+            ] );
+        ( "per_step",
+          Json.List
+            [
+              Json.Obj
+                [
+                  ("run", Json.Str "QH capped rcdp");
+                  ("rounds", Json.Int rounds);
+                  ("steps", Json.Int steps);
+                  ("us_per_step", spread_json qh_us);
+                  ("minor_words_per_step", spread_json qh_words);
+                ];
+              Json.Obj
+                [
+                  ("run", Json.Str "ladder rung 5 rcqp, seeds 1-3");
+                  ("rounds", Json.Int rounds);
+                  ("steps", Json.Int ladder_steps);
+                  ("us_per_step", spread_json ladder_us);
+                  ("minor_words_per_step", spread_json ladder_words);
                 ];
             ] );
         ("verdicts", Json.List verdicts);

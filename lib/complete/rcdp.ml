@@ -108,20 +108,20 @@ let search_disjunct ~clock ~profile ~checker ~ind_mode ~db ~qd ~adom ~visited
     ~pruned ~disjunct (tab : Tableau.t) =
   let found = ref None in
   let mode = if ind_mode then `Delta_only else `Against_base db in
+  let search = Valuation_search.compile ~checker:(Lazy.force checker) ~adom tab in
   let (_ : bool) =
-    Valuation_search.iter_valid ~budget:clock ?profile
-      ~checker:(Lazy.force checker) ~mode ~adom
+    Valuation_search.iter ~budget:clock ?profile
       ~on_prune:(fun () -> incr pruned)
-      tab
-      (fun mu delta ->
+      search ~mode
+      (fun leaf ->
         incr visited;
-        let ans = Tableau.summary_tuple tab mu in
+        let ans = Valuation_search.tuple leaf tab.Tableau.summary in
         if not (Relation.mem ans qd) then begin
           found :=
             Some
               {
-                cex_valuation = mu;
-                cex_extension = delta;
+                cex_valuation = Valuation_search.valuation leaf;
+                cex_extension = Valuation_search.extension leaf;
                 cex_answer = ans;
                 cex_disjunct = disjunct;
               };

@@ -162,13 +162,13 @@ let occurrences (tab : Tableau.t) x =
 (* ------------------------------------------------------------------ *)
 (* LC = INDs: Proposition 4.3 / Theorem 4.5(1).  Exact and cheap. *)
 
-let ind_witness ~clock ?profile ~budget ~schema ~checker ~adom tableaux =
+let ind_witness ~clock ?profile ~budget ~schema searches =
   let module VS = Set.Make (Value) in
   let witness = ref (Database.empty schema) in
   let count = ref 0 in
   let exceeded = ref false in
   List.iter
-    (fun (tab : Tableau.t) ->
+    (fun ((tab : Tableau.t), search) ->
       let summary_vars =
         List.filter_map
           (function
@@ -180,9 +180,8 @@ let ind_witness ~clock ?profile ~budget ~schema ~checker ~adom tableaux =
       let covered : (string, VS.t) Hashtbl.t = Hashtbl.create 8 in
       let got_any = ref false in
       let (_ : bool) =
-        Valuation_search.iter_valid ~budget:clock ?profile ~checker
-          ~mode:`Delta_only ~adom tab
-          (fun mu delta ->
+        Valuation_search.iter ~budget:clock ?profile search ~mode:`Delta_only
+          (fun leaf ->
             incr count;
             if !count > budget.max_valuations then begin
               exceeded := true;
@@ -192,7 +191,7 @@ let ind_witness ~clock ?profile ~budget ~schema ~checker ~adom tableaux =
               let fresh_pair =
                 List.exists
                   (fun y ->
-                    match Valuation.find y mu with
+                    match Valuation_search.value leaf y with
                     | None -> false
                     | Some c ->
                       let seen =
@@ -205,7 +204,7 @@ let ind_witness ~clock ?profile ~budget ~schema ~checker ~adom tableaux =
                 got_any := true;
                 List.iter
                   (fun y ->
-                    match Valuation.find y mu with
+                    match Valuation_search.value leaf y with
                     | None -> ()
                     | Some c ->
                       let seen =
@@ -213,13 +212,13 @@ let ind_witness ~clock ?profile ~budget ~schema ~checker ~adom tableaux =
                       in
                       Hashtbl.replace covered y (VS.add c seen))
                   summary_vars;
-                witness := Database.union !witness delta
+                witness := Database.union !witness (Valuation_search.extension leaf)
               end;
               false
             end)
       in
       ())
-    tableaux;
+    searches;
   if !exceeded then None else Some !witness
 
 (* Spans/counters around the decide entry points: [with_decide_obs]
@@ -252,8 +251,14 @@ let with_decide_obs ~name ~clock f =
 
 (* A witness must be partially closed and complete; [Rcdp.decide]
    checks partial closure at entry, so a database that fails it is
-   simply not a witness. *)
+   simply not a witness.  Its steps and prunes go to the profile, but
+   the decider note stays the one set before (rcqp's, not rcdp's). *)
 let verify_witness ?clock ?profile ~schema ~master ~ccs q w =
+  let kept =
+    Option.bind profile (fun p -> Option.map (fun d -> (p, d)) (Profile.find_note p "decider"))
+  in
+  Fun.protect ~finally:(fun () -> Option.iter (fun (p, d) -> Profile.note p "decider" d) kept)
+  @@ fun () ->
   match Rcdp.decide ?clock ?profile ~schema ~master ~ccs ~db:w q with
   | Rcdp.Complete -> true
   | Rcdp.Incomplete _ | (exception Rcdp.Not_partially_closed _) -> false
@@ -277,11 +282,12 @@ let decide_ind_core ~clock ~profile ~schema ~master ~inds q =
     (* one checker for both searches *)
     let checker = Checker.create ~master ccs in
     let live =
-      List.filter
+      List.filter_map
         (fun tab ->
-          Valuation_search.iter_valid ~budget:clock ?profile ~checker
-            ~mode:`Delta_only ~adom tab
-            (fun _ _ -> true))
+          let search = Valuation_search.compile ~checker ~adom tab in
+          if Valuation_search.iter ~budget:clock ?profile search ~mode:`Delta_only (fun _ -> true)
+          then Some (tab, search)
+          else None)
         tableaux
     in
     if live = [] then
@@ -297,7 +303,7 @@ let decide_ind_core ~clock ~profile ~schema ~master ~inds q =
          IND-covered column. *)
       let unbounded =
         List.find_map
-          (fun tab ->
+          (fun (tab, _) ->
             List.find_map
               (fun y ->
                 let occs = occurrences tab y in
@@ -323,11 +329,10 @@ let decide_ind_core ~clock ~profile ~schema ~master ~inds q =
           }
       | None ->
         let witness =
-          match
-            ind_witness ~clock ?profile ~budget:default_budget ~schema ~checker
-              ~adom live
-          with
-          | Some w when verify_witness ~clock ?profile ~schema ~master ~ccs q w ->
+          match ind_witness ~clock ?profile ~budget:default_budget ~schema live with
+          | Some w
+            when verify_witness ~clock ?profile ~schema ~master ~ccs q w
+            ->
             Some w
           | _ -> None
         in
@@ -433,7 +438,7 @@ let candidate_pool ?(truncate = false) ?(clock = Budget.unlimited) ?profile
     ~cons ~budget ~schema ~adom ccs =
   Trace.with_span "rcqp.candidate_pool" @@ fun sp ->
   Trace.set_bool sp "truncating" truncate;
-  let empty_db = Database.empty schema in
+  let frame = Checker.frame cons.chk ~base:(Database.empty schema) in
   let pool = ref [] in
   let count = ref 0 in
   let ticks = ref 0 in
@@ -494,49 +499,78 @@ let candidate_pool ?(truncate = false) ?(clock = Budget.unlimited) ?profile
              (* once the empty database is consistent, the candidates
                 are drawn from the generator CCs and checked against the
                 others; otherwise none is consistent, and the product is
-                enumerated and rejected as before *)
+                enumerated and rejected as before.  A candidate lives in
+                registers (one slot per variable of [a]) and is checked
+                as an interned row alone in the overlay; only a kept one
+                becomes a tuple. *)
              let empty_ok = Lazy.force cons.empty_ok in
-             let gen =
-               if empty_ok then Checker.generator cons.chk a cands
-               else Checker.product cands
+             let slot x =
+               let rec go i = function
+                 | [] -> invalid_arg ("candidate_pool: unbound variable " ^ x)
+                 | y :: rest -> if String.equal x y then i else go (i + 1) rest
+               in
+               go 0 vars
              in
+             let gen =
+               if empty_ok then Checker.generator cons.chk ~slot a cands
+               else Checker.product ~slot cands
+             in
+             let args =
+               Array.of_list
+                 (List.map
+                    (function Term.Var x -> slot x | Term.Const c -> -Intern.id c - 1)
+                    a.Atom.args)
+             in
+             (* the summary values this atom lends: its variables among
+                the summary terms, in summary order *)
+             let summary_slots =
+               List.filter_map
+                 (function
+                   | Term.Var x when List.mem x vars -> Some (slot x)
+                   | Term.Var _ | Term.Const _ -> None)
+                 tab.Tableau.summary
+             in
+             let regs = Array.make (List.length vars) (-1) in
+             let row = Array.make (Array.length args) 0 in
+             let tuple () = Array.map Intern.value row in
+             let conforms = Atom.constants_conform schema a in
+             let watch = Checker.watch frame ~generated:true a.Atom.rel in
+             let ov = Checker.overlay frame a.Atom.rel in
              let (_ : bool) =
-               Checker.generate gen Valuation.empty (fun nu ->
+               Checker.generate gen regs (fun () ->
                    incr ticks;
                    Budget.tick clock;
-                   (match Valuation.tuple_of_terms nu a.Atom.args with
-                    | None -> assert false
-                    | Some tuple ->
-                      (* keep only candidates that are consistent on
-                         their own; a violating singleton can never be
-                         part of a consistent set *)
-                      let single = Database.add_tuple empty_db a.Atom.rel tuple in
-                      if
-                        empty_ok
-                        && Checker.check_generated cons.chk ~base:empty_db
-                             ~delta:single ~rel:a.Atom.rel ~tuple
-                           = None
-                      then begin
-                        let summary =
-                          List.filter_map
-                            (fun t ->
-                              match t with
-                              | Term.Var x -> Valuation.find x nu
-                              | Term.Const _ -> None)
-                            tab.Tableau.summary
-                        in
-                        incr count;
-                        if !count > budget.max_pool then
-                          if truncate then raise Pool_truncated
-                          else
-                            raise
-                              (Budget_exceeded
-                                 (Printf.sprintf "candidate pool exceeds %d instantiations"
-                                    budget.max_pool));
-                        pool :=
-                          { cand_rel = a.Atom.rel; cand_tuple = tuple; cand_summary = summary }
-                          :: !pool
-                      end);
+                   (* keep only candidates that are consistent on their
+                      own; a violating singleton can never be part of a
+                      consistent set *)
+                   Array.iteri (fun i x -> row.(i) <- (if x < 0 then -x - 1 else regs.(x))) args;
+                   (* a constant outside its column's finite domain:
+                      no database of the schema holds this tuple, so
+                      the candidate raises as adding it to one does *)
+                   if not conforms then Database.check_tuple schema a.Atom.rel (tuple ());
+                   if empty_ok then begin
+                     Kernel.Overlay.push ov row;
+                     let violated = Checker.check_row watch row in
+                     Kernel.Overlay.pop ov;
+                     if violated = None then begin
+                       incr count;
+                       if !count > budget.max_pool then
+                         if truncate then raise Pool_truncated
+                         else
+                           raise
+                             (Budget_exceeded
+                                (Printf.sprintf "candidate pool exceeds %d instantiations"
+                                   budget.max_pool));
+                       pool :=
+                         {
+                           cand_rel = a.Atom.rel;
+                           cand_tuple = tuple ();
+                           cand_summary =
+                             List.map (fun s -> Intern.value regs.(s)) summary_slots;
+                         }
+                         :: !pool
+                     end
+                   end;
                    false)
              in
              ())
@@ -564,11 +598,12 @@ type e2_witness = {
 
 (* Does the E2/E6 condition hold for the valuation set represented by
    [dv] (its instantiation) and [bvals] (the summary values it binds)?
-   For every query disjunct with infinite-domain output variables: no
-   valid valuation [μ] that stays live — [(D_V ∪ μ(T), Dm) ⊨ V] — may
-   leave such a variable outside [bvals].  Returns the first offending
+   For every query disjunct with infinite-domain output variables
+   ([bounded]: its compiled search and those variables): no valid
+   valuation [μ] that stays live — [(D_V ∪ μ(T), Dm) ⊨ V] — may leave
+   such a variable outside [bvals].  Returns the first offending
    live valuation, or [None] when the condition holds. *)
-let e2_condition ~clock ~profile ~cons ~adom ~reserved ~tableaux ~dv ~bvals =
+let e2_condition ~clock ~profile ~reserved ~bounded ~dv ~bvals =
   (* Witness preference: a live valuation whose stray output values
      all come from the reserved query-tier fresh values can never be
      bounded by any valuation set (the candidate pool cannot even
@@ -580,34 +615,36 @@ let e2_condition ~clock ~profile ~cons ~adom ~reserved ~tableaux ~dv ~bvals =
   let witness = ref None in
   let ok =
     List.for_all
-      (fun (tab : Tableau.t) ->
-        match infinite_summary_vars tab with
-        | [] -> true
-        | inf_vars ->
-          let found_any = ref false in
-          let (_ : bool) =
-            Valuation_search.iter_valid ~budget:clock ?profile ~checker:cons.chk
-              ~mode:(`Against_base dv) ~adom tab
-              (fun mu delta ->
-                let unbounded =
-                  List.filter_map
-                    (fun y ->
-                      match Valuation.find y mu with
-                      | Some c -> if VS.mem c bvals then None else Some c
-                      | None -> None)
-                    inf_vars
-                in
-                if unbounded = [] then false
-                else begin
-                  found_any := true;
-                  let all_fresh = List.for_all (fun c -> VS.mem c fresh) unbounded in
-                  if all_fresh || !witness = None then
-                    witness := Some { w_delta = delta; w_unbounded = unbounded };
-                  all_fresh (* stop only on a preferred witness *)
-                end)
-          in
-          not !found_any)
-      tableaux
+      (fun (search, inf_vars) ->
+        let found_any = ref false in
+        let (_ : bool) =
+          Valuation_search.iter ~budget:clock ?profile search
+            ~mode:(`Against_base dv)
+            (fun leaf ->
+              let unbounded =
+                List.filter_map
+                  (fun y ->
+                    match Valuation_search.value leaf y with
+                    | Some c -> if VS.mem c bvals then None else Some c
+                    | None -> None)
+                  inf_vars
+              in
+              if unbounded = [] then false
+              else begin
+                found_any := true;
+                let all_fresh = List.for_all (fun c -> VS.mem c fresh) unbounded in
+                if all_fresh || !witness = None then
+                  witness :=
+                    Some
+                      {
+                        w_delta = Valuation_search.extension leaf;
+                        w_unbounded = unbounded;
+                      };
+                all_fresh (* stop only on a preferred witness *)
+              end)
+        in
+        not !found_any)
+      bounded
   in
   if ok then None else !witness
 
@@ -665,9 +702,16 @@ let may_block ~schema ~cc_tableaux c delta =
    blocking μ* needs at least one candidate tuple joined with μ*'s
    tuples, and bounding needs a summary hit), so directed branching is
    exact; memoisation collapses permutations of the same set. *)
-let e2_search ~clock ?profile ~cons ~budget ~schema ~ccs ~adom ~reserved
-    ~tableaux pool =
+let e2_search ~clock ?profile ~cons ~budget ~schema ~ccs ~reserved ~searches pool =
   Trace.with_span "rcqp.e2_search" @@ fun sp ->
+  let bounded =
+    List.filter_map
+      (fun (tab, search) ->
+        match infinite_summary_vars tab with
+        | [] -> None
+        | inf_vars -> Some (search, inf_vars))
+      searches
+  in
   let pool = Array.of_list pool in
   let n = Array.length pool in
   Trace.set_int sp "pool" n;
@@ -697,7 +741,7 @@ let e2_search ~clock ?profile ~cons ~budget ~schema ~ccs ~adom ~reserved
         if !nodes > budget.max_nodes then
           raise (Budget_exceeded "E2 search exceeded its node budget");
         match
-          e2_condition ~clock ~profile ~cons ~adom ~reserved ~tableaux ~dv ~bvals
+          e2_condition ~clock ~profile ~reserved ~bounded ~dv ~bvals
         with
         | None -> found := Some dv
         | Some w ->
@@ -916,7 +960,7 @@ let unconstrained_disjunct ~ccs tableaux =
    constraint-template instantiations, and a few pairwise unions.
    Each candidate costs a full RCDP run, so the list is kept short. *)
 let heuristic_witness ~clock ?profile ~cons ~budget ~schema ~master ~ccs ~adom
-    ~tableaux q =
+    ~searches q =
   Trace.with_span "rcqp.witness_heuristic" @@ fun _sp ->
   let max_verifications = 24 in
   let constants_only =
@@ -924,26 +968,24 @@ let heuristic_witness ~clock ?profile ~cons ~budget ~schema ~master ~ccs ~adom
     let small =
       { budget with max_valuations = min budget.max_valuations 50_000 }
     in
-    greedy_maximal_witness ?profile ~cons ~budget:small ~schema
+    greedy_maximal_witness ~clock ?profile ~cons ~budget:small ~schema
       ~adom:
         (Adom.build ~schemas:[ schema ] ~master:(Database.empty (Database.schema master))
            ~cc_constants:(Adom.constants adom) ~query_constants:[] ~fresh_count:0 ())
-      tableaux
+      (List.map fst searches)
   in
   let singles = ref [] in
   let count = ref 0 in
   List.iter
-    (fun tab ->
+    (fun (_, search) ->
       let (_ : bool) =
-        Valuation_search.iter_valid ~budget:clock ?profile ~checker:cons.chk
-          ~mode:`Delta_only ~adom tab
-          (fun _ delta ->
+        Valuation_search.iter ~budget:clock ?profile search ~mode:`Delta_only (fun leaf ->
             incr count;
-            singles := delta :: !singles;
+            singles := Valuation_search.extension leaf :: !singles;
             !count > 6)
       in
       ())
-    tableaux;
+    searches;
   let pool =
     candidate_pool ~truncate:true ~clock ?profile ~cons ~budget ~schema ~adom
       ccs
@@ -993,7 +1035,8 @@ let decide_core ~clock ~profile ~budget ~schema ~master ~ccs q =
           greedy_maximal_witness ~clock ?profile ~cons ~budget ~schema ~adom
             tableaux
         with
-        | Some w when verify_witness ~clock ?profile ~schema ~master ~ccs q w ->
+        | Some w
+          when verify_witness ~clock ?profile ~schema ~master ~ccs q w ->
           Some w
         | _ -> None
       in
@@ -1016,6 +1059,11 @@ let decide_core ~clock ~profile ~budget ~schema ~master ~ccs q =
                 y;
           }
       | None ->
+        (* one compiled search per query tableau, for every E2 node and
+           the heuristic witness *)
+        let searches =
+          List.map (fun tab -> (tab, Valuation_search.compile ~checker:cons.chk ~adom tab)) tableaux
+        in
         (try
            let pool =
              candidate_pool ~clock ?profile ~cons ~budget ~schema
@@ -1027,8 +1075,7 @@ let decide_core ~clock ~profile ~budget ~schema ~master ~ccs q =
                (List.filter (fun f -> not (VS.mem f pool_fresh)) (Adom.fresh adom))
            in
            match
-             e2_search ~clock ?profile ~cons ~budget ~schema ~ccs ~adom ~reserved
-               ~tableaux pool
+             e2_search ~clock ?profile ~cons ~budget ~schema ~ccs ~reserved ~searches pool
            with
            | Some dv ->
              let witness =
@@ -1062,7 +1109,7 @@ let decide_core ~clock ~profile ~budget ~schema ~master ~ccs q =
          with Budget_exceeded why ->
            (match
               heuristic_witness ~clock ?profile ~cons ~budget ~schema ~master
-                ~ccs ~adom ~tableaux q
+                ~ccs ~adom ~searches q
             with
             | Some w ->
               Nonempty

@@ -47,24 +47,75 @@
       are the same, and only the ticks and prunes of the skipped
       candidates are gone.
     When the root fails, every level is the plain product and each step
-    runs the full check, so an unsafe LHS still raises where it did. *)
+    runs the full check, so an unsafe LHS still raises where it did.
+
+    {b Slot-addressed state.}  {!compile} fixes, once per (tableau,
+    active domain, checker), everything a run repeats: the levels, a
+    register slot per variable, each level's generator and product,
+    and the inequality schedule.  A run keeps its state in three
+    places, with these invariants:
+    - {e Registers}: the valuation is an [int array] of interned value
+      ids indexed by slot.  The plan fixes which level binds each slot,
+      and only that level's generator writes it, so backtracking only
+      overwrites — no undo trail.  An inequality is a pair of slots (or
+      interned constants) checked at the level that binds its later
+      side, after that level's budget tick.
+    - {e Overlay}: the extension [μ(T)] is kept as interned rows, one
+      per bound level, in the checker's {!Ric_constraints.Checker.frame}
+      overlay of the level's relation: a level pushes its row before
+      checking it and pops it on the way back.  The delta check joins
+      the row against the base's cached indexes and the overlay
+      directly; only a CC without a UCQ form (FO/FP, unsafe) still
+      materialises [base ∪ μ(T)].
+    - {e Leaves}: [visit] receives a {!leaf}, from which the caller
+      reads variable values and, only for the leaves it keeps,
+      materialises a {!Ric_query.Valuation.t} or the database [μ(T)].
+    Why the order does not depend on this representation: the levels
+    and each level's candidate order (its generator's) are fixed by
+    the tableau, the active domain and the checker alone; a register
+    holds exactly the value a valuation map would; and a check names
+    the first violated CC in declaration order, whatever order the
+    overlay holds its rows in (duplicate rows only repeat a join).  So
+    the steps, visits, counterexamples, witnesses and explain profiles
+    are those of the same search over valuation maps and databases. *)
 
 open Ric_relational
 open Ric_query
 open Ric_constraints
 
-val iter_valid :
+type t
+(** A compiled search of one tableau over one active domain, checked by
+    one checker.  Reusable across runs and bases; single-owner (a run
+    uses it, runs must not nest). *)
+
+val compile : checker:Checker.t -> adom:Adom.t -> Tableau.t -> t
+
+type leaf
+(** A valid valuation a run reached, with its extension.  Valid only
+    during the [visit] call that receives it. *)
+
+val value : leaf -> string -> Value.t option
+(** A variable's value; [None] for a variable no atom binds. *)
+
+val tuple : leaf -> Term.t list -> Tuple.t
+(** Ground the terms (a summary, say) under the leaf's valuation.
+    @raise Invalid_argument on a variable no atom binds. *)
+
+val valuation : leaf -> Valuation.t
+(** The valuation [μ], materialised. *)
+
+val extension : leaf -> Database.t
+(** The database [Δ = μ(T)], materialised. *)
+
+val iter :
   ?budget:Budget.t ->
   ?profile:Ric_obs.Profile.t ->
-  checker:Checker.t ->
-  mode:[ `Against_base of Database.t | `Delta_only ] ->
-  adom:Adom.t ->
   ?on_prune:(unit -> unit) ->
-  Tableau.t ->
-  (Valuation.t -> Database.t -> bool) ->
+  t ->
+  mode:[ `Against_base of Database.t | `Delta_only ] ->
+  (leaf -> bool) ->
   bool
-(** [iter_valid ~checker ~mode ~adom tab visit] calls
-    [visit μ Δ] — with [Δ = μ(T)] — for every valid valuation whose
+(** [iter s ~mode visit] calls [visit] on every valid valuation whose
     extension passes the constraint check; stops early when [visit]
     returns [true] and reports whether any visit did.  [budget]
     (default {!Budget.unlimited}) is checked on entry and ticked once

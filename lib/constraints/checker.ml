@@ -18,10 +18,11 @@ open Ric_query
 
    Per check, plans join over [base]'s persistent indexes plus [delta]
    as a small interned overlay, stopping at the first answer escaping
-   the cached RHS.  FO/FP or unsafe LHSs keep the full-evaluation path
-   so they raise (or recurse) exactly as [Containment.holds_all].
-   [mem_answer] runs a query's disjuncts the same way, with the head
-   bound to the asked tuple instead of a pinned atom. *)
+   the cached RHS (a [frame] holds both, below).  FO/FP or unsafe LHSs
+   keep the full-evaluation path so they raise (or recurse) exactly as
+   [Containment.holds_all].  [mem_answer] runs a query's disjuncts the
+   same way, with the head bound to the asked tuple instead of a
+   pinned atom. *)
 
 type plan = {
   plan : Kernel.plan;
@@ -63,7 +64,7 @@ type generator = {
    map (built on first draw): the search hands every variable of one
    domain the same list, so a checker keeps one per list. *)
 type cands = {
-  values : Value.t array;
+  ids : int array; (* the list's values, interned *)
   positions : (int, int) Hashtbl.t option Atomic.t;
 }
 
@@ -237,108 +238,168 @@ let create ~master ccs =
     store = Kernel.Store.create ();
   }
 
-(* One check's view of [base ∪ delta]: base relations for the index
-   store, [delta]'s interned rows per relation (computed on first use
-   and shared by every plan of the check), and the materialised union
-   for the full-evaluation path only. *)
-type view = {
-  lookup : string -> Relation.t;
-  extra : string -> int array list;
-  db : Database.t Lazy.t;
+(* A frame: one base database and an overlay of interned rows per
+   relation, with the plans its checks run bound to both on first use
+   (base index and overlay resolved once per frame, not per check).
+   [check] and friends make one per call from a [delta] database; the
+   valuation search makes one per search and pushes and pops its
+   levels' rows itself. *)
+type frame = {
+  chk : t;
+  base : Database.t;
+  mutable overlays : (string * Kernel.Overlay.t) list;
+  mutable full : (entry * bplan list) list option; (* every entry, bound *)
+  mutable watches : (string * watch) list; (* [by_rel], bound per relation *)
+  mutable rest_watches : (string * watch) list; (* [by_rel_rest] *)
 }
 
-let view ~base ~delta =
-  let cache = ref [] in
-  let extra rel =
-    let rec find = function
-      | (r, rows) :: rest -> if String.equal r rel then rows else find rest
-      | [] ->
-        let rows =
-          match Database.relation delta rel with
-          | r -> Relation.fold (fun tu acc -> Intern.row tu :: acc) r []
-          | exception Not_found -> []
-        in
-        cache := (rel, rows) :: !cache;
-        rows
-    in
-    find !cache
-  in
-  let lookup rel =
-    try Database.relation base rel with Not_found -> Relation.empty
-  in
-  let db =
-    lazy
-      (Database.fold
-         (fun rel r acc ->
-           Relation.fold (fun tu acc -> Database.add_tuple acc rel tu) r acc)
-         delta base)
-  in
-  { lookup; extra; db }
+(* a plan bound in a frame; [escapes] is its run's answer test *)
+and bplan = {
+  bound : Kernel.bound;
+  escapes : int array -> bool;
+}
 
-(* Does some answer of [p] (run from [init]) escape the cached RHS? *)
-let escapes t v e ?init p =
-  Kernel.run t.store ~lookup:v.lookup ~extra:v.extra ?init p.plan (fun regs ->
-      match Kernel.term_ids p.head regs with
-      | Some ids -> not (Kernel.Rowset.mem e.rhs_ids ids)
-      | None -> false)
+and bprobe = {
+  b_pinned : int array;
+  b_rest : bplan;
+}
 
-let entry_holds t v e =
+and watch = {
+  w_frame : frame;
+  w_list : (entry * bprobe list) list; (* in declaration order *)
+}
+
+let frame t ~base = { chk = t; base; overlays = []; full = None; watches = []; rest_watches = [] }
+
+let rec find rel = function
+  | [] -> None
+  | (r, x) :: rest -> if String.equal r rel then Some x else find rel rest
+
+let overlay f rel =
+  match find rel f.overlays with
+  | Some o -> o
+  | None ->
+    let o = Kernel.Overlay.create () in
+    f.overlays <- (rel, o) :: f.overlays;
+    o
+
+let frame_of t ~base ~delta =
+  let f = frame t ~base in
+  Database.fold
+    (fun rel r () ->
+      let o = overlay f rel in
+      Relation.iter (fun tu -> Kernel.Overlay.push o (Intern.row tu)) r)
+    delta ();
+  f
+
+let bind f plan =
+  Kernel.bind plan ~overlay:(overlay f) ~rix:(fun rel ->
+      Kernel.Store.rix f.chk.store rel
+        (try Database.relation f.base rel with Not_found -> Relation.empty))
+
+let bind_plan f e p =
+  let buf = Array.make (Array.length p.head) 0 in
+  {
+    bound = bind f p.plan;
+    escapes =
+      (fun regs -> Kernel.ground p.head regs buf && not (Kernel.Rowset.mem e.rhs_ids buf));
+  }
+
+(* [base ∪ overlay] as a database: the full-evaluation path only *)
+let materialise f =
+  List.fold_left
+    (fun db (rel, o) ->
+      let acc = ref db in
+      Kernel.Overlay.iter
+        (fun row ->
+          acc := Database.add_tuple !acc rel (Array.map Intern.value row))
+        o;
+      !acc)
+    f.base f.overlays
+
+(* Does some answer of [bp] (pinned on [row] by [pin]) escape the
+   cached RHS? *)
+let escapes bp ~pin ~row = Kernel.run bp.bound ~pin ~row bp.escapes
+
+let rec any_escapes = function
+  | [] -> false
+  | bp :: bplans -> escapes bp ~pin:[||] ~row:[||] || any_escapes bplans
+
+(* [db] is [materialise f], forced by the first CC without a UCQ form
+   a check reaches *)
+let entry_holds db e bplans =
   match e.body with
-  | Compiled plans -> not (List.exists (escapes t v e) plans)
-  | Eval lhs -> Relation.subset (Lang.eval (Lazy.force v.db) lhs) e.rhs_rel
+  | Compiled _ -> not (any_escapes bplans)
+  | Eval lhs -> Relation.subset (Lang.eval (Lazy.force db) lhs) e.rhs_rel
+
+let full_entries f =
+  match f.full with
+  | Some l -> l
+  | None ->
+    let l =
+      List.map
+        (fun e ->
+          (e, match e.body with Compiled ps -> List.map (bind_plan f e) ps | Eval _ -> []))
+        f.chk.entries
+    in
+    f.full <- Some l;
+    l
 
 (* Counters are bumped once per check, by the number of CCs checked. *)
-let check t ~base ~delta =
-  let v = view ~base ~delta in
+let check_frame f =
+  let db = lazy (materialise f) in
   let rec go n = function
     | [] ->
       Ric_obs.Metrics.add m_full_checks n;
       None
-    | e :: rest ->
-      if entry_holds t v e then go (n + 1) rest
+    | (e, bplans) :: rest ->
+      if entry_holds db e bplans then go (n + 1) rest
       else begin
         Ric_obs.Metrics.add m_full_checks (n + 1);
         e.violated
       end
   in
-  go 0 t.entries
+  go 0 (full_entries f)
 
-(* Does some LHS answer of [e] through one of [probes], pinned on the
-   inserted interned [row], escape the cached RHS? *)
-let rec pinned_escapes t v e row = function
+let check t ~base ~delta = check_frame (frame_of t ~base ~delta)
+
+let watch f ~generated rel =
+  match find rel (if generated then f.rest_watches else f.watches) with
+  | Some w -> w
+  | None ->
+    let src = if generated then f.chk.by_rel_rest else f.chk.by_rel in
+    let w_list =
+      List.map
+        (fun (e, probes) ->
+          ( e,
+            List.map (fun p -> { b_pinned = p.pinned; b_rest = bind_plan f e p.rest }) probes ))
+        (Option.value ~default:[] (Hashtbl.find_opt src rel))
+    in
+    let w = { w_frame = f; w_list } in
+    if generated then f.rest_watches <- (rel, w) :: f.rest_watches
+    else f.watches <- (rel, w) :: f.watches;
+    w
+
+(* Does some LHS answer of an entry through one of [probes], pinned on
+   the inserted interned [row], escape the cached RHS? *)
+let rec pinned_escapes row = function
   | [] -> false
-  | p :: probes -> (
-    (match Kernel.unify_encoded p.pinned row with
-     | None -> false (* the tuple does not match this atom *)
-     | Some init -> escapes t v e ~init p.rest)
-    || pinned_escapes t v e row probes)
+  | p :: probes -> escapes p.b_rest ~pin:p.b_pinned ~row || pinned_escapes row probes
 
-(* The interned added rows of each relation some CC of [watching]
-   reads, with its watch list (found by identity: one list per
-   relation). *)
-let rec groups watching acc = function
-  | [] -> acc
-  | (rel, tuple) :: added -> (
-    match Hashtbl.find_opt watching rel with
-    | None -> groups watching acc added
-    | Some watches -> (
-      let row = Intern.row tuple in
-      match List.assq_opt watches acc with
-      | Some rows ->
-        rows := row :: !rows;
-        groups watching acc added
-      | None -> groups watching ((watches, ref [ row ]) :: acc) added))
-
-(* One delta check's progress: the CCs checked so far, and those
-   without a UCQ form already evaluated (and found to hold). *)
+(* One delta check's progress: the CCs checked so far, those without
+   a UCQ form already evaluated (and found to hold), and [base ∪
+   overlay], materialised by the first of them the check reaches. *)
 type progress = {
   mutable checked : int;
   mutable evaluated : entry list;
+  db : Database.t Lazy.t;
 }
+
+let progress f = { checked = 0; evaluated = []; db = lazy (materialise f) }
 
 (* The first CC of [watches] violated through the probes pinned on
    [rows], in declaration order, or [best] if none comes before it. *)
-let rec scan t v pr best rows = function
+let rec scan pr best rows = function
   | [] -> best
   | (e, probes) :: watches -> (
     match best with
@@ -351,60 +412,69 @@ let rec scan t v pr best rows = function
           List.memq e pr.evaluated
           || begin
             pr.evaluated <- e :: pr.evaluated;
-            entry_holds t v e
+            entry_holds pr.db e []
           end
-        | Compiled _ ->
-          not (List.exists (fun row -> pinned_escapes t v e row probes) rows)
+        | Compiled _ -> not (List.exists (fun row -> pinned_escapes row probes) rows)
       in
-      if holds then scan t v pr best rows watches else Some e)
+      if holds then scan pr best rows watches else Some e)
 
-let delta_check t watching ~base ~delta ~added =
-  match groups watching [] added with
+let violated pr best =
+  Ric_obs.Metrics.add m_delta_checks pr.checked;
+  match best with
+  | Some e -> e.violated
+  | None -> None
+
+let check_row w row =
+  let pr = progress w.w_frame in
+  violated pr (scan pr None [ row ] w.w_list)
+
+(* The interned added rows of each relation some CC reads, grouped by
+   relation (in reverse order of first appearance). *)
+let rec groups t acc = function
+  | [] -> acc
+  | (rel, tuple) :: added ->
+    if not (Hashtbl.mem t.by_rel rel) then groups t acc added
+    else begin
+      let row = Intern.row tuple in
+      match List.assoc_opt rel acc with
+      | Some rows ->
+        rows := row :: !rows;
+        groups t acc added
+      | None -> groups t ((rel, ref [ row ]) :: acc) added
+    end
+
+let check_adds t ~base ~delta ~added =
+  match groups t [] added with
   | [] -> None (* no CC reads an added relation *)
   | gs ->
-    let v = view ~base ~delta in
+    let f = frame_of t ~base ~delta in
     (* Every new LHS answer uses an added row, which the probes pinned
        on its relation find: a CC is violated iff some group finds it
        so, and the declaration-first violated CC is the least of the
        groups' first ones — so a group stops at the best found so far.
        A CC without a UCQ form is evaluated in the first group reaching
        it; a later group reaches it only if it held. *)
-    let pr = { checked = 0; evaluated = [] } in
-    let best =
-      List.fold_left (fun best (watches, rows) -> scan t v pr best !rows watches) None gs
-    in
-    Ric_obs.Metrics.add m_delta_checks pr.checked;
-    match best with
-    | Some e -> e.violated
-    | None -> None
+    let pr = progress f in
+    violated pr
+      (List.fold_left
+         (fun best (rel, rows) -> scan pr best !rows (watch f ~generated:false rel).w_list)
+         None gs)
 
-let check_adds t ~base ~delta ~added = delta_check t t.by_rel ~base ~delta ~added
-
-let check_add t ~base ~delta ~rel ~tuple =
-  check_adds t ~base ~delta ~added:[ (rel, tuple) ]
-
-(* A generated tuple satisfies every generator of its relation, and
-   only its own probe could break one: the generators are skipped. *)
-let check_generated t ~base ~delta ~rel ~tuple =
-  delta_check t t.by_rel_rest ~base ~delta ~added:[ (rel, tuple) ]
+let check_add t ~base ~delta ~rel ~tuple = check_adds t ~base ~delta ~added:[ (rel, tuple) ]
 
 let drop_indexes t = Kernel.Store.clear t.store
 
 let mem_answer t ~base ~delta q tuple =
-  let v = view ~base ~delta in
+  let f = frame_of t ~base ~delta in
   match disjuncts q with
   | ns ->
     let row = Intern.row tuple in
     List.exists
       (fun (n : Cq.norm) ->
         let p = compile n.Cq.n_atoms n in
-        match Kernel.unify_encoded p.head row with
-        | None -> false (* the head cannot produce [tuple] *)
-        | Some init ->
-          Kernel.run t.store ~lookup:v.lookup ~extra:v.extra ~init p.plan (fun _ ->
-              true))
+        Kernel.run (bind f p.plan) ~pin:p.head ~row (fun _ -> true))
       ns
-  | exception Not_compilable -> Relation.mem tuple (Lang.eval (Lazy.force v.db) q)
+  | exception Not_compilable -> Relation.mem tuple (Lang.eval (materialise f) q)
 
 (* ------------------------------------------------------------------ *)
 (* Candidate generation.
@@ -423,13 +493,13 @@ let mem_answer t ~base ~delta q tuple =
    at least half as long as the list, the list is filtered instead,
    one probe per value: the same values, for less.)
 
-   Operands are value ids: an interned constant, or a register — the
-   enumerated variables first, then the atom's other variables, read
-   from the valuation once per call. *)
+   Operands are value ids: an interned constant, or a register of the
+   caller's register file — where [generate] writes each enumerated
+   variable's candidate and reads the atom's other variables. *)
 
 type operand =
   | Id of int
-  | Reg of int
+  | Reg of int (* a slot of the caller's registers *)
 
 (* one generator unified with one atom *)
 type step = {
@@ -437,17 +507,28 @@ type step = {
   s_eqs : (operand * operand) list; (* the selection *)
   s_head : operand array;
   s_depth : int array; (* per head column: the depth binding it, -1 = on entry *)
+  s_full : int; (* the depth binding the whole head *)
+  s_pinned : int array array;
+      (* [s_pinned.(d + 1)], for [d < s_full]: the head columns bound by
+         depth [d], in decreasing order *)
   s_on : int; (* the depth deciding the selection, -1 = on entry *)
 }
 
+(* Drawing variable [j] from step [d_step]'s RHS: the head columns
+   bound before [j] (they select the RHS rows) and those holding [j]
+   (a row supplies its value there, if they agree). *)
+type draw = {
+  d_step : int;
+  d_pinned : int array;
+  d_targets : int array;
+}
+
 type gen = {
-  vars : string array; (* enumerated, outermost first *)
+  slots : int array; (* the enumerated variables' slots, outermost first *)
   cands : cands array;
-  reads : bool array; (* per variable: does a step read its register? *)
-  outer : string array;
   steps : step array;
   covering : int list array; (* per depth: the steps whose head reads its variable *)
-  drawn : int list array; (* per depth: those worth drawing it from *)
+  drawn : draw list array; (* per depth: those worth drawing it from *)
   decided : int list array; (* per depth + 1: the steps it decides *)
 }
 
@@ -493,18 +574,26 @@ let unify_step ~operand ~depth g (a : Atom.t) =
                | Term.Var x -> Hashtbl.find binding x)
              g.g_head)
       in
+      let s_depth = Array.map depth head in
+      let s_full = Array.fold_left max (-1) s_depth in
+      let cols = List.init (Array.length head) Fun.id in
       Some
         {
           s_gen = g;
           s_eqs = eqs;
           s_head = head;
-          s_depth = Array.map depth head;
+          s_depth;
+          s_full;
+          s_pinned =
+            Array.init (s_full + 1) (fun i ->
+                Array.of_list (List.rev (List.filter (fun c -> s_depth.(c) <= i - 1) cols)));
           s_on = List.fold_left (fun m (o, o') -> max m (max (depth o) (depth o'))) (-1) eqs;
         }
     end
   end
 
-let fresh_cands cs = { values = Array.of_list cs; positions = Atomic.make None }
+let fresh_cands cs =
+  { ids = Array.of_list (List.map Intern.id cs); positions = Atomic.make None }
 
 (* [t]'s record for the list [cs], made on first use.  Only the most
    recent lists are kept: a checker serves every search of a decide,
@@ -522,164 +611,168 @@ let shared_cands t cs =
     Atomic.set t.lists ((cs, c) :: List.filteri (fun i _ -> i < max_lists - 1) known);
     c
 
-let build ~cands_of doms outer steps =
-  let vars = Array.of_list (List.map fst doms) in
+let build ~cands_of ~slot doms steps =
+  let slots = Array.of_list (List.map (fun (x, _) -> slot x) doms) in
   let cands = Array.of_list (List.map (fun (_, cs) -> cands_of cs) doms) in
-  let k = Array.length vars in
-  let reads j s =
-    Array.mem (Reg j) s.s_head || List.exists (fun (o, o') -> o = Reg j || o' = Reg j) s.s_eqs
-  in
+  let k = Array.length slots in
   let indexes p = List.filter p (List.init (Array.length steps) Fun.id) in
   let covering =
     Array.init k (fun j ->
-        indexes (fun i -> steps.(i).s_on < j && Array.mem (Reg j) steps.(i).s_head))
+        indexes (fun i -> steps.(i).s_on < j && Array.mem (Reg slots.(j)) steps.(i).s_head))
   in
   (* Drawing scans the RHS rows agreeing with the columns bound before
      [j] and sorts what they supply; with none bound, that is the whole
      RHS, and unless it is under half as long as the list, filtering
      the list — one probe per value, stopping with the visit — costs
      no more. *)
+  let columns p s =
+    (* in decreasing order: the last pinned column is the one probed *)
+    List.rev (List.filter (fun c -> p c s.s_depth.(c)) (List.init (Array.length s.s_depth) Fun.id))
+    |> Array.of_list
+  in
   let drawn =
     Array.mapi
       (fun j is ->
-        List.filter
+        List.filter_map
           (fun i ->
             let s = steps.(i) in
-            Array.exists (fun d -> d < j) s.s_depth
-            || 2 * Relation.cardinal s.s_gen.g_entry.rhs_rel < Array.length cands.(j).values)
+            if
+              Array.exists (fun d -> d < j) s.s_depth
+              || 2 * Relation.cardinal s.s_gen.g_entry.rhs_rel < Array.length cands.(j).ids
+            then
+              Some
+                {
+                  d_step = i;
+                  d_pinned = columns (fun _ d -> d < j) s;
+                  d_targets = columns (fun c d -> d >= j && s.s_head.(c) = Reg slots.(j)) s;
+                }
+            else None)
           is)
       covering
   in
   let decided = Array.init (k + 1) (fun d -> indexes (fun i -> steps.(i).s_on = d - 1)) in
-  {
-    vars;
-    cands;
-    reads = Array.init k (fun j -> Array.exists (reads j) steps);
-    outer;
-    steps;
-    covering;
-    drawn;
-    decided;
-  }
+  { slots; cands; steps; covering; drawn; decided }
 
-let product doms = build ~cands_of:fresh_cands doms [||] [||]
+let product ~slot doms = build ~cands_of:fresh_cands ~slot doms [||]
 
-let generator t (a : Atom.t) doms =
-  let vars = List.map fst doms in
-  let outer = List.filter (fun x -> not (List.mem x vars)) (Atom.vars a) in
-  let k = List.length vars in
-  let rec index i x = function
-    | [] -> raise Not_found
-    | y :: rest -> if String.equal x y then i else index (i + 1) x rest
+let generator t ~slot (a : Atom.t) doms =
+  let enumerated = List.map (fun (x, _) -> slot x) doms in
+  let rec index i s = function
+    | [] -> -1
+    | s' :: rest -> if s = s' then i else index (i + 1) s rest
   in
   let operand = function
     | Term.Const c -> Id (Intern.id c)
-    | Term.Var x -> (
-      match index 0 x vars with
-      | j -> Reg j
-      | exception Not_found -> Reg (k + index 0 x outer))
+    | Term.Var x -> Reg (slot x)
   in
-  let depth = function Reg j when j < k -> j | Id _ | Reg _ -> -1 in
+  (* an enumerated variable's depth is its position; the others are
+     bound on entry *)
+  let depth = function
+    | Reg s -> index 0 s enumerated
+    | Id _ -> -1
+  in
   let steps =
     Option.value ~default:[] (Hashtbl.find_opt t.generators a.Atom.rel)
     |> List.filter_map (fun g -> unify_step ~operand ~depth g a)
   in
-  build ~cands_of:(shared_cands t) doms (Array.of_list outer) (Array.of_list steps)
+  build ~cands_of:(shared_cands t) ~slot doms (Array.of_list steps)
 
 let sources g =
   Array.to_list
     (Array.map (fun s -> Option.get s.s_gen.g_entry.violated) g.steps)
 
-let generate g mu visit =
-  let k = Array.length g.vars in
-  let regs = Array.make (k + Array.length g.outer) 0 in
-  Array.iteri
-    (fun i x ->
-      match Valuation.find x mu with
-      | Some v -> regs.(k + i) <- Intern.id v
-      | None -> invalid_arg ("Checker.generate: unbound variable " ^ x))
-    g.outer;
+let generate g regs visit =
+  let k = Array.length g.slots in
   let on = Array.make (Array.length g.steps) false in
+  (* per step: its head's values, when the head is ground *)
+  let vals = Array.map (fun s -> Array.make (Array.length s.s_head) 0) g.steps in
   let get = function Id c -> c | Reg r -> regs.(r) in
   (* some RHS row agrees with every head column bound by depth [d] *)
-  let consistent s d =
-    if Array.for_all (fun dc -> dc <= d) s.s_depth then
-      Kernel.Rowset.mem s.s_gen.g_entry.rhs_ids (Array.map get s.s_head)
-    else begin
-      let pinned = ref [] in
-      Array.iteri (fun c dc -> if dc <= d then pinned := c :: !pinned) s.s_depth;
-      match !pinned with
-      | [] -> not (Relation.is_empty s.s_gen.g_entry.rhs_rel)
-      | c0 :: _ as cols ->
-        let rix = rhs_rix s.s_gen in
-        List.exists
-          (fun i ->
-            let row = Rix.row rix i in
-            List.for_all (fun c -> row.(c) = get s.s_head.(c)) cols)
-          (Rix.bucket rix c0 (get s.s_head.(c0)))
+  let consistent i d =
+    let s = g.steps.(i) in
+    if s.s_full <= d then begin
+      let v = vals.(i) in
+      Array.iteri (fun c o -> v.(c) <- get o) s.s_head;
+      Kernel.Rowset.mem s.s_gen.g_entry.rhs_ids v
     end
+    else
+      let cols = s.s_pinned.(d + 1) in
+      if Array.length cols = 0 then not (Relation.is_empty s.s_gen.g_entry.rhs_rel)
+      else begin
+        let rix = rhs_rix s.s_gen in
+        let rec agrees row n =
+          n = Array.length cols || (row.(cols.(n)) = get s.s_head.(cols.(n)) && agrees row (n + 1))
+        in
+        let rec any = function
+          | [] -> false
+          | i :: is -> agrees (Rix.row rix i) 0 || any is
+        in
+        any (Rix.bucket rix cols.(0) (get s.s_head.(cols.(0))))
+      end
+  in
+  let rec eqs_hold = function
+    | [] -> true
+    | (o, o') :: eqs -> get o = get o' && eqs_hold eqs
   in
   (* decide the selections depth [d] completes: false when one matches
      and no RHS row agrees *)
-  let decide d =
-    List.for_all
-      (fun i ->
-        let s = g.steps.(i) in
-        let m = List.for_all (fun (o, o') -> get o = get o') s.s_eqs in
-        on.(i) <- m;
-        (not m) || consistent s d)
-      g.decided.(d + 1)
+  let rec decide d = function
+    | [] -> true
+    | i :: is ->
+      let m = eqs_hold g.steps.(i).s_eqs in
+      on.(i) <- m;
+      ((not m) || consistent i d) && decide d is
   in
-  (* the positions of variable [j]'s candidates that [s]'s RHS rows
-     agreeing with the columns bound before [j] supply, in order *)
-  let draw s j =
+  (* the positions of variable [j]'s candidates that the drawing
+     step's RHS rows agreeing with the columns bound before [j] supply,
+     in order *)
+  let draw d j =
+    let s = g.steps.(d.d_step) and pinned = d.d_pinned in
     let cands = g.cands.(j) in
     let pos =
       memo cands.positions (fun () ->
           let h = Hashtbl.create 64 in
-          Array.iteri (fun p c -> Hashtbl.add h (Intern.id c) p) cands.values;
+          Array.iteri (fun p id -> Hashtbl.add h id p) cands.ids;
           h)
     in
     let rix = rhs_rix s.s_gen in
     let rows = Rix.rows rix in
-    let pinned = ref [] and targets = ref [] in
-    Array.iteri
-      (fun c dc ->
-        if dc < j then pinned := c :: !pinned
-        else if s.s_head.(c) = Reg j then targets := c :: !targets)
-      s.s_depth;
-    let t0 = List.hd !targets in
+    let t0 = d.d_targets.(0) in
     let acc = ref [] in
     let take i =
       let row = rows.(i) in
-      if
-        List.for_all (fun c -> row.(c) = get s.s_head.(c)) !pinned
-        && List.for_all (fun c -> row.(c) = row.(t0)) !targets
-      then acc := List.rev_append (Hashtbl.find_all pos row.(t0)) !acc
+      let rec agree n =
+        n = Array.length pinned || (row.(pinned.(n)) = get s.s_head.(pinned.(n)) && agree (n + 1))
+      in
+      if agree 0 && Array.for_all (fun c -> row.(c) = row.(t0)) d.d_targets then
+        acc := List.rev_append (Hashtbl.find_all pos row.(t0)) !acc
     in
-    (match !pinned with
-     | [] -> Array.iteri (fun i _ -> take i) rows
-     | c0 :: _ -> List.iter take (Rix.bucket rix c0 (get s.s_head.(c0))));
+    if Array.length pinned = 0 then Array.iteri (fun i _ -> take i) rows
+    else List.iter take (Rix.bucket rix pinned.(0) (get s.s_head.(pinned.(0))));
     List.sort_uniq Int.compare !acc
   in
-  let rec go j mu =
-    if j = k then visit mu
+  let rec go j =
+    if j = k then visit ()
     else begin
-      let source = List.find_opt (fun i -> on.(i)) g.drawn.(j) in
-      let others i = source <> Some i && on.(i) in
-      let read = g.reads.(j) and values = g.cands.(j).values in
+      let source = List.find_opt (fun d -> on.(d.d_step)) g.drawn.(j) in
+      let drawing = match source with Some d -> d.d_step | None -> -1 in
+      (* the covering steps other than the drawing one must still find
+         an agreeing RHS row *)
+      let rec covered = function
+        | [] -> true
+        | i :: is -> (i = drawing || (not on.(i)) || consistent i j) && covered is
+      in
+      let slot = g.slots.(j) and ids = g.cands.(j).ids in
       let try_pos p =
-        if read then regs.(j) <- Intern.id values.(p);
-        List.for_all (fun i -> (not (others i)) || consistent g.steps.(i) j) g.covering.(j)
-        && decide j
-        && go (j + 1) (Valuation.add g.vars.(j) values.(p) mu)
+        regs.(slot) <- ids.(p);
+        covered g.covering.(j) && decide j g.decided.(j + 1) && go (j + 1)
       in
       match source with
-      | Some i -> List.exists try_pos (draw g.steps.(i) j)
+      | Some d -> List.exists try_pos (draw d j)
       | None ->
-        let n = Array.length values in
+        let n = Array.length ids in
         let rec loop p = p < n && (try_pos p || loop (p + 1)) in
         loop 0
     end
   in
-  decide (-1) && go 0 mu
+  decide (-1) g.decided.(0) && go 0

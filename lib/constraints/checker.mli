@@ -23,7 +23,8 @@
     are evaluated in full against the cached RHS, so they raise exactly
     where {!Containment.holds_all} would.  Domain-safe: the index store
     and the interner serialise internally, so one checker may be shared
-    across domains. *)
+    across domains; a {!frame} or a {!gen} made from it has one
+    owner. *)
 
 open Ric_relational
 
@@ -62,16 +63,46 @@ val check_add :
 (** [check_adds ~added:[ (rel, tuple) ]]: the search's per-step
     check. *)
 
-val check_generated :
-  t ->
-  base:Database.t ->
-  delta:Database.t ->
-  rel:string ->
-  tuple:Tuple.t ->
-  string option
-(** {!check_add} for a tuple {!generate} produced: the generator CCs of
-    [rel] are skipped, since the tuple satisfies each of them and they
-    read nothing else.  It names the same CC as {!check_add}. *)
+(** {2 Checking over an interned overlay}
+
+    The valuation search checks [base ∪ μ(T)] after every tuple it
+    adds.  A {!frame} holds [base] and the extension as interned
+    overlay rows per relation, which the search pushes and pops itself;
+    each check then joins over the base's cached indexes and the
+    overlay directly, with its plans bound to both once per frame.  No
+    tuple is interned, and no database built, per check. *)
+
+type frame
+(** One base database, an overlay of interned rows per relation, and
+    the plans bound to them.  Single-owner: not domain-safe. *)
+
+val frame : t -> base:Database.t -> frame
+(** A frame over [base] with an empty overlay. *)
+
+val overlay : frame -> string -> Ric_query.Kernel.Overlay.t
+(** The overlay rows of one relation: what the caller pushes a row
+    into before checking it, and pops after. *)
+
+val check_frame : frame -> string option
+(** {!check} of [base ∪ overlay]. *)
+
+type watch
+(** The CCs reading one relation, bound in a frame. *)
+
+val watch : frame -> generated:bool -> string -> watch
+(** [watch f ~generated rel]: the CCs whose LHS reads [rel], bound in
+    [f] (once per frame and relation).  With [generated], the generator
+    CCs of [rel] are left out: a tuple {!generate} produced satisfies
+    each of them, and they read nothing else. *)
+
+val check_row : watch -> int array -> string option
+(** [check_row w row]: {!check_add} of the interned [row], already
+    pushed into the overlay of [w]'s relation, given that [base ∪
+    overlay] without it satisfied every CC (or every CC but [w]'s
+    generators, for a [~generated] watch, when the row came from
+    {!generate}).  It is the same delta check as {!check_adds}, over
+    the frame instead of a [delta] database, so it names the same CC
+    as {!check_add}. *)
 
 (** {2 Candidate generation}
 
@@ -85,16 +116,20 @@ val check_generated :
 
 type gen
 (** One tableau atom's candidate enumeration, compiled against the
-    generator CCs of its relation.  Immutable; domain-safe. *)
+    generator CCs of its relation.  Immutable once built: the caches it
+    fills on first use (an RHS's column index, a list's value
+    positions) are published atomically, so domains may share it. *)
 
-val generator : t -> Ric_query.Atom.t -> (string * Value.t list) list -> gen
-(** [generator t a doms] enumerates, in [doms] order, the variables of
-    [a] listed there over their candidate lists; [a]'s other variables
-    are read from the valuation {!generate} is given.  The generator CCs
-    that can match [a] are compiled in: those whose constants clash
-    with [a]'s are left out. *)
+val generator :
+  t -> slot:(string -> int) -> Ric_query.Atom.t -> (string * Value.t list) list -> gen
+(** [generator t ~slot a doms] enumerates, in [doms] order, the
+    variables of [a] listed there over their candidate lists; [a]'s
+    other variables are read from the registers {!generate} is given.
+    [slot] numbers every variable of [a] into that register file.  The
+    generator CCs that can match [a] are compiled in: those whose
+    constants clash with [a]'s are left out. *)
 
-val product : (string * Value.t list) list -> gen
+val product : slot:(string -> int) -> (string * Value.t list) list -> gen
 (** The plain product of [doms], with no generator: every variable
     ranges over its whole list. *)
 
@@ -102,17 +137,19 @@ val sources : gen -> string list
 (** The generator CCs compiled into [gen], in declaration order; [[]]
     for a plain product. *)
 
-val generate :
-  gen -> Ric_query.Valuation.t -> (Ric_query.Valuation.t -> bool) -> bool
-(** [generate g mu visit] visits [mu] extended by each candidate of the
-    product — outermost variable first, each in its list's order —
-    whose atom tuple satisfies every generator CC of [g], skipping the
-    others; stops at the first [true] and says whether there was one.
+val generate : gen -> int array -> (unit -> bool) -> bool
+(** [generate g regs visit] writes into [regs] (value ids, indexed by
+    slot) each candidate of the product — outermost variable first,
+    each in its list's order — whose atom tuple satisfies every
+    generator CC of [g], skipping the others, and calls [visit] on
+    each; stops at the first [true] and says whether there was one.
+    [regs] must hold the atom's other variables on entry; [generate]
+    writes only the slots of the variables it enumerates.
     Exactly the product candidates a {!check_add} would not reject for
     a generator CC, in the same order.  A variable a matching
     generator's head covers is drawn from the RHS rows agreeing with
-    the columns already bound (an index probe), so the work is the
-    candidates yielded plus one probe per drawn variable and node —
+    the columns already bound (one index probe per drawn variable and
+    node), so the work is the candidates yielded plus that probe —
     except where no column is bound yet and the RHS is at least half
     as long as the variable's list: that list is filtered, one probe
     per value, stopping with the visit. *)

@@ -43,6 +43,7 @@ let rec permutations = function
         List.map (fun p -> x :: p) (permutations rest))
       l
 
+(* [rhs] is the RHS already printed: it is the same in every order *)
 let render ~head ~neqs ~rhs atom_order =
   let names = Hashtbl.create 8 in
   let next = ref 0 in
@@ -71,10 +72,10 @@ let render ~head ~neqs ~rhs atom_order =
   in
   let neqs_s = List.sort String.compare (List.map neq neqs) in
   String.concat "," atoms_s ^ "|" ^ String.concat "," head_s ^ "|"
-  ^ String.concat "," neqs_s ^ "|"
-  ^ Format.asprintf "%a" Projection.pp rhs
+  ^ String.concat "," neqs_s ^ "|" ^ rhs
 
 let canonical_key ~head ~atoms ~neqs ~rhs =
+  let rhs = Format.asprintf "%a" Projection.pp rhs in
   let orders = if List.length atoms <= 4 then permutations atoms else [ atoms ] in
   match List.map (render ~head ~neqs ~rhs) orders with
   | [] -> render ~head ~neqs ~rhs atoms

@@ -32,26 +32,28 @@ let rowset ctx (rhs : Projection.t) =
     Hashtbl.add ctx.rowsets key rs;
     rs
 
-let lookup_in db rel =
-  try Database.relation db rel with Not_found -> Relation.empty
+let bind ctx ~db plan =
+  Kernel.bind plan ~rix:(fun rel ->
+      Kernel.Store.rix ctx.store rel
+        (try Database.relation db rel with Not_found -> Relation.empty))
 
 (* Distinct interned head rows of [atoms, neqs] over [db]. *)
 let distinct_heads ~budget ctx ~db ~atoms ~neqs ~head =
   let plan = Kernel.compile atoms neqs in
   let enc = Kernel.encode_terms plan head in
+  let ids = Array.make (Array.length enc) 0 in
   let rows : (int array, unit) Hashtbl.t = Hashtbl.create 64 in
   ignore
-    (Kernel.run ctx.store ~lookup:(lookup_in db) plan (fun regs ->
+    (Kernel.run (bind ctx ~db plan) ~pin:[||] ~row:[||] (fun regs ->
          Budget.tick budget;
-         (match Kernel.term_ids enc regs with
-         | Some ids -> if not (Hashtbl.mem rows ids) then Hashtbl.add rows ids ()
-         | None -> ());
+         if Kernel.ground enc regs ids && not (Hashtbl.mem rows ids) then
+           Hashtbl.add rows (Array.copy ids) ();
          false));
   rows
 
 let has_match ~budget ctx ~db ~atoms ~neqs =
   let plan = Kernel.compile atoms neqs in
-  Kernel.run ctx.store ~lookup:(lookup_in db) plan (fun _ ->
+  Kernel.run (bind ctx ~db plan) ~pin:[||] ~row:[||] (fun _ ->
       Budget.tick budget;
       true)
 

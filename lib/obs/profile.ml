@@ -76,6 +76,7 @@ let finish_search t sr =
 let bump t name n = add_counter t.counters name n
 
 let note t k v = t.notes <- (k, v) :: List.remove_assoc k t.notes
+let find_note t k = List.assoc_opt k t.notes
 
 type level_row = {
   lv_index : int;

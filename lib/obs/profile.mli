@@ -54,6 +54,9 @@ val note : t -> string -> string -> unit
 (** Attach a key/value annotation (checker kind, search mode, ...);
     last write wins. *)
 
+val find_note : t -> string -> string option
+(** The annotation under a key, if any. *)
+
 (** {2 Reading} *)
 
 type level_row = {

@@ -30,6 +30,15 @@ let constants a =
     a.args
   |> List.sort_uniq Value.compare
 
+let constants_conform sch a =
+  let rs = Schema.find sch a.rel in
+  List.for_all Fun.id
+    (List.mapi
+       (fun i -> function
+         | Term.Const c -> Domain.mem c (Schema.attr_domain rs i)
+         | Term.Var _ -> true)
+       a.args)
+
 let apply subst a =
   let args =
     List.map

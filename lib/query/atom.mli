@@ -16,6 +16,11 @@ val vars : t -> string list
 
 val constants : t -> Value.t list
 
+val constants_conform : Schema.t -> t -> bool
+(** Does every constant of the atom lie in its column's domain?  Only
+    then can an instantiation of it be added to a database of the
+    schema. *)
+
 val apply : (string -> Term.t option) -> t -> t
 (** [apply subst a] replaces each variable [x] by [subst x] when
     defined. *)

@@ -15,10 +15,11 @@ open Ric_relational
    indexes keyed by relation name and validated by physical identity
    of the source relation, so an unchanged database pays for indexing
    once per store instead of once per solve.  Small, changing deltas
-   ride alongside as an [extra] overlay of interned rows scanned
-   linearly — candidate tuples for an atom are (bucket of the base
-   index) ∪ (overlay rows), which is exactly base ∪ delta up to
-   harmless duplicates. *)
+   ride alongside as an {!Overlay} of interned rows scanned linearly —
+   candidate tuples for an atom are (bucket of the base index) ∪
+   (overlay rows), which is exactly base ∪ delta up to harmless
+   duplicates.  A plan is {!bind}ed to its indexes and overlays once,
+   and each run reuses the bound scratch. *)
 
 let m_builds =
   Ric_obs.Metrics.counter
@@ -92,49 +93,34 @@ let encode_terms plan ts =
          | Term.Const c -> const_code c)
        ts)
 
-let init_binds plan mu =
-  List.filter_map
-    (fun (x, c) ->
-      match Hashtbl.find_opt plan.p_slots x with
-      | Some s -> Some (s, Intern.id c)
-      | None -> None)
-    (Valuation.bindings mu)
+let pin_of_valuation plan mu =
+  let binds =
+    List.filter_map
+      (fun (x, c) ->
+        match Hashtbl.find_opt plan.p_slots x with
+        | Some s -> Some (s, Intern.id c)
+        | None -> None)
+      (Valuation.bindings mu)
+  in
+  (Array.of_list (List.map fst binds), Array.of_list (List.map snd binds))
 
-(* Unify an encoded argument vector against a concrete interned row
-   with no registers in play — used to pin a probe's atom onto an
-   inserted tuple before running the rest of its plan. *)
-let unify_encoded args row =
-  let n = Array.length args in
-  if Array.length row <> n then None
-  else
-    let rec go i acc =
-      if i = n then Some acc
-      else
-        let a = args.(i) and x = row.(i) in
-        if a < 0 then if a = -x - 1 then go (i + 1) acc else None
-        else
-          match List.assoc_opt a acc with
-          | Some x' -> if x = x' then go (i + 1) acc else None
-          | None -> go (i + 1) ((a, x) :: acc)
-    in
-    go 0 []
-
-let term_ids enc regs =
+let ground enc regs out =
   let n = Array.length enc in
-  let out = Array.make n 0 in
   let rec go i =
-    if i = n then Some out
+    i = n
+    ||
+    let a = enc.(i) in
+    if a < 0 then begin
+      out.(i) <- -a - 1;
+      go (i + 1)
+    end
     else
-      let a = enc.(i) in
-      if a < 0 then begin
-        out.(i) <- -a - 1;
+      let x = regs.(a) in
+      x >= 0
+      && begin
+        out.(i) <- x;
         go (i + 1)
       end
-      else if regs.(a) >= 0 then begin
-        out.(i) <- regs.(a);
-        go (i + 1)
-      end
-      else None
   in
   go 0
 
@@ -146,25 +132,38 @@ let valuation_of plan ~init regs =
   done;
   !v
 
+(* Tables keyed by interned rows, hashed and compared as ints, not
+   through the polymorphic primitives. *)
+module Rows = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : t) b =
+    let n = Array.length a in
+    n = Array.length b
+    &&
+    let rec go i = i = n || (a.(i) = b.(i) && go (i + 1)) in
+    go 0
+
+  let hash (a : t) =
+    let h = ref (Array.length a) in
+    for i = 0 to Array.length a - 1 do
+      h := (!h * 65599) + a.(i)
+    done;
+    !h land max_int
+end)
+
 (* Hash set of interned rows: the compiled representation of a cached
    RHS relation, so "does this answer escape the bound?" is one probe
    on an [int array] key. *)
 module Rowset = struct
-  module H = Hashtbl.Make (struct
-    type t = int array
-
-    let equal = Stdlib.( = )
-    let hash = Hashtbl.hash
-  end)
-
-  type t = unit H.t
+  type t = unit Rows.t
 
   let of_relation rel =
-    let h = H.create (max 16 (Relation.cardinal rel)) in
-    Relation.iter (fun tu -> H.replace h (Intern.row tu) ()) rel;
+    let h = Rows.create (max 16 (Relation.cardinal rel)) in
+    Relation.iter (fun tu -> Rows.replace h (Intern.row tu) ()) rel;
     h
 
-  let mem h row = H.mem h row
+  let mem h row = Rows.mem h row
 end
 
 (* The index cache is read-mostly: after the first few solves every
@@ -227,142 +226,214 @@ module Store = struct
          raise e)
 end
 
-let run store ~lookup ?extra ?(init = []) plan on_match =
-  let na = Array.length plan.p_atoms in
-  let regs = Array.make (max 1 plan.p_nslots) (-1) in
-  List.iter (fun (s, v) -> regs.(s) <- v) init;
-  let rixes =
-    Array.map (fun ca -> Store.rix store ca.c_rel (lookup ca.c_rel)) plan.p_atoms
-  in
-  let extras =
-    match extra with
-    | None -> Array.make (max 1 na) [||]
-    | Some f -> Array.map (fun ca -> Array.of_list (f ca.c_rel)) plan.p_atoms
-  in
-  (* Static greedy join order, fixed once per run: most bound
-     arguments first, then smallest relation — the same score the
-     interpreted engine recomputed at every node.  Which slots are
-     bound at depth [k] depends only on [init] and the atoms ordered
-     before [k], never on the values branched on, so ordering up front
-     is exact. *)
-  let order = Array.init na (fun i -> i) in
-  if na > 1 then begin
-    let bound = Array.map (fun v -> v >= 0) regs in
-    let taken = Array.make na false in
-    let score i =
-      let b = ref 0 in
-      Array.iter
-        (fun a -> if a < 0 || bound.(a) then incr b)
-        plan.p_atoms.(i).c_args;
-      (- !b, Rix.cardinal rixes.(i) + Array.length extras.(i))
-    in
-    for k = 0 to na - 1 do
-      let best = ref (-1) and best_score = ref (0, 0) in
-      for i = 0 to na - 1 do
-        if not taken.(i) then begin
-          let s = score i in
-          if !best < 0 || compare s !best_score < 0 then begin
-            best := i;
-            best_score := s
-          end
-        end
-      done;
-      order.(k) <- !best;
-      taken.(!best) <- true;
-      Array.iter
-        (fun a -> if a >= 0 then bound.(a) <- true)
-        plan.p_atoms.(!best).c_args
+(* Interned overlay rows of one relation, kept as a stack: the small,
+   changing part of a checked database that rides alongside its base
+   index. *)
+module Overlay = struct
+  type t = {
+    mutable rows : int array array;
+    mutable n : int;
+  }
+
+  let create () = { rows = [||]; n = 0 }
+
+  let push o row =
+    if o.n = Array.length o.rows then begin
+      let rows = Array.make (max 4 (2 * o.n)) [||] in
+      Array.blit o.rows 0 rows 0 o.n;
+      o.rows <- rows
+    end;
+    o.rows.(o.n) <- row;
+    o.n <- o.n + 1
+
+  let pop o = o.n <- o.n - 1
+  let length o = o.n
+
+  let iter f o =
+    for i = 0 to o.n - 1 do
+      f o.rows.(i)
     done
-  end;
-  (* Inequality schedule: each neq fires at the earliest depth where
-     both sides are ground (depth 0 = before any atom); sides that
-     never become ground are ignored, matching the interpreted
-     engine's pending-forever behaviour. *)
-  let neq_at = Array.make (na + 1) [] in
-  if Array.length plan.p_neqs > 0 then begin
-    let depth = Array.make (max 1 plan.p_nslots) max_int in
-    List.iter (fun (s, _) -> depth.(s) <- 0) init;
-    for k = 0 to na - 1 do
-      Array.iter
-        (fun a -> if a >= 0 && depth.(a) = max_int then depth.(a) <- k + 1)
-        plan.p_atoms.(order.(k)).c_args
+end
+
+(* never pushed: the overlay of an atom bound without one *)
+let no_overlay = Overlay.create ()
+
+(* A plan bound to its sources: per atom, the base index and the
+   overlay, both resolved once at [bind]; and the scratch every run
+   reuses — registers, undo trail, join order, inequality schedule —
+   so a run allocates nothing of its own. *)
+type bound = {
+  b_plan : plan;
+  b_rix : Rix.t array; (* per atom *)
+  b_ov : Overlay.t array; (* per atom *)
+  b_regs : int array; (* slot -> value id, -1 = unbound *)
+  b_trail : int array;
+  mutable b_tp : int;
+  b_order : int array; (* depth -> atom *)
+  b_taken : bool array; (* per atom, while ordering *)
+  b_depth : int array; (* per slot: the depth binding it *)
+  b_neq_at : int array; (* per inequality: the depth checking it *)
+}
+
+let bind ?overlay plan ~rix =
+  let na = Array.length plan.p_atoms and ns = max 1 plan.p_nslots in
+  {
+    b_plan = plan;
+    b_rix = Array.map (fun ca -> rix ca.c_rel) plan.p_atoms;
+    b_ov =
+      (match overlay with
+       | None -> Array.make na no_overlay
+       | Some f -> Array.map (fun ca -> f ca.c_rel) plan.p_atoms);
+    b_regs = Array.make ns (-1);
+    b_trail = Array.make ns 0;
+    b_tp = 0;
+    b_order = Array.init na Fun.id;
+    b_taken = Array.make na false;
+    b_depth = Array.make ns max_int;
+    b_neq_at = Array.make (Array.length plan.p_neqs) max_int;
+  }
+
+(* Static greedy join order, fixed once per run: most bound arguments
+   first, then smallest relation (base index plus overlay), the
+   earlier atom on a tie.  Which slots are bound at depth [k] depends
+   only on the pin and the atoms ordered before [k], never on the
+   values branched on, so ordering up front is exact.  [b_depth] marks
+   the bound slots meanwhile. *)
+let order_atoms b =
+  let atoms = b.b_plan.p_atoms and depth = b.b_depth in
+  let na = Array.length atoms in
+  Array.fill b.b_taken 0 na false;
+  for k = 0 to na - 1 do
+    let best = ref (-1) and best_b = ref 0 and best_c = ref 0 in
+    for i = 0 to na - 1 do
+      if not b.b_taken.(i) then begin
+        let nb = ref 0 in
+        Array.iter
+          (fun a -> if a < 0 || depth.(a) <= k then incr nb)
+          atoms.(i).c_args;
+        let c = Rix.cardinal b.b_rix.(i) + Overlay.length b.b_ov.(i) in
+        if !best < 0 || !nb > !best_b || (!nb = !best_b && c < !best_c) then begin
+          best := i;
+          best_b := !nb;
+          best_c := c
+        end
+      end
     done;
+    b.b_order.(k) <- !best;
+    b.b_taken.(!best) <- true;
     Array.iter
-      (fun (l, r) ->
-        let d t = if t < 0 then 0 else depth.(t) in
-        let dd = max (d l) (d r) in
-        if dd <> max_int then neq_at.(dd) <- (l, r) :: neq_at.(dd))
-      plan.p_neqs
-  end;
-  let neq_ok_at k =
-    match neq_at.(k) with
-    | [] -> true
-    | l ->
-      List.for_all
-        (fun (a, b) ->
-          let va = if a < 0 then -a - 1 else regs.(a) in
-          let vb = if b < 0 then -b - 1 else regs.(b) in
-          va <> vb)
-        l
+      (fun a -> if a >= 0 && depth.(a) = max_int then depth.(a) <- k + 1)
+      atoms.(!best).c_args
+  done
+
+(* Inequality schedule: each neq fires at the earliest depth where
+   both sides are ground (depth 0 = before any atom); sides that never
+   become ground are ignored, matching the interpreted engine's
+   pending-forever behaviour. *)
+let schedule_neqs b =
+  let depth = b.b_depth in
+  Array.iteri
+    (fun i (l, r) ->
+      let d t = if t < 0 then 0 else depth.(t) in
+      b.b_neq_at.(i) <- max (d l) (d r))
+    b.b_plan.p_neqs
+
+let neq_ok_at b k =
+  let neqs = b.b_plan.p_neqs and regs = b.b_regs in
+  let rec go i =
+    i = Array.length neqs
+    || (b.b_neq_at.(i) <> k
+        ||
+        let l, r = neqs.(i) in
+        (if l < 0 then -l - 1 else regs.(l)) <> if r < 0 then -r - 1 else regs.(r))
+       && go (i + 1)
   in
-  let trail = Array.make (max 1 plan.p_nslots) 0 in
-  let tp = ref 0 in
-  let unify_row args row =
-    let n = Array.length args in
-    if Array.length row <> n then false
+  go 0
+
+let unify_row b args row =
+  let n = Array.length args and regs = b.b_regs in
+  Array.length row = n
+  &&
+  let rec go i =
+    i = n
+    ||
+    let a = args.(i) and x = row.(i) in
+    if a < 0 then a = -x - 1 && go (i + 1)
     else
-      let rec go i =
-        if i = n then true
-        else
-          let a = args.(i) and x = row.(i) in
-          if a < 0 then if a = -x - 1 then go (i + 1) else false
-          else
-            let cur = regs.(a) in
-            if cur >= 0 then if cur = x then go (i + 1) else false
-            else begin
-              regs.(a) <- x;
-              trail.(!tp) <- a;
-              incr tp;
-              go (i + 1)
-            end
-      in
-      go 0
+      let cur = regs.(a) in
+      if cur >= 0 then cur = x && go (i + 1)
+      else begin
+        regs.(a) <- x;
+        b.b_trail.(b.b_tp) <- a;
+        b.b_tp <- b.b_tp + 1;
+        go (i + 1)
+      end
   in
-  let rec go k =
-    if k = na then on_match regs
-    else begin
-      let ai = order.(k) in
-      let args = plan.p_atoms.(ai).c_args in
-      let rix = rixes.(ai) and ex = extras.(ai) in
-      let try_row row =
-        let t0 = !tp in
-        let stop = unify_row args row && neq_ok_at (k + 1) && go (k + 1) in
-        while !tp > t0 do
-          decr tp;
-          regs.(trail.(!tp)) <- -1
-        done;
-        stop
-      in
-      (* probe a column bucket when some argument is already ground;
-         overlay rows are always scanned (unification rejects the
-         mismatches) *)
-      let rec ground_pos i =
-        if i >= Array.length args then None
-        else
-          let a = args.(i) in
-          if a < 0 then Some (i, -a - 1)
-          else if regs.(a) >= 0 then Some (i, regs.(a))
-          else ground_pos (i + 1)
-      in
-      (match ground_pos 0 with
-       | Some (col, v) ->
-         List.exists (fun ri -> try_row (Rix.row rix ri)) (Rix.bucket rix col v)
-         || Array.exists try_row ex
-       | None ->
-         Array.exists try_row (Rix.rows rix) || Array.exists try_row ex)
-    end
-  in
-  neq_ok_at 0 && go 0
+  go 0
+
+(* the first argument already ground, or -1 *)
+let rec ground_col regs args i =
+  if i >= Array.length args then -1
+  else
+    let a = args.(i) in
+    if a < 0 || regs.(a) >= 0 then i else ground_col regs args (i + 1)
+
+let rec solve b k on_match =
+  if k = Array.length b.b_order then on_match b.b_regs
+  else begin
+    let ai = b.b_order.(k) in
+    let args = b.b_plan.p_atoms.(ai).c_args and rix = b.b_rix.(ai) in
+    (* probe a column bucket when some argument is already ground;
+       overlay rows are always scanned (unification rejects the
+       mismatches) *)
+    let col = ground_col b.b_regs args 0 in
+    (if col >= 0 then
+       let a = args.(col) in
+       let v = if a < 0 then -a - 1 else b.b_regs.(a) in
+       try_bucket b k args rix (Rix.bucket rix col v) on_match
+     else try_rows b k args (Rix.rows rix) 0 on_match)
+    || try_overlay b k args b.b_ov.(ai) 0 on_match
+  end
+
+and try_row b k args row on_match =
+  let t0 = b.b_tp in
+  let stop = unify_row b args row && neq_ok_at b (k + 1) && solve b (k + 1) on_match in
+  while b.b_tp > t0 do
+    b.b_tp <- b.b_tp - 1;
+    b.b_regs.(b.b_trail.(b.b_tp)) <- -1
+  done;
+  stop
+
+and try_bucket b k args rix ris on_match =
+  match ris with
+  | [] -> false
+  | ri :: ris -> try_row b k args (Rix.row rix ri) on_match || try_bucket b k args rix ris on_match
+
+and try_rows b k args rows i on_match =
+  i < Array.length rows
+  && (try_row b k args rows.(i) on_match || try_rows b k args rows (i + 1) on_match)
+
+and try_overlay b k args (ov : Overlay.t) i on_match =
+  i < ov.n && (try_row b k args ov.rows.(i) on_match || try_overlay b k args ov (i + 1) on_match)
+
+let run b ~pin ~row on_match =
+  let regs = b.b_regs in
+  Array.fill regs 0 (Array.length regs) (-1);
+  b.b_tp <- 0;
+  (* the pin's bindings stay on the trail below every undo mark *)
+  unify_row b pin row
+  && begin
+    (* one atom and no inequality: nothing to order or schedule *)
+    if Array.length b.b_order > 1 || Array.length b.b_neq_at > 0 then begin
+      let depth = b.b_depth in
+      for s = 0 to Array.length regs - 1 do
+        depth.(s) <- (if regs.(s) >= 0 then 0 else max_int)
+      done;
+      order_atoms b;
+      schedule_neqs b
+    end;
+    neq_ok_at b 0 && solve b 0 on_match
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Plan memoisation: solving the same body again (CQ evaluation inside

@@ -14,8 +14,8 @@ open Ric_relational
 
 type plan
 (** A compiled conjunctive body (atoms + inequality side conditions).
-    Immutable and domain-safe to share; per-run state lives in the
-    {!run} frame. *)
+    Immutable and domain-safe to share; run state lives in a
+    {!bound}. *)
 
 val compile :
   ?extra_vars:string list -> Atom.t list -> (Term.t * Term.t) list -> plan
@@ -33,20 +33,15 @@ val encode_terms : plan -> Term.t list -> int array
     the plan's slot space.
     @raise Invalid_argument on a variable the plan does not know. *)
 
-val init_binds : plan -> Valuation.t -> (int * int) list
-(** The (slot, value id) prebindings a valuation induces on a plan;
-    bindings for variables outside the plan are dropped (they ride
-    along unchanged in {!valuation_of}'s [init]). *)
+val pin_of_valuation : plan -> Valuation.t -> int array * int array
+(** The [(pin, row)] a valuation induces on a plan, for {!run}: its
+    variables' slots and their value ids.  Bindings for variables
+    outside the plan are dropped (they ride along unchanged in
+    {!valuation_of}'s [init]). *)
 
-val unify_encoded : int array -> int array -> (int * int) list option
-(** [unify_encoded args row] unifies an encoded argument vector
-    against an interned row with no prior bindings: [Some binds] pins
-    each slot, [None] on a constant or repeated-slot mismatch (or an
-    arity mismatch). *)
-
-val term_ids : int array -> int array -> int array option
-(** [term_ids enc regs] grounds encoded terms under the registers;
-    [None] if any slot is unbound. *)
+val ground : int array -> int array -> int array -> bool
+(** [ground enc regs out] grounds encoded terms under the registers
+    into [out] (as long as [enc]); [false] if some slot is unbound. *)
 
 val valuation_of : plan -> init:Valuation.t -> int array -> Valuation.t
 (** Decode the bound registers back into a valuation on top of
@@ -92,21 +87,43 @@ module Store : sig
       keeps using it). *)
 end
 
-val run :
-  Store.t ->
-  lookup:(string -> Relation.t) ->
-  ?extra:(string -> int array list) ->
-  ?init:(int * int) list ->
-  plan ->
-  (int array -> bool) ->
-  bool
-(** [run store ~lookup plan on_match] enumerates every way of
-    embedding the plan's atoms into [lookup]'s relations (each
-    extended by the interned [extra] overlay rows for that relation,
-    if given) that satisfies every inequality whose sides become
-    ground, calling [on_match regs] per solution until it returns
-    [true].  [init] prebinds slots.  Join order is fixed up front by
-    bound-argument count then indexed cardinality.  Overlay rows also
-    present in the base relation may be visited twice — callers use
-    the overlay for existence-style checks where duplicates are
-    harmless. *)
+(** Interned overlay rows of one relation: the small, changing part of
+    a checked database, joined alongside the base index.  A stack: the
+    valuation search pushes a level's row when it binds the level and
+    pops it on the way back. *)
+module Overlay : sig
+  type t
+
+  val create : unit -> t
+  val push : t -> int array -> unit
+  (** The row is kept by reference: the caller must not overwrite it
+      until it is popped. *)
+
+  val pop : t -> unit
+  val iter : (int array -> unit) -> t -> unit
+end
+
+type bound
+(** A plan bound to its row sources — per atom, the base index and
+    the overlay, resolved once — with the scratch registers its runs
+    reuse.  Single-owner: not domain-safe, and two runs of one [bound]
+    must not nest. *)
+
+val bind : ?overlay:(string -> Overlay.t) -> plan -> rix:(string -> Rix.t) -> bound
+(** [bind plan ~rix ~overlay] resolves each atom's relation once: its
+    base index [rix rel] and its overlay [overlay rel] (none when
+    omitted).  Overlays are read at every run, so rows pushed after
+    [bind] are joined. *)
+
+val run : bound -> pin:int array -> row:int array -> (int array -> bool) -> bool
+(** [run b ~pin ~row on_match] unifies the encoded arguments [pin]
+    with the interned [row] (both [[||]] for no prebinding; [false] on
+    a mismatch), then enumerates every way of embedding the plan's
+    atoms into their sources (base index ∪ overlay rows) that
+    satisfies every inequality whose sides become ground, calling
+    [on_match regs] per solution until it returns [true].  Join order
+    is fixed per run by bound-argument count, then base-plus-overlay
+    cardinality, comparing ints only.  Overlay rows also present in
+    the base relation may be visited twice — callers use the overlay
+    for existence-style checks where duplicates are harmless.
+    [regs] is the bound's scratch: read it inside [on_match] only. *)

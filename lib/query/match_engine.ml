@@ -68,8 +68,9 @@ let solve ~lookup ?(neqs = []) ?(init = Valuation.empty) ?(naive = false)
       | Some s -> s
       | None -> Kernel.Store.create ()
     in
-    Kernel.run store ~lookup ~init:(Kernel.init_binds plan init) plan
-      (fun regs -> visit (Kernel.valuation_of plan ~init regs))
+    let b = Kernel.bind plan ~rix:(fun rel -> Kernel.Store.rix store rel (lookup rel)) in
+    let pin, row = Kernel.pin_of_valuation plan init in
+    Kernel.run b ~pin ~row (fun regs -> visit (Kernel.valuation_of plan ~init regs))
   end
 
 let all ~lookup ?(neqs = []) ?(init = Valuation.empty) atoms =

@@ -15,18 +15,17 @@ let empty sch =
 
 let schema d = d.sch
 
-let check_conforms sch name rel =
-  let rs =
-    try Schema.find sch name
-    with Not_found -> invalid_arg (Printf.sprintf "Database: unknown relation %S" name)
-  in
-  Relation.iter
-    (fun t ->
-      if not (Tuple.conforms rs t) then
-        invalid_arg
-          (Format.asprintf "Database: tuple %a does not conform to %a" Tuple.pp t
-             Schema.pp_relation rs))
-    rel
+let unknown name = invalid_arg (Printf.sprintf "Database: unknown relation %S" name)
+let relation_schema sch name = try Schema.find sch name with Not_found -> unknown name
+
+let conform rs t =
+  if not (Tuple.conforms rs t) then
+    invalid_arg
+      (Format.asprintf "Database: tuple %a does not conform to %a" Tuple.pp t
+         Schema.pp_relation rs)
+
+let check_conforms sch name rel = Relation.iter (conform (relation_schema sch name)) rel
+let check_tuple sch name t = conform (relation_schema sch name) t
 
 let set_relation d name rel =
   check_conforms d.sch name rel;
@@ -47,17 +46,9 @@ let relation d name =
 let add_tuple d name t =
   match SMap.find_opt name d.rels with
   | Some existing ->
-    let rs =
-      try Schema.find d.sch name
-      with Not_found ->
-        invalid_arg (Printf.sprintf "Database: unknown relation %S" name)
-    in
-    if not (Tuple.conforms rs t) then
-      invalid_arg
-        (Format.asprintf "Database: tuple %a does not conform to %a" Tuple.pp t
-           Schema.pp_relation rs);
+    check_tuple d.sch name t;
     { d with rels = SMap.add name (Relation.add t existing) d.rels }
-  | None -> invalid_arg (Printf.sprintf "Database: unknown relation %S" name)
+  | None -> unknown name
 
 let add_tuples d pairs = List.fold_left (fun d (name, t) -> add_tuple d name t) d pairs
 

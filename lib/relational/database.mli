@@ -30,6 +30,10 @@ val set_relation : t -> string -> Relation.t -> t
 val add_tuple : t -> string -> Tuple.t -> t
 (** @raise Invalid_argument as for {!set_relation}. *)
 
+val check_tuple : Schema.t -> string -> Tuple.t -> unit
+(** Raise what {!add_tuple} raises for a tuple of the named relation
+    that does not conform to the schema; return otherwise. *)
+
 val add_tuples : t -> (string * Tuple.t) list -> t
 
 val contained : t -> t -> bool

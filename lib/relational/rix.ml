@@ -9,12 +9,21 @@
    them) and published through [Atomic], so concurrent domains either
    see a fully built table or build it themselves under the mutex. *)
 
+(* buckets keyed by value id: ids are dense, so the id is its own hash
+   — no polymorphic hashing or compare *)
+module Ids = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = x land max_int
+end)
+
 type t = {
   source : Relation.t; (* provenance, compared by physical identity *)
   rows : int array array;
   tuples : Tuple.t array;
   arity : int; (* -1 when empty *)
-  cols : (int, int list) Hashtbl.t option Atomic.t array;
+  cols : int list Ids.t option Atomic.t array;
   mx : Mutex.t;
 }
 
@@ -64,12 +73,11 @@ let bucket_table t col =
       match Atomic.get t.cols.(col) with
       | Some h -> h (* another domain won the race *)
       | None ->
-        let h = Hashtbl.create (max 16 (Array.length t.rows)) in
+        let h = Ids.create (max 16 (Array.length t.rows)) in
         Array.iteri
           (fun i row ->
             let k = row.(col) in
-            Hashtbl.replace h k
-              (i :: Option.value ~default:[] (Hashtbl.find_opt h k)))
+            Ids.replace h k (i :: Option.value ~default:[] (Ids.find_opt h k)))
           t.rows;
         Atomic.set t.cols.(col) (Some h);
         h
@@ -80,4 +88,4 @@ let bucket_table t col =
 let bucket t col v =
   if col < 0 || col >= Array.length t.cols then []
   else
-    Option.value ~default:[] (Hashtbl.find_opt (bucket_table t col) v)
+    Option.value ~default:[] (Ids.find_opt (bucket_table t col) v)

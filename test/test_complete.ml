@@ -62,7 +62,7 @@ let test_adom_candidates () =
 
 let empty_master = Database.empty master_schema
 
-let test_iter_valid_enumerates () =
+let test_search_enumerates () =
   let q = Cq.make ~head:[ v "x" ] [ Atom.make "R" [ v "x"; v "b" ] ] in
   let tab = Option.get (Tableau.of_cq schema q) in
   let adom =
@@ -71,9 +71,10 @@ let test_iter_valid_enumerates () =
   in
   let count = ref 0 in
   let (_ : bool) =
-    Valuation_search.iter_valid ~checker:(Checker.create ~master:empty_master [])
-      ~mode:`Delta_only ~adom tab
-      (fun _ _ ->
+    Valuation_search.iter
+      (Valuation_search.compile ~checker:(Checker.create ~master:empty_master []) ~adom tab)
+      ~mode:`Delta_only
+      (fun _ ->
         incr count;
         false)
   in
@@ -82,7 +83,7 @@ let test_iter_valid_enumerates () =
   let expected = List.length (Adom.all adom) * 2 in
   Alcotest.(check int) "full product" expected !count
 
-let test_iter_valid_neq_pruning () =
+let test_search_neq_pruning () =
   let q =
     Cq.make ~neqs:[ (v "x", v "y") ] ~head:[ v "x" ]
       [ Atom.make "R" [ v "x"; v "b" ]; Atom.make "R" [ v "y"; v "b" ] ]
@@ -94,10 +95,11 @@ let test_iter_valid_neq_pruning () =
   in
   let bad = ref false in
   let (_ : bool) =
-    Valuation_search.iter_valid ~checker:(Checker.create ~master:empty_master [])
-      ~mode:`Delta_only ~adom tab
-      (fun mu _ ->
-        (match Valuation.find "x" mu, Valuation.find "y" mu with
+    Valuation_search.iter
+      (Valuation_search.compile ~checker:(Checker.create ~master:empty_master []) ~adom tab)
+      ~mode:`Delta_only
+      (fun leaf ->
+        (match Valuation_search.value leaf "x", Valuation_search.value leaf "y" with
          | Some a, Some b -> if Value.equal a b then bad := true
          | _ -> ());
         false)
@@ -108,7 +110,7 @@ let test_iter_valid_neq_pruning () =
    as one atom it is a generator: the forbidden candidates are never
    drawn, so nothing is pruned.  Written as a join it is checked per
    step, and cuts them. *)
-let test_iter_valid_cc_pruning () =
+let test_search_cc_pruning () =
   let q = Cq.make ~head:[ v "x" ] [ Atom.make "R" [ v "x"; v "b" ] ] in
   let tab = Option.get (Tableau.of_cq schema q) in
   let adom =
@@ -125,15 +127,16 @@ let test_iter_valid_cc_pruning () =
     let pruned = ref 0 in
     let visited = ref 0 in
     let (_ : bool) =
-      Valuation_search.iter_valid
-        ~checker:(Checker.create ~master:empty_master [ forbid ])
-        ~mode:`Delta_only ~adom
+      Valuation_search.iter
         ~on_prune:(fun () -> incr pruned)
-        tab
-        (fun mu _ ->
+        (Valuation_search.compile
+           ~checker:(Checker.create ~master:empty_master [ forbid ])
+           ~adom tab)
+        ~mode:`Delta_only
+        (fun leaf ->
           incr visited;
           Alcotest.(check bool) "forbidden value never reached" false
-            (match Valuation.find "x" mu with
+            (match Valuation_search.value leaf "x" with
              | Some c -> Value.equal c fresh
              | None -> false);
           false)
@@ -228,9 +231,9 @@ let () =
         ] );
       ( "valuation search",
         [
-          Alcotest.test_case "enumerates the product" `Quick test_iter_valid_enumerates;
-          Alcotest.test_case "inequality pruning" `Quick test_iter_valid_neq_pruning;
-          Alcotest.test_case "constraint pruning" `Quick test_iter_valid_cc_pruning;
+          Alcotest.test_case "enumerates the product" `Quick test_search_enumerates;
+          Alcotest.test_case "inequality pruning" `Quick test_search_neq_pruning;
+          Alcotest.test_case "constraint pruning" `Quick test_search_cc_pruning;
         ] );
       ( "guidance",
         [

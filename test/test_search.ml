@@ -89,8 +89,10 @@ let steps_for atoms =
   let tab = tableau_of atoms in
   let budget = Budget.create ~max_steps:1_000_000 () in
   ignore
-    (Valuation_search.iter_valid ~budget ~checker:(Checker.create ~master:no_master [])
-       ~mode:`Delta_only ~adom:(adom_for tab) tab (fun _ _ -> false));
+    (Valuation_search.iter ~budget
+       (Valuation_search.compile ~checker:(Checker.create ~master:no_master []) ~adom:(adom_for tab)
+          tab)
+       ~mode:`Delta_only (fun _ -> false));
   Budget.steps budget
 
 let test_duplicate_shared_atoms () =
@@ -109,14 +111,15 @@ let test_duplicate_shared_atoms () =
 
 let tripped () = Budget.create ~max_steps:0 ()
 
-let test_entry_check_iter_valid () =
+let test_entry_check_search () =
   let tab = tableau_of [ Atom.make "R" [ v "x" ] ] in
   let visits = ref 0 in
   (match
-     Valuation_search.iter_valid ~budget:(tripped ())
-       ~checker:(Checker.create ~master:no_master [])
-       ~mode:`Delta_only ~adom:(adom_for tab) tab
-       (fun _ _ ->
+     Valuation_search.iter ~budget:(tripped ())
+       (Valuation_search.compile ~checker:(Checker.create ~master:no_master []) ~adom:(adom_for tab)
+          tab)
+       ~mode:`Delta_only
+       (fun _ ->
          incr visits;
          false)
    with
@@ -400,9 +403,26 @@ let prop_generate =
             if accepted mu' then expected := mu' :: !expected;
             false)
       in
-      let g = Checker.generator chk atom doms in
+      (* the register API: a slot per atom variable, the bound ones
+         written on entry, each yielded candidate read back *)
+      let vars = Atom.vars atom in
+      let reg x =
+        let rec go i = function
+          | [] -> assert false
+          | y :: rest -> if String.equal x y then i else go (i + 1) rest
+        in
+        go 0 vars
+      in
+      let regs = Array.make (List.length vars) (-1) in
+      List.iter (fun (x, c) -> regs.(reg x) <- Intern.id c) (Valuation.bindings mu);
+      let g = Checker.generator chk ~slot:reg atom doms in
       let (_ : bool) =
-        Checker.generate g mu (fun mu' ->
+        Checker.generate g regs (fun () ->
+            let mu' =
+              List.fold_left
+                (fun m x -> Valuation.add x (Intern.value regs.(reg x)) m)
+                Valuation.empty vars
+            in
             generated := mu' :: !generated;
             false)
       in
@@ -411,6 +431,169 @@ let prop_generate =
         QCheck2.Test.fail_reportf "%a: generated [%s], expected [%s]" Atom.pp atom (show !generated)
           (show !expected);
       true)
+
+(* ------------------------------------------------------------------ *)
+(* The slot-addressed search against brute force.  Small random
+   tableaux (repeated variables, constants, inequalities, a finite
+   column) under random CCs — generators (plain, selecting by a
+   constant or a repeated variable, an empty RHS), multi-atom ones (a
+   join, a key with an inequality) and a datalog one — over a random
+   base.  In both modes the visited leaves must be exactly the valid
+   valuations [μ] with [holds_all (base ∪ μ(T))] ([μ(T)] alone in
+   [`Delta_only]), each visited once, and each leaf's materialised
+   extension must be [Tableau.instantiate]'s.  One compiled search
+   serves both modes. *)
+
+let bf_schema =
+  Schema.make
+    [
+      Schema.relation "R"
+        [ Schema.attribute "a"; Schema.attribute ~dom:(Domain.finite [ Value.Int 0; Value.Int 1 ]) "b" ];
+      Schema.relation "S" [ Schema.attribute "a" ];
+    ]
+
+let bf_master_schema =
+  Schema.make
+    [
+      Schema.relation "M" [ Schema.attribute "x" ];
+      Schema.relation "M2" [ Schema.attribute "x"; Schema.attribute "y" ];
+    ]
+
+let bf_ccs =
+  let r a b = Atom.make "R" [ a; b ] and s a = Atom.make "S" [ a ] in
+  let k i = Term.const (Value.Int i) in
+  let cc name ?(neqs = []) head atoms rhs =
+    Containment.make ~name (Lang.Q_cq (Cq.make ~neqs ~head atoms)) rhs
+  in
+  [
+    cc "ind_r" [ v "u"; v "w" ] [ r (v "u") (v "w") ] (Projection.proj "M2" [ 0; 1 ]);
+    cc "ind_s" [ v "u" ] [ s (v "u") ] (Projection.proj "M" [ 0 ]);
+    cc "select" [ v "u" ] [ r (v "u") (k 1) ] (Projection.proj "M" [ 0 ]);
+    cc "repeated" [ v "u" ] [ r (v "u") (v "u") ] (Projection.proj "M" [ 0 ]);
+    cc "forbid" [] [ s (k 2) ] Projection.Empty;
+    cc "join" [ v "w" ] [ r (v "u") (v "w"); s (v "u") ] (Projection.proj "M" [ 0 ]);
+    cc "key" ~neqs:[ (v "w1", v "w2") ] [ v "u" ]
+      [ r (v "u") (v "w1"); r (v "u") (v "w2") ]
+      Projection.Empty;
+    cc "chain" [ v "u" ] [ s (v "u"); s (v "w"); r (v "u") (v "w") ] (Projection.proj "M" [ 0 ]);
+    (* a datalog LHS has no UCQ form: checked by evaluating base ∪ μ(T) *)
+    Containment.make ~name:"fp"
+      (Lang.Q_fp
+         (Datalog.program
+            [ Datalog.rule (Atom.make "Ans" [ v "u" ]) [ Datalog.Pos (r (v "u") (v "w")); Datalog.Pos (s (v "w")) ] ]
+            ~output:"Ans"))
+      (Projection.proj "M" [ 0 ]);
+  ]
+
+let bf_instance seed =
+  let st = Random.State.make [| seed |] in
+  let pick l = List.nth l (Random.State.int st (List.length l)) in
+  let int n = Random.State.int st n in
+  let value () = Value.Int (int 3) in
+  let term () =
+    if int 4 = 0 then Term.const (value ()) else v (pick [ "x"; "y"; "z" ])
+  in
+  (* R's second column is finite, {0, 1}: constants there stay in it *)
+  let term_b () = if int 4 = 0 then Term.const (Value.Int (int 2)) else v (pick [ "x"; "y"; "z" ]) in
+  let atom () =
+    if int 2 = 0 then Atom.make "R" [ term (); term_b () ] else Atom.make "S" [ term () ]
+  in
+  let atoms = List.init (1 + int 3) (fun _ -> atom ()) in
+  let avars = List.concat_map Atom.vars atoms |> List.sort_uniq String.compare in
+  let side () =
+    if avars = [] || int 4 = 0 then Term.const (value ()) else v (pick avars)
+  in
+  let neqs = List.init (int 3) (fun _ -> (side (), side ())) in
+  let head = List.filteri (fun i _ -> i < 1 + int 2) (List.map v avars) in
+  let q = Cq.make ~neqs ~head atoms in
+  let rows n f = List.init n (fun _ -> f ()) |> List.sort_uniq Tuple.compare in
+  let rel n f = Relation.of_tuples (rows n f) in
+  let master =
+    Database.of_list bf_master_schema
+      [
+        ("M", rel (1 + int 3) (fun () -> Tuple.make [ value () ]));
+        ("M2", rel (1 + int 5) (fun () -> Tuple.make [ value (); Value.Int (int 2) ]));
+      ]
+  in
+  let ccs = List.filter (fun _ -> int 3 = 0) bf_ccs in
+  let base =
+    Database.of_list bf_schema
+      [
+        ("R", rel (int 3) (fun () -> Tuple.make [ value (); Value.Int (int 2) ]));
+        ("S", rel (int 3) (fun () -> Tuple.make [ value () ]));
+      ]
+  in
+  (q, master, ccs, base)
+
+let prop_search_brute_force =
+  QCheck2.Test.make ~name:"slot-addressed search ≡ brute force over valid valuations" ~count:400
+    ~print:string_of_int QCheck2.Gen.int
+    (fun seed ->
+      let q, master, ccs, base = bf_instance seed in
+      match Tableau.of_cq bf_schema q with
+      | None -> true
+      | Some tab ->
+        let adom =
+          Adom.build ~db:base ~schemas:[ bf_schema ] ~master
+            ~cc_constants:(List.concat_map Containment.constants ccs)
+            ~query_constants:(Cq.constants q) ~fresh_count:2 ()
+        in
+        let search = Valuation_search.compile ~checker:(Checker.create ~master ccs) ~adom tab in
+        let key mu = Valuation.bindings mu in
+        let check mode =
+          let root =
+            match mode with `Against_base db -> db | `Delta_only -> Database.empty bf_schema
+          in
+          let doms = Tableau.var_domains tab in
+          let cands =
+            List.map
+              (fun x ->
+                (x, Adom.candidates adom (Option.value ~default:Domain.infinite (List.assoc_opt x doms))))
+              (Tableau.vars tab)
+          in
+          let expected = ref [] in
+          let (_ : bool) =
+            Valuation.enumerate_iter cands (fun mu ->
+                if
+                  Tableau.neqs_ok tab mu
+                  && Containment.holds_all
+                       ~db:(Database.union root (Tableau.instantiate tab mu))
+                       ~master ccs
+                then expected := key mu :: !expected;
+                false)
+          in
+          let visited = ref [] in
+          let (_ : bool) =
+            Valuation_search.iter search ~mode (fun leaf ->
+                let mu = Valuation_search.valuation leaf in
+                if not (Database.equal (Valuation_search.extension leaf) (Tableau.instantiate tab mu))
+                then QCheck2.Test.fail_reportf "extension differs from instantiate at %a" Valuation.pp mu;
+                List.iter
+                  (fun x ->
+                    if Valuation_search.value leaf x <> Valuation.find x mu then
+                      QCheck2.Test.fail_reportf "value %s differs from the valuation" x)
+                  (Tableau.vars tab);
+                visited := key mu :: !visited;
+                false)
+          in
+          let sort = List.sort compare in
+          let show l =
+            String.concat "; "
+              (List.map
+                 (fun b ->
+                   String.concat ","
+                     (List.map (fun (x, c) -> x ^ "=" ^ Value.to_string c) b))
+                 l)
+          in
+          if List.length (List.sort_uniq compare !visited) <> List.length !visited then
+            QCheck2.Test.fail_reportf "a valuation was visited twice: [%s]" (show (sort !visited));
+          if sort !visited <> sort !expected then
+            QCheck2.Test.fail_reportf "%a: visited [%s], expected [%s]" Tableau.pp tab
+              (show (sort !visited)) (show (sort !expected))
+        in
+        check `Delta_only;
+        check (`Against_base base);
+        true)
 
 let scenarios_dir () =
   if Sys.file_exists "../../../scenarios" then "../../../scenarios" else "scenarios"
@@ -620,6 +803,30 @@ let test_par_witness_is_valid () =
       | exception Rcdp.Unsupported _ -> ())
     s.Scenario.queries
 
+(* rcqp explain tells the truth: crm Q0's witness is found by the
+   heuristic, whose verification runs Rcdp.decide on the same profile
+   — the decider note must stay rcqp's — and whose greedy witness
+   ticks the caller's budget, so every step the profile attributes is
+   one the budget counted. *)
+let test_rcqp_explain_crm_q0 () =
+  let s = Scenario.load (Filename.concat (scenarios_dir ()) "crm.ric") in
+  let q = Option.get (Scenario.find_query s "Q0") in
+  let profile = Ric_obs.Profile.create () in
+  let clock = Budget.create () in
+  (match
+     Rcqp.decide ~clock ~profile ~schema:s.Scenario.db_schema ~master:s.Scenario.master
+       ~ccs:(Scenario.all_ccs s) q
+   with
+   | Rcqp.Nonempty { witness = Some _; _ } -> ()
+   | _ -> Alcotest.fail "crm Q0 must be nonempty with a witness");
+  let snap = Ric_obs.Profile.snapshot profile in
+  Alcotest.(check (option string)) "decider note" (Some "rcqp")
+    (List.assoc_opt "decider" snap.Ric_obs.Profile.notes);
+  Alcotest.(check bool) "the greedy witness ran" true
+    (List.mem_assoc "witness_steps" snap.Ric_obs.Profile.counters);
+  Alcotest.(check int) "attributed = steps" (Budget.steps clock)
+    (Ric_obs.Profile.attributed_steps snap)
+
 let () =
   Alcotest.run "search"
     [
@@ -630,7 +837,7 @@ let () =
       ( "regressions",
         [
           Alcotest.test_case "duplicate shared atoms" `Quick test_duplicate_shared_atoms;
-          Alcotest.test_case "entry check: iter_valid" `Quick test_entry_check_iter_valid;
+          Alcotest.test_case "entry check: iter_valid" `Quick test_entry_check_search;
           Alcotest.test_case "entry check: deciders" `Quick test_entry_check_deciders;
         ] );
       ( "incremental",
@@ -644,7 +851,10 @@ let () =
             test_supply_chain_attribution;
           Alcotest.test_case "FD prunes charged declaration-first" `Quick
             test_fd_declaration_first;
+          Alcotest.test_case "rcqp explain: crm Q0 decider and steps" `Quick
+            test_rcqp_explain_crm_q0;
           QCheck_alcotest.to_alcotest prop_generate;
+          QCheck_alcotest.to_alcotest prop_search_brute_force;
         ] );
       ( "mode agreement",
         [
