@@ -1077,6 +1077,60 @@ let in_child f =
      | (_, Unix.WEXITED 0), Some r -> r
      | _ -> exit 1)
 
+(* decide_after_load_us: what a nocache RCDP costs once a write has
+   landed.  An in-process [Service] opens the rung's file plus a
+   QP-shaped (one atom, constant subject and object) and a QJ-shaped
+   (two-atom join) query and inserts one row into T; then 7 samples
+   each run a nocache rcdp of both queries on that epoch, timed
+   together on the monotonic clock.  A sample is the mean of its two
+   decides, in µs; the figure is the median, min and max of the 7.
+   The first sample is the epoch's first decide, so the max is
+   usually it. *)
+let decide_after_load path =
+  let module Json = Ric_text.Json in
+  let module Protocol = Ric_service.Protocol in
+  let module Service = Ric_service.Service in
+  let qpath = path ^ ".decide.ric" in
+  let oc = open_out_bin qpath in
+  let ic = open_in_bin path in
+  output_string oc (really_input_string ic (in_channel_length ic));
+  close_in ic;
+  output_string oc
+    "query QP(p) :- T(\"e5\", p, \"e7\").\nquery QJ(p, q) :- T(\"e5\", p, x), T(x, q, \"e7\").\n";
+  close_out oc;
+  let field k = function
+    | Json.Obj kvs -> List.assoc_opt k kvs
+    | _ -> None
+  in
+  let expect_ok what r =
+    if field "ok" r <> Some (Json.Bool true) then
+      failwith (Printf.sprintf "decide_after_load: %s failed: %s" what (Json.to_string r))
+  in
+  let svc = Service.create () in
+  let r = Service.handle svc (Protocol.Open { path = Some qpath; source = None; name = None }) in
+  expect_ok "open" r;
+  let session = match field "session" r with Some (Json.Str s) -> s | _ -> assert false in
+  expect_ok "insert"
+    (Service.handle svc
+       (Protocol.Insert
+          { session; rel = "T"; rows = [ [ Value.str "e1"; Value.str "k1"; Value.str "e2" ] ] }));
+  let sample () =
+    let t0 = Ric_obs.Metrics.now_s () in
+    List.iter
+      (fun query ->
+        expect_ok "rcdp"
+          (Service.handle svc
+             (Protocol.Rcdp
+                { session; query; nocache = true; timeout_ms = None; search = None; req_id = None;
+                  explain = false })))
+      [ "QP"; "QJ" ];
+    int_of_float ((Ric_obs.Metrics.now_s () -. t0) *. 1e6 /. 2.)
+  in
+  let samples = List.sort Int.compare (List.init 7 (fun _ -> sample ())) in
+  expect_ok "close" (Service.handle svc (Protocol.Close { session }));
+  (try Sys.remove qpath with Sys_error _ -> ());
+  (List.nth samples 3, List.hd samples, List.nth samples 6)
+
 let load_bench () =
   hr "Ingest: streaming columnar loader vs slurp baseline (generated .ric)";
   let module Json = Ric_text.Json in
@@ -1140,15 +1194,21 @@ let load_bench () =
             tuples;
           exit 1
         end;
+        (* after the loads, so the peak above is the load's alone *)
+        let decide = if tuples <= 100_000 then Some (decide_after_load path) else None in
         (try Sys.remove path with Sys_error _ -> ());
         let speedup = stream_sps /. (slurp_sps +. 1e-9) in
         Printf.printf
           "  %8d tuples : stream %9.0f t/s  slurp %9.0f t/s  (%4.1fx)  rix \
-           %6.1f ms  growths %d  VmHWM %d kB\n"
-          tuples stream_sps slurp_sps speedup (1e3 *. rix_secs) growths vmhwm;
+           %6.1f ms  growths %d  VmHWM %d kB%s\n"
+          tuples stream_sps slurp_sps speedup (1e3 *. rix_secs) growths vmhwm
+          (match decide with
+           | Some (med, lo, hi) ->
+             Printf.sprintf "  decide after load %d us (%d-%d)" med lo hi
+           | None -> "");
         let row =
           Json.Obj
-            [
+            ([
               ("tuples", Json.Int tuples);
               ("rows", Json.Int rows);
               ("stream_tuples_per_sec", Json.Int (int_of_float stream_sps));
@@ -1160,6 +1220,14 @@ let load_bench () =
               ("vmhwm_kb", Json.Int vmhwm);
               ("databases_equal", Json.Bool true);
             ]
+            @
+            match decide with
+            | Some (med, lo, hi) ->
+              [
+                ( "decide_after_load_us",
+                  Json.Obj [ ("median", Json.Int med); ("min", Json.Int lo); ("max", Json.Int hi) ] );
+              ]
+            | None -> [])
         in
         (row, (stream_sps, slurp_sps, vmhwm, Intern.size ())))
       rungs

@@ -27,10 +27,18 @@ val build :
     constraint tableaux).  Fresh values are guaranteed distinct from
     every constant of [db], [master], [cc_constants],
     [query_constants], and every finite-domain value of [schemas]
-    (the paper's [d_f ⊆ Adom] proviso). *)
+    (the paper's [d_f ⊆ Adom] proviso).
+
+    The constants are listed in increasing {!Value.compare} order —
+    the order a search draws candidates in, so the order that decides
+    which counterexample is reported.  [db]'s and [master]'s come from
+    their relations' cached {!Relation.values}, and a list passed
+    already sorted is used as it is, so building costs a merge, linear
+    in the result, rather than a sort of every value of [D]. *)
 
 val constants : t -> Value.t list
-(** Part (a): the known constants. *)
+(** Part (a): the known constants, in increasing {!Value.compare}
+    order. *)
 
 val fresh : t -> Value.t list
 (** Part (b): the [New] values. *)
@@ -43,3 +51,12 @@ val candidates : t -> Domain.t -> Value.t list
     finite domain for [Finite], {!all} for [Infinite]. *)
 
 val size : t -> int
+
+val referenced_master_constants :
+  master:Database.t -> Ric_constraints.Containment.t list -> Value.t list
+(** The constants of the master relations some CC's RHS projects from,
+    sorted and deduplicated.  Master constants are observable only
+    through those projections; every other one is interchangeable with
+    a fresh value (genericity), so the deciders leave them out of
+    [Adom].  Read from the relations' cached {!Relation.values}: a
+    merge, not a sort. *)

@@ -54,27 +54,6 @@ let m_pruned =
 let cc_constants ccs =
   List.concat_map Containment.constants ccs |> List.sort_uniq Value.compare
 
-(* Master constants are observable only through the projections the
-   constraints reference; all others are interchangeable with fresh
-   values (genericity), so they can be dropped from the active domain
-   without affecting the verdict. *)
-let referenced_master_constants ~master ccs =
-  let rels =
-    List.filter_map
-      (fun cc ->
-        match cc.Containment.rhs with
-        | Projection.Proj { mrel; _ } -> Some mrel
-        | Projection.Empty -> None)
-      ccs
-    |> List.sort_uniq String.compare
-  in
-  List.concat_map
-    (fun r ->
-      match Database.relation master r with
-      | rel -> Relation.values rel
-      | exception Not_found -> [])
-    rels
-
 let require_monotone_ccs ccs =
   List.iter
     (fun cc ->
@@ -84,15 +63,6 @@ let require_monotone_ccs ccs =
              (Printf.sprintf
                 "RCDP is undecidable for %s containment constraints (Theorem 3.1); use semi_decide"
                 (Containment.language_name cc))))
-    ccs
-
-(* Constraints whose left-hand side can react to tuples added over the
-   given relations; the others are settled once [D] is known to be
-   partially closed. *)
-let dynamic_ccs ccs rels =
-  List.filter
-    (fun cc ->
-      List.exists (fun r -> List.mem r rels) (Lang.relations cc.Containment.lhs))
     ccs
 
 (* ------------------------------------------------------------------ *)
@@ -107,8 +77,9 @@ let dynamic_ccs ccs rels =
 let search_disjunct ~clock ~profile ~checker ~ind_mode ~db ~qd ~adom ~visited
     ~pruned ~disjunct (tab : Tableau.t) =
   let found = ref None in
-  let mode = if ind_mode then `Delta_only else `Against_base db in
-  let search = Valuation_search.compile ~checker:(Lazy.force checker) ~adom tab in
+  (* [db] is partially closed: checked at entry, or by contract *)
+  let mode = if ind_mode then `Delta_only else `Closed_base db in
+  let search = Valuation_search.compile ~checker ~adom tab in
   let (_ : bool) =
     Valuation_search.iter ~budget:clock ?profile
       ~on_prune:(fun () -> incr pruned)
@@ -132,7 +103,7 @@ let search_disjunct ~clock ~profile ~checker ~ind_mode ~db ~qd ~adom ~visited
   !found
 
 let decide_ucq_with ~ind_mode ?(clock = Budget.unlimited)
-    ?(check_partially_closed = true) ?collect_stats ?profile ~schema ~master
+    ?(check_partially_closed = true) ?checker ?collect_stats ?profile ~schema ~master
     ~ccs ~db ucq =
   Trace.with_span "rcdp.decide" @@ fun sp ->
   (match Budget.label clock with
@@ -145,11 +116,21 @@ let decide_ucq_with ~ind_mode ?(clock = Budget.unlimited)
      must abort before the partial-closure check does any work *)
   Budget.check_now clock;
   require_monotone_ccs ccs;
-  if check_partially_closed && not (Containment.holds_all ~db ~master ccs) then
+  (* one checker for the entry check, Q(D) and every disjunct's search:
+     its index store indexes D once for all three *)
+  let checker =
+    match checker with
+    | Some chk -> chk
+    | None -> Checker.create ~master ccs
+  in
+  if
+    check_partially_closed
+    && Checker.check checker ~base:db ~delta:(Database.empty (Database.schema db)) <> None
+  then
     raise
       (Not_partially_closed
          "RCDP: the input database does not satisfy the containment constraints");
-  let qd = Ucq.eval db ucq in
+  let qd = Checker.answers checker db ucq in
   let tableaux = List.filter_map (Tableau.of_cq schema) ucq in
   (* One fresh value per query-tableau variable (Section 3.2's New).
      Constraint variables need none here: Proposition 3.3's small-model
@@ -160,21 +141,12 @@ let decide_ucq_with ~ind_mode ?(clock = Budget.unlimited)
   in
   let adom =
     let cc_consts =
-      referenced_master_constants ~master ccs @ cc_constants ccs
-      |> List.sort_uniq Value.compare
+      Value.union_sorted (Adom.referenced_master_constants ~master ccs) (cc_constants ccs)
     in
     Adom.build ~db ~schemas:[ schema ]
       ~master:(Database.empty (Database.schema master))
       ~cc_constants:cc_consts ~query_constants:(Ucq.constants ucq) ~fresh_count ()
   in
-  let tab_rels =
-    List.concat_map
-      (fun t -> List.map (fun (a : Atom.t) -> a.Atom.rel) t.Tableau.patterns)
-      tableaux
-    |> List.sort_uniq String.compare
-  in
-  (* one checker for every disjunct's search, built by the first *)
-  let checker = lazy (Checker.create ~master (dynamic_ccs ccs tab_rels)) in
   (match profile with
    | Some p -> Ric_obs.Profile.note p "decider" "rcdp"
    | None -> ());
@@ -223,8 +195,8 @@ let decide_ucq_with ~ind_mode ?(clock = Budget.unlimited)
     Trace.set_str sp "reason" (Budget.reason_name reason);
     raise e
 
-let decide ?clock ?check_partially_closed ?collect_stats ?profile ~schema ~master
-    ~ccs ~db q =
+let decide ?clock ?check_partially_closed ?checker ?collect_stats ?profile ~schema
+    ~master ~ccs ~db q =
   match Lang.as_ucq q with
   | None ->
     raise
@@ -232,8 +204,8 @@ let decide ?clock ?check_partially_closed ?collect_stats ?profile ~schema ~maste
          (Printf.sprintf "RCDP is undecidable for %s queries (Theorem 3.1); use semi_decide"
             (Lang.language_name q)))
   | Some ucq ->
-    decide_ucq_with ~ind_mode:false ?clock ?check_partially_closed ?collect_stats
-      ?profile ~schema ~master ~ccs ~db ucq
+    decide_ucq_with ~ind_mode:false ?clock ?check_partially_closed ?checker
+      ?collect_stats ?profile ~schema ~master ~ccs ~db ucq
 
 let decide_ind ?clock ?check_partially_closed ~schema ~master ~inds ~db q =
   let ccs = List.map (Ind.to_cc schema) inds in

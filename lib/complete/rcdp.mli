@@ -50,6 +50,7 @@ type stats = {
 val decide :
   ?clock:Budget.t ->
   ?check_partially_closed:bool ->
+  ?checker:Checker.t ->
   ?collect_stats:stats ref ->
   ?profile:Ric_obs.Profile.t ->
   schema:Schema.t ->
@@ -65,9 +66,18 @@ val decide :
     [clock] (default {!Budget.unlimited}) bounds the Σ₂ᵖ search; when
     it runs out the search aborts with {!Budget.Exhausted}, after
     writing the partial counters into [collect_stats] so the caller
-    can report how much work a timed-out decide had done.  One
-    {!Ric_constraints.Checker} over the constraints the query's
-    relations can disturb serves the search of every disjunct.
+    can report how much work a timed-out decide had done.
+
+    One {!Ric_constraints.Checker} serves the whole decide: the entry
+    closure check, the evaluation of [Q(D)] and the search of every
+    disjunct, so its index store indexes [D] once for all three.
+    [checker] supplies it; it must have been created over [ccs] on
+    [master] — a session passes the checker it keeps across its
+    decides and writes, whose store may already hold [D]'s indexes.
+    Without it the decide builds its own over [ccs].  Either way the
+    search starts on a closed base ({!Valuation_search.iter}'s
+    [`Closed_base]): [(D, Dm) ⊨ V] was checked at entry or is the
+    caller's guarantee, so no root re-check runs.
 
     [profile] (explain mode) accumulates a request-scoped explain
     profile: per-search-level step and prune counts, per-constraint
@@ -78,8 +88,11 @@ val decide :
 
     @raise Unsupported if [Q] is FO/FP or some CC has a
       non-monotone (FO) or FP left-hand side.
-    @raise Not_partially_closed if [(D, Dm) ⊭ V]
-      (skipped when [check_partially_closed] is [false]).
+    @raise Not_partially_closed if [(D, Dm) ⊭ V].  With
+      [check_partially_closed] [false] the check is skipped and
+      [(D, Dm) ⊨ V] becomes the caller's guarantee: the search
+      assumes it, and on a [D] that breaks it the verdict is
+      unspecified.
     @raise Budget.Exhausted when [clock] runs out mid-search. *)
 
 val decide_ind :

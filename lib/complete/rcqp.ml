@@ -83,28 +83,6 @@ let cc_constants ccs =
 let cc_var_count ccs =
   List.fold_left (fun n cc -> n + Lang.var_count cc.Containment.lhs) 0 ccs
 
-(* Master constants can only be observed through the projections the
-   constraints actually reference; restricting the active domain to
-   those relations is sound (any other master constant is
-   interchangeable with a fresh value) and keeps the search space at
-   the size of the instance, not of the whole master repository. *)
-let referenced_master ~master ccs =
-  let rels =
-    List.filter_map
-      (fun cc ->
-        match cc.Containment.rhs with
-        | Projection.Proj { mrel; _ } -> Some mrel
-        | Projection.Empty -> None)
-      ccs
-    |> List.sort_uniq String.compare
-  in
-  List.concat_map
-    (fun r ->
-      match Database.relation master r with
-      | rel -> Relation.values rel
-      | exception Not_found -> [])
-    rels
-
 (* Two-tier active domain (Section 4.2's [Adom = constants ∪ New]):
    the candidate pool for valuation sets of V draws from the first
    [pool_fresh] fresh values only, while query-tableau valuations may
@@ -112,8 +90,10 @@ let referenced_master ~master ccs =
    reserved values can never enter a bounding set, which is what makes
    "an unbounded fresh output value exists" detectable. *)
 let build_adoms ~budget ~schema ~master ~ccs ~ucq =
+  (* only the referenced master constants: the search space stays at
+     the size of the instance, not of the whole master repository *)
   let cc_consts =
-    referenced_master ~master ccs @ cc_constants ccs |> List.sort_uniq Value.compare
+    Value.union_sorted (Adom.referenced_master_constants ~master ccs) (cc_constants ccs)
   in
   let pool_fresh = min budget.pool_fresh (max 1 (cc_var_count ccs)) in
   let q_fresh = List.length (Ucq.vars ucq) + 1 in

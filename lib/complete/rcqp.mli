@@ -109,6 +109,21 @@ val decide :
     @raise Unsupported for FO/FP on either side.
     @raise Budget.Exhausted when [clock] runs out. *)
 
+val verify_witness :
+  ?clock:Budget.t ->
+  ?profile:Ric_obs.Profile.t ->
+  schema:Schema.t ->
+  master:Database.t ->
+  ccs:Containment.t list ->
+  Lang.t ->
+  Database.t ->
+  bool
+(** [verify_witness q w]: is [w] a witness — partially closed and
+    complete for [q] ({!Rcdp.decide} with its entry closure check)?  A
+    [w] with [(w, Dm) ⊭ V] is not one: [false], never
+    {!Rcdp.Not_partially_closed}.  Its steps and prunes go to
+    [profile], whose decider note it leaves as it found it. *)
+
 type semi_verdict =
   | Plausibly_nonempty of {
       witness : Database.t;

@@ -184,8 +184,10 @@ let extension leaf =
   !db
 
 (* One run of a compiled search over one base.  The root is [base]
-   itself: in [`Against_base D] mode the run checks [D ∪ μ(T)], in
-   [`Delta_only] mode [μ(T)] alone.  Once the root satisfies every CC,
+   itself: in [`Against_base D] and [`Closed_base D] mode the run
+   checks [D ∪ μ(T)], in [`Delta_only] mode [μ(T)] alone; a closed
+   base is known to satisfy every CC, so only the other two modes
+   check the root.  Once the root satisfies every CC,
    every step only needs the delta check of its row (the constraints
    are monotone, so only joins through the new tuple can break them),
    and a level's candidates are drawn from its generator CCs, so the
@@ -271,14 +273,18 @@ let iter ?(budget = Budget.unlimited) ?profile ?(on_prune = fun () -> ()) s ~mod
   Budget.check_now budget;
   let base =
     match mode with
-    | `Against_base db -> db
+    | `Against_base db | `Closed_base db -> db
     | `Delta_only -> Database.empty s.tab.Tableau.schema
   in
   let frame = Checker.frame s.chk ~base in
+  (* a closed base satisfies every CC by contract: no root check *)
   let delta_ok =
-    match Checker.check_frame frame with
-    | None -> true
-    | Some _ | (exception Invalid_argument _) -> false
+    match mode with
+    | `Closed_base _ -> true
+    | `Against_base _ | `Delta_only -> (
+      match Checker.check_frame frame with
+      | None -> true
+      | Some _ | (exception Invalid_argument _) -> false)
   in
   let rel l = l.atom.Atom.rel in
   let run_gens = if delta_ok then s.gens else Lazy.force s.product in

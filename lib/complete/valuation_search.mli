@@ -12,15 +12,17 @@
     whole subtree is pruned.
 
     The check is the caller's {!Ric_constraints.Checker}, built once per
-    decide over its constraints and shared by every search of that
-    decide: what it caches — each CC's RHS, the index of the last base
+    decide over its constraints (or kept by a session across its
+    decides) and shared by every search of that decide: what it
+    caches — each CC's RHS, the index of the last base
     per relation (rebuilt when the base changes), and for the most
     recent candidate lists (keyed by the list's physical identity,
     which the cache keeps alive) each list's value positions — holds
     whatever tableau, base and active domain a search is given.  The
     search runs its full check once at the root (the base database, or
-    the empty one); when the root satisfies every constraint, each step
-    runs only the delta check — the constraints reading the grown
+    the empty one) unless the base is known closed ([`Closed_base]);
+    when the root satisfies every constraint, each step runs only the
+    delta check — the constraints reading the grown
     relation, through the joins that use the new tuple — and otherwise
     each step runs the full check.
 
@@ -112,12 +114,26 @@ val iter :
   ?profile:Ric_obs.Profile.t ->
   ?on_prune:(unit -> unit) ->
   t ->
-  mode:[ `Against_base of Database.t | `Delta_only ] ->
+  mode:[ `Against_base of Database.t | `Closed_base of Database.t | `Delta_only ] ->
   (leaf -> bool) ->
   bool
 (** [iter s ~mode visit] calls [visit] on every valid valuation whose
     extension passes the constraint check; stops early when [visit]
-    returns [true] and reports whether any visit did.  [budget]
+    returns [true] and reports whether any visit did.
+
+    [`Against_base D] checks [D ∪ μ(T)] and [`Delta_only] [μ(T)]
+    alone; both first run the full check at the root.
+    [`Closed_base D] checks [D ∪ μ(T)] too, but starts directly on
+    delta checks and generated candidates: its precondition is that
+    every CC of the checker holds on [D].  RCDP's [D] meets it by
+    contract — [(D, Dm) ⊨ V] — and the checker's CCs are those of
+    [V], so the root check could only answer [None]; skipping it
+    spares the only step whose cost grows with [D] rather than with
+    the search (it joins every CC's LHS over the whole base).  On a
+    base that breaks the precondition the search is unsound: it may
+    accept extensions that the full check would reject.
+
+    [budget]
     (default {!Budget.unlimited}) is checked on entry and ticked once
     per candidate atom instantiation, so an exhausted budget aborts
     the search with {!Budget.Exhausted} before doing any work.

@@ -464,6 +464,8 @@ let check_add t ~base ~delta ~rel ~tuple = check_adds t ~base ~delta ~added:[ (r
 
 let drop_indexes t = Kernel.Store.clear t.store
 
+let answers t db ucq = Ucq.eval ~store:t.store db ucq
+
 let mem_answer t ~base ~delta q tuple =
   let f = frame_of t ~base ~delta in
   match disjuncts q with

@@ -160,6 +160,11 @@ val drop_indexes : t -> unit
     when done with one, so it never pins an index of a database the
     caller has moved past; the next check rebuilds what it needs. *)
 
+val answers : t -> Database.t -> Ric_query.Ucq.t -> Relation.t
+(** [answers t db q] is [Ucq.eval db q], with [db]'s relations indexed
+    through [t]'s index store: a check over the same [db], before or
+    after, reuses those indexes instead of building its own. *)
+
 val mem_answer :
   t -> base:Database.t -> delta:Database.t -> Ric_query.Lang.t -> Tuple.t -> bool
 (** [tuple ∈ q(base ∪ delta)], by one head-bound existence probe per

@@ -179,7 +179,7 @@ let check_safe n =
   if not ok then
     invalid_arg "Cq.eval: unsafe query (head/inequality variable not in any atom)"
 
-let eval db q =
+let eval ?store db q =
   match normalize q with
   | None -> Relation.empty
   | Some n ->
@@ -187,7 +187,7 @@ let eval db q =
     let lookup rel = try Database.relation db rel with Not_found -> Relation.empty in
     let out = ref Relation.empty in
     let (_ : bool) =
-      Match_engine.solve ~lookup ~neqs:n.n_neqs n.n_atoms (fun v ->
+      Match_engine.solve ~lookup ~neqs:n.n_neqs ?store n.n_atoms (fun v ->
           (match Valuation.tuple_of_terms v n.n_head with
            | Some t -> out := Relation.add t !out
            | None -> assert false);

@@ -62,8 +62,11 @@ val normalize : t -> norm option
 (** [None] when the equalities/inequalities are contradictory on
     ground terms (the query is unsatisfiable outright). *)
 
-val eval : Database.t -> t -> Relation.t
-(** Set semantics.  @raise Invalid_argument if unsafe (see above). *)
+val eval : ?store:Kernel.Store.t -> Database.t -> t -> Relation.t
+(** Set semantics.  [store] supplies the index cache the join reads
+    [db]'s relations through (see {!Match_engine.solve}); without it
+    each call indexes afresh.
+    @raise Invalid_argument if unsafe (see above). *)
 
 val holds : Database.t -> t -> bool
 (** [holds d q] — is [eval d q] nonempty?  Short-circuits. *)

@@ -77,9 +77,8 @@ let total_tuples d = SMap.fold (fun _ rel acc -> acc + Relation.cardinal rel) d.
 
 let is_empty d = total_tuples d = 0
 
-let adom d =
-  SMap.fold (fun _ rel acc -> List.rev_append (Relation.values rel) acc) d.rels []
-  |> List.sort_uniq Value.compare
+(* each relation's constants are cached sorted: merge, don't re-sort *)
+let adom d = SMap.fold (fun _ rel acc -> Value.union_sorted (Relation.values rel) acc) d.rels []
 
 let fold f d acc = SMap.fold f d.rels acc
 

@@ -51,7 +51,9 @@ val total_tuples : t -> int
 val is_empty : t -> bool
 
 val adom : t -> Value.t list
-(** Every constant occurring in the instance, deduplicated. *)
+(** Every constant occurring in the instance, deduplicated, in
+    increasing {!Value.compare} order: a merge of the relations'
+    cached {!Relation.values}, linear in the result per relation. *)
 
 val fold : (string -> Relation.t -> 'a -> 'a) -> t -> 'a -> 'a
 

@@ -4,6 +4,8 @@ module TSet = Set.Make (struct
   let compare = Tuple.compare
 end)
 
+module VSet = Set.Make (Value)
+
 (* Two backings share one interface.  [Set] is the historical balanced
    tree, still what every incremental operation produces.  [Packed] is
    the bulk-load representation: the tuples as a sorted, deduplicated
@@ -29,14 +31,25 @@ type backing =
    probe used to [choose] a witness tuple on every insert, and
    [Set.cardinal] is linear — both showed up in the match engine's
    per-node atom scoring.  [arity] is [-1] exactly when the relation
-   is empty. *)
+   is empty.
+
+   [vals] memoises the relation's constants ({!values}): filled on
+   first use, and [add] extends a known one by the new tuple's values.
+   As for [p_set], a racing fill is benign: both domains compute the
+   same immutable set and one write wins. *)
 type t = {
   arity : int;
   card : int;
   backing : backing;
+  mutable vals : VSet.t option;
 }
 
-let empty = { arity = -1; card = 0; backing = Set TSet.empty }
+let make ?vals arity card backing = { arity; card; backing; vals }
+
+(* a tuple is its values' array *)
+let add_values vs (t : Tuple.t) = Array.fold_left (fun vs v -> VSet.add v vs) vs t
+
+let empty = make (-1) 0 (Set TSet.empty)
 
 let force r =
   match r.backing with
@@ -53,12 +66,7 @@ let force r =
 
 let of_set set =
   if TSet.is_empty set then empty
-  else
-    {
-      arity = Tuple.arity (TSet.choose set);
-      card = TSet.cardinal set;
-      backing = Set set;
-    }
+  else make (Tuple.arity (TSet.choose set)) (TSet.cardinal set) (Set set)
 
 (* Binary search in the sorted tuple array. *)
 let packed_mem p t =
@@ -78,9 +86,38 @@ let mem t r =
   | Set s -> TSet.mem t s
   | Packed p -> packed_mem p t
 
+(* A packed relation marks the intern ids its rows use and sorts the
+   distinct values once; a tree-backed one folds its tuples' values
+   into the set. *)
+let value_set r =
+  match r.vals with
+  | Some vs -> vs
+  | None ->
+    let vs =
+      match r.backing with
+      | Packed p ->
+        let seen = Bytes.make (Intern.size ()) '\000' in
+        let ids = ref [] in
+        Array.iter
+          (Array.iter (fun id ->
+               if Bytes.get seen id = '\000' then begin
+                 Bytes.set seen id '\001';
+                 ids := id :: !ids
+               end))
+          p.p_rows;
+        VSet.of_list (List.rev_map Intern.value !ids)
+      | Set s -> TSet.fold (fun t vs -> add_values vs t) s VSet.empty
+    in
+    r.vals <- Some vs;
+    vs
+
+(* [add] extends a known memo.  A packed relation's is computed first
+   (one pass over its interned rows, far cheaper than the tree the add
+   builds from them), so the first write to a loaded relation keeps
+   it; a relation grown from [empty] starts without one, so building
+   one tuple by tuple pays nothing for constants nobody asks for. *)
 let add t r =
-  if r.card = 0 then
-    { arity = Tuple.arity t; card = 1; backing = Set (TSet.singleton t) }
+  if r.card = 0 then make (Tuple.arity t) 1 (Set (TSet.singleton t))
   else if Tuple.arity t <> r.arity then
     invalid_arg
       (Printf.sprintf "Relation: arity mismatch (%d vs %d)" (Tuple.arity t)
@@ -88,7 +125,13 @@ let add t r =
   else if mem t r then r
   else
     let set = TSet.add t (force r) in
-    { r with card = r.card + 1; backing = Set set }
+    let vals =
+      match (r.vals, r.backing) with
+      | Some vs, _ -> Some (add_values vs t)
+      | None, Packed _ -> Some (add_values (value_set r) t)
+      | None, Set _ -> None
+    in
+    make ?vals r.arity (r.card + 1) (Set set)
 
 let of_tuples ts = List.fold_left (fun acc t -> add t acc) empty ts
 let of_int_rows rows = of_tuples (List.map Tuple.of_ints rows)
@@ -109,7 +152,13 @@ let union a b =
     let set = TSet.union sa sb in
     if set == sa then a
     else if set == sb then b
-    else { a with card = TSet.cardinal set; backing = Set set }
+    else
+      let vals =
+        match (a.vals, b.vals) with
+        | Some va, Some vb -> Some (VSet.union va vb)
+        | _ -> None
+      in
+      make ?vals a.arity (TSet.cardinal set) (Set set)
 
 let diff a b = of_set (TSet.diff (force a) (force b))
 let inter a b = of_set (TSet.inter (force a) (force b))
@@ -163,9 +212,7 @@ let project cols r =
 
 let map f r = of_set (fold (fun t acc -> TSet.add (f t) acc) r TSet.empty)
 
-let values r =
-  fold (fun t acc -> List.rev_append (Tuple.values t) acc) r []
-  |> List.sort_uniq Value.compare
+let values r = VSet.elements (value_set r)
 
 let packed_rows r =
   match r.backing with
@@ -351,10 +398,6 @@ module Builder = struct
           incr out
         end
       done;
-      {
-        arity = ar;
-        card = m;
-        backing = Packed { p_tuples; p_rows; p_set = None };
-      }
+      make ar m (Packed { p_tuples; p_rows; p_set = None })
     end
 end

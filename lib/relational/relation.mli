@@ -13,7 +13,8 @@ val of_int_rows : int list list -> t
 val of_str_rows : string list list -> t
 
 val add : Tuple.t -> t -> t
-(** @raise Invalid_argument on an arity mismatch with existing tuples. *)
+(** Also extends the relation's cached {!values} (see there).
+    @raise Invalid_argument on an arity mismatch with existing tuples. *)
 
 val mem : Tuple.t -> t -> bool
 
@@ -58,7 +59,21 @@ val project : int list -> t -> t
 val map : (Tuple.t -> Tuple.t) -> t -> t
 
 val values : t -> Value.t list
-(** All constants occurring anywhere in the relation, deduplicated. *)
+(** All constants occurring anywhere in the relation, deduplicated, in
+    increasing {!Value.compare} order.
+
+    Cached on the relation as a set: the first call computes it — O(m)
+    over the interned rows of a packed relation ({!Builder.finish})
+    plus a sort of the distinct values, O(m · log v) by folding the
+    tuples of a tree-backed one ([m] cells, [v] distinct values) — and
+    every call lists it in O(v).  {!add} extends a known set in
+    O(arity · log v), and computes a packed relation's first, so the
+    first write to a loaded relation keeps it; {!union} of two
+    relations with known sets merges them.  A relation grown tuple by
+    tuple from {!empty}, and the results of {!diff}, {!inter},
+    {!filter}, {!project} and {!map}, compute theirs on first call.
+    Safe to call from several domains at once: a racing first call
+    computes the same set twice and keeps one. *)
 
 val packed_rows : t -> (Tuple.t array * int array array) option
 (** When the relation was built by {!Builder.finish}: its tuples and

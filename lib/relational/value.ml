@@ -11,6 +11,18 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
+let union_sorted a b =
+  let rec go acc a b =
+    match (a, b) with
+    | [], l | l, [] -> List.rev_append acc l
+    | x :: a', y :: b' ->
+      let c = compare x y in
+      if c = 0 then go (x :: acc) a' b'
+      else if c < 0 then go (x :: acc) a' b
+      else go (y :: acc) a b'
+  in
+  go [] a b
+
 let hash = function
   | Int n -> Hashtbl.hash (0, n)
   | Str s -> Hashtbl.hash (1, s)

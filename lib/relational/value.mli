@@ -14,6 +14,11 @@ val compare : t -> t -> int
 
 val equal : t -> t -> bool
 
+val union_sorted : t list -> t list -> t list
+(** [union_sorted a b] merges two lists strictly increasing under
+    {!compare} into one, dropping duplicates: [List.sort_uniq compare
+    (a @ b)] in O(|a| + |b|).  Tail-recursive. *)
+
 val hash : t -> int
 
 val pp : Format.formatter -> t -> unit

@@ -217,6 +217,7 @@ type snapshot = {
   sn_violation : (string * Tuple.t) option;
   sn_scenario : Scenario.t;
   sn_query : Lang.t;
+  sn_checker : unit -> Checker.t;  (** the session's, built on first use *)
 }
 
 let snapshot t ~session ~query =
@@ -243,6 +244,7 @@ let snapshot t ~session ~query =
                sn_violation = s.Session.closure_violation;
                sn_scenario = s.Session.scenario;
                sn_query = q;
+               sn_checker = (fun () -> Session.checker s);
              }))
 
 (* what a decider run produced: the JSON result, the raw RCDP verdict
@@ -372,11 +374,13 @@ let compute_rcdp t ?admitted_at ?req_id ~explain ~timeout_ms sn =
   let stats = ref { Rcdp.valuations_visited = 0; branches_pruned = 0 } in
   match
     (* partial closure is tracked per-session and already checked;
-       skip the decider's own O(|V|) re-verification *)
+       skip the decider's own O(|V|) re-verification.  The session's
+       checker is over the same CCs and master, and its index store
+       may already hold this epoch's indexes (its write built them) *)
     Rcdp.decide ~clock ~collect_stats:stats ?profile
-      ~check_partially_closed:false ~schema:sc.Scenario.db_schema
-      ~master:sc.Scenario.master ~ccs:(Scenario.all_ccs sc) ~db:sn.sn_db
-      sn.sn_query
+      ~check_partially_closed:false ~checker:(sn.sn_checker ())
+      ~schema:sc.Scenario.db_schema ~master:sc.Scenario.master
+      ~ccs:(Scenario.all_ccs sc) ~db:sn.sn_db sn.sn_query
   with
   | verdict ->
     {
@@ -692,9 +696,6 @@ let inserted_response t ~session ~old_epoch ~inserted s =
         | _ -> incr dropped)
       entries
   else dropped := List.length entries;
-  (* the closure check and the revalidations shared the checker's
-     indexes; the write is done, so release them *)
-  Session.release_indexes s;
   Cache.note_dropped t.cache !dropped;
   ok
     ([
@@ -880,8 +881,7 @@ let recover t path =
     | Some s ->
       (match insert s with
        | Ok () -> ()
-       | Error _ -> incr failed);
-      Session.release_indexes s
+       | Error _ -> incr failed)
     | None -> incr failed
   in
   with_lock t (fun () ->

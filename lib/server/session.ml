@@ -75,19 +75,13 @@ let open_scenario reg ?id ?name scenario =
 
 let find reg id = Hashtbl.find_opt reg.sessions id
 
-let close reg id =
-  if Hashtbl.mem reg.sessions id then begin
-    Hashtbl.remove reg.sessions id;
-    true
-  end
-  else false
 
 let count reg = Hashtbl.length reg.sessions
 
 let list reg = Hashtbl.fold (fun _ s acc -> s :: acc) reg.sessions []
 
-(* The constraint checker of a session, built on its first write: a
-   session that never inserts pays nothing.  Keyed on the immutable
+(* The constraint checker of a session, built on its first write or
+   decide: a session that does neither pays nothing.  Keyed on the immutable
    scenario by identity, weakly, so the checker goes with the session.
    The service parses a fresh scenario for every open (and every
    replayed one), so there this is one checker per session; only
@@ -117,9 +111,22 @@ let checker s =
         Memo.replace memo s.scenario chk;
         chk)
 
+(* Drop the indexes the session's checker holds, if it has one.  The
+   indexes of one epoch are kept from its write (or first decide)
+   until the next write begins or the session closes: that epoch's
+   decides reuse them, and the old epoch's are gone before a write
+   builds the new one's. *)
 let release_indexes s =
   Mutex.protect memo_lock (fun () ->
       Option.iter Checker.drop_indexes (Memo.find_opt memo s.scenario))
+
+let close reg id =
+  match Hashtbl.find_opt reg.sessions id with
+  | Some s ->
+    release_indexes s;
+    Hashtbl.remove reg.sessions id;
+    true
+  | None -> false
 
 exception Reject of string
 
@@ -149,7 +156,10 @@ let insert_batches s ~batches =
   | db, added ->
     (* all batches validated against the staged database before any of
        them lands: one epoch bump, one closure re-check, whatever the
-       batch count — and a rejected batch leaves the session untouched *)
+       batch count — and a rejected batch leaves the session untouched
+       (its indexes too).  The old epoch's indexes go before this
+       write builds the new one's *)
+    release_indexes s;
     s.db <- db;
     s.epoch <- s.epoch + 1;
     (* a violation is monotone: once broken, stay broken without
@@ -157,8 +167,8 @@ let insert_batches s ~batches =
        through the new tuples can break V: delta-check those over the
        grown [db], and pay the full re-check only to name the
        declaration-first violation and its witness.  The indexes of
-       [db] stay in the checker for the write's revalidations, which
-       run over [db] too; {!release_indexes} ends the write *)
+       [db] stay in the checker for the write's revalidations and this
+       epoch's decides, which run over [db] too *)
     (if partially_closed s && added <> [] then
        let none = Database.empty (Database.schema db) in
        if Checker.check_adds (checker s) ~base:db ~delta:none ~added <> None then

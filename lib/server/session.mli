@@ -15,7 +15,7 @@
     that use a tuple of [Δ] not already in [D], and
     {!Ric_constraints.Checker.check_adds} probes exactly those over
     [D ∪ Δ], whose indexes the session's {!checker} keeps for the
-    write's revalidations.  Only when it finds a violation does the
+    write's revalidations and the new epoch's decides.  Only when it finds a violation does the
     insert fall back to the full [Containment.first_violation] over
     [D ∪ Δ], which names the declaration-first violated constraint and
     its witness — so the report is the one a from-scratch check gives.  An insert that adds
@@ -44,20 +44,22 @@ type t = {
 val partially_closed : t -> bool
 
 val checker : t -> Ric_constraints.Checker.t
-(** The session's constraint checker, built on the first call and held
-    weakly, so it goes with the session.  It is memoised on the
-    session's scenario by identity: the service parses a fresh scenario
-    for every open, so there each session has its own; sessions opened
-    in-process over one parsed scenario share one.  Its index store
-    caches the indexes of the databases checked, so a write's closure
-    check and its counterexample revalidations index every relation
-    the write left unchanged once. *)
+(** The session's constraint checker, over the scenario's CCs on its
+    master, built on the first call and held weakly, so it goes with
+    the session.  It is memoised on the session's scenario by identity:
+    the service parses a fresh scenario for every open, so there each
+    session has its own; sessions opened in-process over one parsed
+    scenario share one.  Writes delta-check through it, and the
+    service's RCDP decides run on it.
 
-val release_indexes : t -> unit
-(** End a write: drop the indexes the session's checker holds (if it
-    has one), so no index of a superseded database stays pinned until
-    the next write.  {!insert_batches} leaves them for the write's
-    revalidations; the service calls this once the write is done. *)
+    {b Index lifetime.}  Its index store caches the indexes of the
+    databases checked or queried through it.  The indexes of one epoch
+    are built by its write (the closure check and the counterexample
+    revalidations) or by its first decide, and kept until the next
+    {!insert_batches} that stages a batch begins, or the session
+    closes: every decide of the epoch reuses them, and since a write
+    drops the old epoch's before it builds the new one's, the store
+    holds one epoch's indexes at a time. *)
 
 val find_query : t -> string -> Ric_query.Lang.t option
 
@@ -76,7 +78,8 @@ val open_scenario : registry -> ?id:string -> ?name:string -> Ric_text.Scenario.
 val find : registry -> string -> t option
 
 val close : registry -> string -> bool
-(** [false] when the id is unknown. *)
+(** Remove the session and drop its checker's indexes; [false] when
+    the id is unknown. *)
 
 val count : registry -> int
 
@@ -102,4 +105,5 @@ val insert_batches :
     re-checked {e once}, one delta probe per new tuple against the
     whole batch — the unit cost that made per-tuple inserts a
     bottleneck for bulk feeds.  [Error] (the first schema violation)
-    leaves the session completely untouched. *)
+    leaves the session completely untouched.  A staged batch first
+    drops the old epoch's indexes (see {!checker}). *)

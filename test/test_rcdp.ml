@@ -133,6 +133,44 @@ let test_not_partially_closed_rejected () =
        false
      with Rcdp.Not_partially_closed _ -> true)
 
+(* The entry check runs on the decide's checker: it must reject
+   exactly the databases [Containment.holds_all] rejects, whatever the
+   constraints and their order. *)
+let prop_entry_check_is_holds_all =
+  let open QCheck2.Gen in
+  let row =
+    map3
+      (fun e d c -> [ e; d; c ])
+      (oneofl [ "e0"; "e1" ]) (oneofl [ "d0"; "d1" ]) (oneofl [ "c0"; "c1"; "c9" ])
+  in
+  QCheck2.Test.make ~name:"entry check rejects exactly what holds_all rejects" ~count:200
+    ~print:(fun (rows, picks) ->
+      Printf.sprintf "%s; ccs %s"
+        (String.concat " " (List.map (String.concat ",") rows))
+        (String.concat "," (List.map string_of_int picks)))
+    (pair (list_size (int_bound 4) row) (list_size (int_bound 3) (int_bound 2)))
+    (fun (rows, picks) ->
+      let m = master [ "c0"; "c1" ] in
+      let ccs = List.map (List.nth [ supported; support_load 1; support_load 2 ]) picks in
+      let db = supt rows in
+      let closed = Containment.holds_all ~db ~master:m ccs in
+      let rejected =
+        match Rcdp.decide ~schema ~master:m ~ccs ~db (Lang.Q_cq q2) with
+        | _ -> false
+        | exception Rcdp.Not_partially_closed _ -> true
+      in
+      rejected = not closed)
+
+(* A database that breaks V is no witness, even where it would be
+   complete: Q3 is Boolean and [w] already answers it, so no extension
+   can change the answer — only the closure check rejects [w]. *)
+let test_violating_witness_rejected () =
+  let m = master [ "c0" ] in
+  let q3 = Lang.Q_cq (Cq.make ~head:[] [ Atom.make "Supt" [ s "e0"; v "d"; v "c" ] ]) in
+  let verify rows = Rcqp.verify_witness ~schema ~master:m ~ccs:[ supported ] q3 (supt rows) in
+  Alcotest.(check bool) "closed and complete" true (verify [ [ "e0"; "d0"; "c0" ] ]);
+  Alcotest.(check bool) "complete but not closed" false (verify [ [ "e0"; "d0"; "c9" ] ])
+
 (* ------------------------------------------------------------------ *)
 (* No constraints: only finite-domain outputs can be complete *)
 
@@ -342,6 +380,9 @@ let () =
           Alcotest.test_case "missing customer" `Quick test_master_bound_incomplete;
           Alcotest.test_case "partially closed precondition" `Quick
             test_not_partially_closed_rejected;
+          QCheck_alcotest.to_alcotest prop_entry_check_is_holds_all;
+          Alcotest.test_case "violating witness rejected" `Quick
+            test_violating_witness_rejected;
         ] );
       ( "open world",
         [

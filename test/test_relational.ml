@@ -236,10 +236,124 @@ let prop_containment_partial_order =
       let u = Database.union da db_ in
       Database.contained da da && Database.contained da u && Database.contained db_ u)
 
+(* ------------------------------------------------------------------ *)
+(* Cached constants: [Relation.values] must be the sorted, deduplicated
+   constants of the tuples, whatever chain of operations built the
+   relation and whether or not each parent's values were already known
+   when [add] extended them. *)
+
+let value_gen =
+  QCheck2.Gen.(
+    oneof [ map Value.int (int_range (-2) 4); map Value.str (oneofl [ "a"; "b"; "c"; "d" ]) ])
+
+let mixed_tuple_gen = QCheck2.Gen.(map Tuple.make (list_size (return 2) value_gen))
+
+type op =
+  | Add of Tuple.t
+  | Union of Tuple.t list
+  | Diff of Tuple.t list
+  | Filter of int (* keep tuples whose first value hashes to this parity *)
+  | Rebuild (* of_tuples over the elements *)
+  | Pack (* Builder over the elements *)
+
+let op_gen =
+  let tuples = QCheck2.Gen.(list_size (int_bound 4) mixed_tuple_gen) in
+  QCheck2.Gen.(
+    frequency
+      [
+        (6, map (fun t -> Add t) mixed_tuple_gen);
+        (2, map (fun ts -> Union ts) tuples);
+        (1, map (fun ts -> Diff ts) tuples);
+        (1, map (fun p -> Filter p) (int_bound 1));
+        (1, return Rebuild);
+        (1, return Pack);
+      ])
+
+let show_op = function
+  | Add t -> Format.asprintf "add %a" Tuple.pp t
+  | Union ts -> Format.asprintf "union %a" Relation.pp (Relation.of_tuples ts)
+  | Diff ts -> Format.asprintf "diff %a" Relation.pp (Relation.of_tuples ts)
+  | Filter p -> Printf.sprintf "filter %d" p
+  | Rebuild -> "of_tuples"
+  | Pack -> "builder"
+
+let expected_values r =
+  List.sort_uniq Value.compare (List.concat_map Tuple.values (Relation.elements r))
+
+let prop_values_cached =
+  QCheck2.Test.make ~name:"cached values ≡ sort_uniq of the tuple values" ~count:400
+    ~print:(fun (force, start, ops) ->
+      Printf.sprintf "force %b, start %d tuples: %s" force (List.length start)
+        (String.concat "; " (List.map show_op ops)))
+    QCheck2.Gen.(
+      triple bool (list_size (int_bound 6) mixed_tuple_gen) (list_size (int_bound 12) op_gen))
+    (fun (force, start, ops) ->
+      let step r = function
+        | Add t ->
+          if force then ignore (Relation.values r);
+          Relation.add t r
+        | Union ts ->
+          let other = Relation.of_tuples ts in
+          if force then ignore (Relation.values other);
+          Relation.union r other
+        | Diff ts -> Relation.diff r (Relation.of_tuples ts)
+        | Filter p -> Relation.filter (fun t -> Value.hash (Tuple.get t 0) land 1 = p) r
+        | Rebuild -> Relation.of_tuples (Relation.elements r)
+        | Pack -> build_rows (List.map Tuple.values (Relation.elements r))
+      in
+      let check what r =
+        if Relation.values r <> expected_values r then
+          QCheck2.Test.fail_reportf "after %s: values [%s], tuples %a" what
+            (String.concat " " (List.map Value.to_string (Relation.values r)))
+            Relation.pp r
+      in
+      (* unforced, only the end of the chain is read: no memo is known
+         before it but those the operations fill themselves *)
+      let r0 = if force then build_rows (List.map Tuple.values start) else Relation.of_tuples start in
+      check "the chain"
+        (List.fold_left
+           (fun r op ->
+             let r = step r op in
+             if force then check (show_op op) r;
+             r)
+           r0 ops);
+      true)
+
+(* Two domains force one relation's values at once, on both backings:
+   nothing raises, and both get the same, right list. *)
+let test_values_two_domains () =
+  let rows = List.init 20_000 (fun i -> [ Value.int (i mod 997); Value.str (Printf.sprintf "s%d" (i mod 331)) ]) in
+  List.iter
+    (fun (name, r) ->
+      let want = expected_values r in
+      let go = Atomic.make false in
+      let force () =
+        while not (Atomic.get go) do
+          Stdlib.Domain.cpu_relax ()
+        done;
+        Relation.values r
+      in
+      let d1 = Stdlib.Domain.spawn force and d2 = Stdlib.Domain.spawn force in
+      Atomic.set go true;
+      let v1 = Stdlib.Domain.join d1 and v2 = Stdlib.Domain.join d2 in
+      Alcotest.(check bool) (name ^ ": both domains agree") true (v1 = v2);
+      Alcotest.(check bool) (name ^ ": the right values") true (v1 = want))
+    [
+      ("packed", build_rows rows);
+      ("tree", Relation.of_tuples (List.map Tuple.make rows));
+    ]
+
+let test_value_union_sorted () =
+  let l xs = List.map Value.int xs in
+  Alcotest.(check bool) "merge" true
+    (Value.union_sorted (l [ 1; 3; 5 ]) (l [ 2; 3; 6 ]) = l [ 1; 2; 3; 5; 6 ]);
+  Alcotest.(check bool) "ints before strings" true
+    (Value.union_sorted [ Value.str "a" ] (l [ 7 ]) = [ Value.int 7; Value.str "a" ])
+
 let properties =
   List.map QCheck_alcotest.to_alcotest
     [ prop_union_commutative; prop_project_idempotent; prop_diff_subset;
-      prop_containment_partial_order ]
+      prop_containment_partial_order; prop_values_cached ]
 
 let () =
   Alcotest.run "relational"
@@ -248,6 +362,7 @@ let () =
         [
           Alcotest.test_case "ordering" `Quick test_value_order;
           Alcotest.test_case "printing" `Quick test_value_pp;
+          Alcotest.test_case "sorted union" `Quick test_value_union_sorted;
         ] );
       ( "domain",
         [
@@ -270,6 +385,7 @@ let () =
           Alcotest.test_case "set semantics" `Quick test_relation_set_semantics;
           Alcotest.test_case "algebra" `Quick test_relation_algebra;
           Alcotest.test_case "arity mismatch" `Quick test_relation_arity_mismatch;
+          Alcotest.test_case "values from two domains" `Quick test_values_two_domains;
         ] );
       ( "builder",
         [

@@ -441,8 +441,9 @@ let prop_generate =
    base.  In both modes the visited leaves must be exactly the valid
    valuations [μ] with [holds_all (base ∪ μ(T))] ([μ(T)] alone in
    [`Delta_only]), each visited once, and each leaf's materialised
-   extension must be [Tableau.instantiate]'s.  One compiled search
-   serves both modes. *)
+   extension must be [Tableau.instantiate]'s.  A base that satisfies
+   the CCs is also searched in [`Closed_base] mode, which skips the
+   root check.  One compiled search serves every mode. *)
 
 let bf_schema =
   Schema.make
@@ -542,7 +543,9 @@ let prop_search_brute_force =
         let key mu = Valuation.bindings mu in
         let check mode =
           let root =
-            match mode with `Against_base db -> db | `Delta_only -> Database.empty bf_schema
+            match mode with
+            | `Against_base db | `Closed_base db -> db
+            | `Delta_only -> Database.empty bf_schema
           in
           let doms = Tableau.var_domains tab in
           let cands =
@@ -593,6 +596,8 @@ let prop_search_brute_force =
         in
         check `Delta_only;
         check (`Against_base base);
+        (* a closed base skips the root check and must find the same *)
+        if Containment.holds_all ~db:base ~master ccs then check (`Closed_base base);
         true)
 
 let scenarios_dir () =
