@@ -1,19 +1,16 @@
-(* Service benchmarks: what the ricd daemon buys you.
+(* Service benchmarks: what the ricd daemon buys you, measured over a
+   real Unix-domain socket.
 
-   Two questions, each measured over a real Unix-domain socket against
-   an in-process server:
+     cache — cold vs warm verdicts against an in-process server: how
+             much does the epoch-keyed verdict cache save on repeated
+             RCDP/RCQP requests, and what does an admissible insert
+             cost when the old epoch's entries migrate instead of
+             recomputing?
+     soak  — hundreds of concurrent clients against a forked daemon
+             (see below).
 
-     cache      — cold vs warm verdicts: how much does the epoch-keyed
-                  verdict cache save on repeated RCDP/RCQP requests,
-                  and what does an admissible insert cost when the old
-                  epoch's entries migrate instead of recomputing?
-     throughput — 1 worker domain vs N: aggregate requests/second for
-                  concurrent sessions issuing nocache RCDP requests
-                  (every request runs the decider, so extra domains
-                  translate into real parallel work).
-
-   Run `service.exe cache`, `service.exe throughput`, or no argument
-   for both. *)
+   Run `service.exe cache`, `service.exe soak`, or no argument for the
+   cache section. *)
 
 open Ric_service
 module Json = Ric_text.Json
@@ -43,11 +40,9 @@ let scenario_source =
   |}
     (String.concat " " ids)
 
-let with_server ~domains f =
+let with_server f =
   let socket_path =
-    Printf.sprintf "%s/ric-bench-%d-%d.sock"
-      (Filename.get_temp_dir_name ())
-      (Unix.getpid ()) domains
+    Printf.sprintf "%s/ric-bench-%d.sock" (Filename.get_temp_dir_name ()) (Unix.getpid ())
   in
   (try Unix.unlink socket_path with Unix.Unix_error _ -> ());
   let server =
@@ -55,7 +50,6 @@ let with_server ~domains f =
         Server.run
           {
             Server.socket_path;
-            domains;
             queue_capacity = 64;
             max_connections = 960;
             read_deadline_s = 10.;
@@ -126,7 +120,7 @@ let median xs =
 
 let bench_cache () =
   hr "verdict cache: cold vs warm (round-trip µs, median of 31)";
-  with_server ~domains:2 (fun socket_path ->
+  with_server (fun socket_path ->
       Client.with_connection ~retries:40 socket_path (fun c ->
           let warm_reps = 31 in
           Printf.printf "\n%-8s %12s %12s %10s\n" "query" "cold µs" "warm µs" "speedup";
@@ -164,50 +158,6 @@ let bench_cache () =
             (if cached then "cache hit at new epoch" else "recomputed")))
 
 (* ------------------------------------------------------------------ *)
-(* throughput: 1 vs N worker domains *)
-
-let bench_throughput () =
-  let requests_per_client = 150 in
-  let clients = 4 in
-  let available = Stdlib.max 2 (Domain.recommended_domain_count () - 1) in
-  hr
-    (Printf.sprintf
-       "throughput: %d clients x %d nocache RCDP requests, 1 vs %d worker domains"
-       clients requests_per_client available);
-  Printf.printf
-    "\n(recommended_domain_count = %d; on a single core, extra domains can\n\
-    \ only add scheduling overhead — the speedup column needs real cores)\n"
-    (Domain.recommended_domain_count ());
-  let run domains =
-    with_server ~domains (fun socket_path ->
-        let sessions =
-          Client.with_connection ~retries:40 socket_path (fun c ->
-              List.init clients (fun _ -> open_session c))
-        in
-        let t0 = Unix.gettimeofday () in
-        let workers =
-          List.map
-            (fun session ->
-              Domain.spawn (fun () ->
-                  Client.with_connection socket_path (fun c ->
-                      for i = 1 to requests_per_client do
-                        let q = [| "QR"; "QS"; "QJ" |].(i mod 3) in
-                        ignore (rcdp ~nocache:true c session q)
-                      done)))
-            sessions
-        in
-        List.iter Domain.join workers;
-        let dt = Unix.gettimeofday () -. t0 in
-        float_of_int (clients * requests_per_client) /. dt)
-  in
-  let one = run 1 in
-  let many = run available in
-  Printf.printf "\n%-16s %12s\n" "worker domains" "req/s";
-  Printf.printf "%-16d %12.0f\n" 1 one;
-  Printf.printf "%-16d %12.0f\n" available many;
-  Printf.printf "\nscaling: %.2fx with %d domains\n" (many /. one) available
-
-(* ------------------------------------------------------------------ *)
 (* soak: overload-resilient serving under hundreds of concurrent
    clients.
 
@@ -226,7 +176,6 @@ let bench_throughput () =
 
      RIC_SOAK_CLIENTS   concurrent client threads   (default 200)
      RIC_SOAK_SECONDS   load duration in seconds    (default 3)
-     RIC_SOAK_DOMAINS   worker domains in the daemon (default 2)
      RIC_SOAK_QUEUE     admission queue capacity    (default 64)
      RIC_SOAK_OUT       also write the JSON record to this path
      RIC_FAULTS         inherited by the forked daemon (chaos mode)
@@ -415,12 +364,10 @@ let percentile_us sorted p =
 let bench_soak () =
   let clients = int_env "RIC_SOAK_CLIENTS" 200 in
   let seconds = float_env "RIC_SOAK_SECONDS" 3.0 in
-  let domains = int_env "RIC_SOAK_DOMAINS" 2 in
   let queue = int_env "RIC_SOAK_QUEUE" 64 in
   let faults = Option.value (Sys.getenv_opt "RIC_FAULTS") ~default:"" in
   hr
-    (Printf.sprintf "soak: %d clients x %.0fs, %d worker domain(s), queue %d%s"
-       clients seconds domains queue
+    (Printf.sprintf "soak: %d clients x %.0fs, queue %d%s" clients seconds queue
        (if faults = "" then "" else Printf.sprintf ", faults [%s]" faults));
   let socket_path =
     Printf.sprintf "%s/ric-soak-%d.sock" (Filename.get_temp_dir_name ()) (Unix.getpid ())
@@ -439,7 +386,6 @@ let bench_soak () =
     Server.run
       {
         Server.socket_path;
-        domains;
         queue_capacity = queue;
         max_connections = 960;
         read_deadline_s = 10.;
@@ -488,25 +434,17 @@ let bench_soak () =
   let throughput = float_of_int replies /. elapsed in
 
   (* -- the daemon's own overload counters --------------------------- *)
-  let shed_total, evicted_total, crashes =
+  let shed_total, evicted_total =
     match
       Client.with_connection ~retries:40 ~receive_timeout:10.0 socket_path (fun c ->
           Client.rpc c Protocol.Stats)
     with
     | stats ->
-      let workers = try get "workers" stats with _ -> Json.Obj [] in
-      let crashes =
-        match workers with
-        | Json.Obj fs -> (
-          match List.assoc_opt "crashes" fs with Some (Json.Int n) -> n | _ -> 0)
-        | _ -> 0
-      in
       ( metric_value "ric_server_shed_total" stats,
-        metric_value "ric_server_evicted_slow_total" stats,
-        crashes )
+        metric_value "ric_server_evicted_slow_total" stats )
     | exception e ->
       fail "daemon unreachable after the load phase: %s" (Printexc.to_string e);
-      (0, 0, 0)
+      (0, 0)
   in
 
   (* -- graceful drain under SIGTERM --------------------------------- *)
@@ -519,8 +457,8 @@ let bench_soak () =
      for _ = 1 to drain_expected do
        Protocol.write_frame fd ping
      done;
-     (* let the event loop parse the burst, then pull the plug: the
-        admitted jobs must all be answered during the drain *)
+     (* let the event loop see the burst, then pull the plug: every
+        request must be answered during the drain *)
      Unix.sleepf 0.3;
      Unix.kill server_pid Sys.sigterm;
      (try
@@ -552,10 +490,10 @@ let bench_soak () =
 
   let record =
     Printf.sprintf
-      {|{"bench":"serve_soak","clients":%d,"seconds":%g,"domains":%d,"queue":%d,"faults":%S,"replies":%d,"throughput_rps":%d,"p50_us":%d,"p99_us":%d,"sheds":%d,"shed_gave_up":%d,"shed_total":%d,"evicted_total":%d,"timeouts":%d,"circuit_fast_fails":%d,"reconnects":%d,"protocol_failures":%d,"worker_crashes":%d,"drain_answered":%d,"drain_expected":%d,"clean_exit":%b}|}
-      clients seconds domains queue faults replies
+      {|{"bench":"serve_soak","clients":%d,"seconds":%g,"queue":%d,"faults":%S,"replies":%d,"throughput_rps":%d,"p50_us":%d,"p99_us":%d,"sheds":%d,"shed_gave_up":%d,"shed_total":%d,"evicted_total":%d,"timeouts":%d,"circuit_fast_fails":%d,"reconnects":%d,"protocol_failures":%d,"drain_answered":%d,"drain_expected":%d,"clean_exit":%b}|}
+      clients seconds queue faults replies
       (int_of_float throughput) p50 p99 sheds shed_gave_up shed_total evicted_total
-      timeouts circuit_fast_fails reconnects protocol_failures crashes !drain_answered
+      timeouts circuit_fast_fails reconnects protocol_failures !drain_answered
       drain_expected clean_exit
   in
   Printf.printf "\n%-26s %12d\n" "structured replies" replies;
@@ -569,7 +507,6 @@ let bench_soak () =
   Printf.printf "%-26s %12d\n" "breaker fast-fails" circuit_fast_fails;
   Printf.printf "%-26s %12d\n" "reconnects" reconnects;
   Printf.printf "%-26s %12d\n" "protocol failures" protocol_failures;
-  Printf.printf "%-26s %12d\n" "worker crashes" crashes;
   Printf.printf "%-26s %9d/%2d  (clean exit: %b)\n" "drained under SIGTERM" !drain_answered
     drain_expected clean_exit;
   Printf.printf "\n%s\n" record;
@@ -588,13 +525,12 @@ let bench_soak () =
     exit 1
 
 let () =
-  let sections = match Array.to_list Sys.argv with _ :: rest when rest <> [] -> rest | _ -> [ "cache"; "throughput" ] in
+  let sections = match Array.to_list Sys.argv with _ :: rest when rest <> [] -> rest | _ -> [ "cache" ] in
   List.iter
     (function
       | "cache" -> bench_cache ()
-      | "throughput" -> bench_throughput ()
       | "soak" -> bench_soak ()
       | s ->
-        Printf.eprintf "unknown section %S (have: cache, throughput, soak)\n" s;
+        Printf.eprintf "unknown section %S (have: cache, soak)\n" s;
         exit 2)
     sections

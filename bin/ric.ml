@@ -220,6 +220,31 @@ let pick_query (s : Ric_text.Scenario.t) = function
      | (name, q) :: _ -> Ok (name, q)
      | [] -> Error "the scenario declares no queries")
 
+(* A decide that rejects its input ((D, Dm) breaks V) or meets an
+   undecidable combination: under --json, the result object the daemon
+   answers, wrapped by [envelope]; otherwise one line of text. *)
+let print_rejection ~json (s : Ric_text.Scenario.t) envelope e =
+  let text, result =
+    match e with
+    | Rcdp.Not_partially_closed msg ->
+      ( "input rejected: " ^ msg,
+        Option.map
+          (fun (cc, witness) ->
+            Ric_text.Report.not_closed_result (cc.Ric_constraints.Containment.cc_name, witness))
+          (Ric_constraints.Containment.first_violation ~db:s.Ric_text.Scenario.db
+             ~master:s.Ric_text.Scenario.master (Ric_text.Scenario.all_ccs s)) )
+    | Rcdp.Unsupported msg | Rcqp.Unsupported msg ->
+      ("undecidable: " ^ msg, Some (Ric_text.Report.unsupported_result msg))
+    | e -> raise e
+  in
+  match result with
+  | Some r when json -> Format.printf "%a@." Ric_text.Json.pp (envelope r)
+  | _ -> Format.printf "%s@." text
+
+(* the [ric file] envelope: {"query": name, "result": ...} *)
+let file_result name r =
+  Ric_text.Json.Obj [ ("query", Ric_text.Json.Str name); ("result", r) ]
+
 let file_show_cmd =
   let run path =
     with_scenario path (fun s ->
@@ -251,9 +276,7 @@ let file_audit_cmd =
              in
              if json then
                Format.printf "%a@." Ric_text.Json.pp
-                 (Ric_text.Json.Obj
-                    [ ("query", Ric_text.Json.Str name);
-                      ("result", Ric_text.Report.audit_result result) ])
+                 (file_result name (Ric_text.Report.audit_result result))
              else begin
                Format.printf "auditing %s...@." name;
                Format.printf "%a@." Guidance.pp_audit result
@@ -281,15 +304,13 @@ let file_rcqp_cmd =
              in
              if json then
                Format.printf "%a@." Ric_text.Json.pp
-                 (Ric_text.Json.Obj
-                    [ ("query", Ric_text.Json.Str name);
-                      ("result", Ric_text.Report.rcqp_verdict verdict) ])
+                 (file_result name (Ric_text.Report.rcqp_verdict verdict))
              else
                match verdict with
                | Rcqp.Nonempty { reason; _ } -> Format.printf "%s: nonempty — %s@." name reason
                | Rcqp.Empty { reason } -> Format.printf "%s: empty — %s@." name reason
                | Rcqp.Unknown { reason } -> Format.printf "%s: unknown — %s@." name reason
-           with Rcqp.Unsupported msg -> Format.printf "undecidable: %s@." msg);
+           with Rcqp.Unsupported _ as e -> print_rejection ~json s (file_result name) e);
           0)
   in
   Cmd.v (Cmd.info "rcqp" ~doc:"Can any database be complete for a scenario query?")
@@ -312,9 +333,7 @@ let file_rcdp_cmd =
              in
              if json then
                Format.printf "%a@." Ric_text.Json.pp
-                 (Ric_text.Json.Obj
-                    [ ("query", Ric_text.Json.Str name);
-                      ("result", Ric_text.Report.rcdp_verdict verdict) ])
+                 (file_result name (Ric_text.Report.rcdp_verdict verdict))
              else
                match verdict with
                | Rcdp.Complete -> Format.printf "%s: complete@." name
@@ -322,9 +341,8 @@ let file_rcdp_cmd =
                  Format.printf
                    "%s: incomplete — admissible extension:@.%a@.new answer: %a@." name
                    Database.pp cex.Rcdp.cex_extension Tuple.pp cex.Rcdp.cex_answer
-           with
-           | Rcdp.Unsupported msg -> Format.printf "undecidable: %s@." msg
-           | Rcdp.Not_partially_closed msg -> Format.printf "input rejected: %s@." msg);
+           with (Rcdp.Unsupported _ | Rcdp.Not_partially_closed _) as e ->
+             print_rejection ~json s (file_result name) e);
           0)
   in
   Cmd.v (Cmd.info "rcdp" ~doc:"Is the scenario's database complete for a query?")
@@ -516,12 +534,15 @@ let explain_cmd =
                end
              end;
              0
-           with
-           | Rcdp.Unsupported msg | Rcqp.Unsupported msg ->
-             Format.printf "undecidable: %s@." msg;
-             0
-           | Rcdp.Not_partially_closed msg ->
-             Format.printf "input rejected: %s@." msg;
+           with (Rcdp.Unsupported _ | Rcqp.Unsupported _ | Rcdp.Not_partially_closed _) as e ->
+             (* the result's "verdict" sits beside "query", where a
+                profile's verdict string goes *)
+             print_rejection ~json s
+               (function
+                 | Ric_text.Json.Obj fields ->
+                   Ric_text.Json.Obj (("query", Ric_text.Json.Str name) :: fields)
+                 | r -> r)
+               e;
              0))
   in
   let mode_arg =
@@ -859,15 +880,14 @@ let socket_arg =
     & info [ "S"; "socket" ] ~docv:"PATH" ~doc:"Unix-domain socket of the daemon")
 
 let serve_cmd =
-  let run socket domains queue max_conns read_deadline write_deadline root journal
-      recover (_search : string) metrics trace flight verbose =
+  let run socket (_domains : int) queue max_conns read_deadline write_deadline root
+      journal recover (_search : string) metrics trace flight verbose =
     Logs.set_reporter (Logs_fmt.reporter ());
     Logs.set_level (Some (if verbose then Logs.Info else Logs.App));
     match
       Ric_service.Server.run
         {
           Ric_service.Server.socket_path = socket;
-          domains;
           queue_capacity = queue;
           max_connections = max_conns;
           read_deadline_s = read_deadline;
@@ -887,9 +907,11 @@ let serve_cmd =
   in
   let domains_arg =
     Arg.(
-      value
-      & opt int Ric_service.Server.default_config.Ric_service.Server.domains
-      & info [ "d"; "domains" ] ~doc:"Worker domains running the deciders in parallel")
+      value & opt int 1
+      & info [ "d"; "domains" ]
+          ~doc:
+            "Ignored: ricd decides on its one event-loop domain.  Still accepted so \
+             existing command lines keep working")
   in
   let queue_arg =
     Arg.(
@@ -970,15 +992,15 @@ let serve_cmd =
       & info [ "flight" ] ~docv:"FILE"
           ~doc:
             "Flight-recorder dump target (default: the command socket path plus \
-             .flight.jsonl); the in-memory ring is written there on worker \
-             quarantine, fatal exit, SIGUSR1, or a dump request")
+             .flight.jsonl); the in-memory ring is written there on fatal exit, \
+             SIGUSR1, or a dump request")
   in
   let verbose_arg =
     Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Log every request with its latency")
   in
   Cmd.v
     (Cmd.info "serve"
-       ~doc:"Run ricd: keep scenarios loaded, cache verdicts, decide in parallel")
+       ~doc:"Run ricd: keep scenarios loaded, cache verdicts, decide over a socket")
     Term.(
       const run $ socket_arg $ domains_arg $ queue_arg $ max_conns_arg
       $ read_deadline_arg $ write_deadline_arg $ root_arg $ journal_arg
@@ -1435,12 +1457,6 @@ module Top = struct
     Format.printf "  steps/s    rcdp %10.0f    rcqp %10.0f\027[K@."
       (steps "rcdp") (steps "rcqp");
     Format.printf "  intern     %8.1f lock acquisitions/s\027[K@." intern;
-    Format.printf
-      "  pool       %8.0f pending  %8.0f failures  %8.0f crashes  %8.0f quarantined\027[K@."
-      (value cur "ric_pool_pending")
-      (value cur "ric_pool_failures")
-      (value cur "ric_pool_crashes")
-      (value cur "ric_pool_quarantined");
     print_string "\027[J";
     flush stdout
 end

@@ -1,8 +1,8 @@
 (** The crash flight recorder: a fixed-size in-memory ring of recent
-    request / worker / shed / crash events, always on, cheap enough to
+    request / reply / shed / crash events, always on, cheap enough to
     leave recording under full load, and dumped as JSONL only when
-    something goes wrong (worker quarantine, fatal exit, SIGUSR1, or a
-    [dump] protocol op) — so post-mortems do not depend on having span
+    something goes wrong (fatal exit, SIGUSR1, or a [dump] protocol
+    op) — so post-mortems do not depend on having span
     tracing pre-enabled.
 
     Writers are lock-free: one atomic fetch-and-add claims a slot, one
@@ -17,7 +17,7 @@
 type event = {
   seq : int;  (** monotonically increasing claim order *)
   t_us : int;  (** monotonic clock, microseconds *)
-  kind : string;  (** "request", "reply", "shed", "crash", "quarantine", "signal", ... *)
+  kind : string;  (** "request", "reply", "shed", "evict", "crash", ... *)
   req_id : string;  (** correlation id, [""] when unknown *)
   conn : int;  (** connection number, [-1] when not connection-bound *)
   detail : string;

@@ -15,8 +15,8 @@ let enabled () = Atomic.get sink <> None
 let null = { id = 0; parent = 0; span_name = ""; start_ns = 0L; attrs = [] }
 let next_id = Atomic.make 1
 
-(* Innermost live span id, per domain: the daemon's worker domains get
-   their own stacks, so concurrent requests do not adopt each other's
+(* Innermost live span id, per domain: requests decided on different
+   domains get their own stacks, so they do not adopt each other's
    spans. *)
 let current : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
 

@@ -5,7 +5,6 @@ module Log = (val Logs.src_log src : Logs.LOG)
 type action =
   | Delay of float
   | Drop
-  | Crash_worker
   | Tear of int
 
 exception Dropped
@@ -44,7 +43,6 @@ let fire point =
   | None | Some (Tear _) -> ()
   | Some (Delay s) -> Unix.sleepf s
   | Some Drop -> raise Dropped
-  | Some Crash_worker -> raise (Pool.Crash (Printf.sprintf "injected fault at %S" point))
 
 let tear () =
   match take "tear_write" with Some (Tear n) -> Some n | Some _ | None -> None
@@ -62,7 +60,6 @@ let parse_action spec =
   match String.index_opt spec ':' with
   | None -> (
     match spec with
-    | "crash" -> Some Crash_worker
     | "drop" -> Some Drop
     | _ -> None)
   | Some i -> (

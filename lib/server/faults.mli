@@ -10,9 +10,10 @@
 
     - ["decide"] — fired by the service just before running a decider;
       arm a [Delay] to make a request reliably slow.
-    - ["worker"] — fired by a pool worker after it has read a request
-      frame; arm [Crash_worker] to kill the domain mid-job, or [Drop]
-      to tear the connection without a reply.
+    - ["request"] — fired by the event loop as it starts handling a
+      request frame; arm a [Delay] to park the loop (the frames that
+      arrive meanwhile wait in the socket buffers), or [Drop] to hang
+      up without a reply.
     - ["tear_write"] — consulted by the server's frame writer via
       {!tear}; arm [Tear n] to close the connection after writing only
       [n] bytes of a reply frame.
@@ -26,14 +27,13 @@
       partial incoming frame.
 
     [RIC_FAULTS] syntax: comma-separated [point=action] items, where
-    action is [crash], [drop], [delay:<seconds>] or [tear:<bytes>],
-    optionally suffixed [*<times>] ([*-1] = never wears out).
-    Example: [RIC_FAULTS="worker=crash*2,decide=delay:0.2"]. *)
+    action is [drop], [delay:<seconds>] or [tear:<bytes>], optionally
+    suffixed [*<times>] ([*-1] = never wears out).
+    Example: [RIC_FAULTS="request=drop*2,decide=delay:0.2"]. *)
 
 type action =
   | Delay of float  (** sleep this many seconds, then proceed *)
   | Drop  (** raise {!Dropped}: abandon the connection silently *)
-  | Crash_worker  (** raise {!Pool.Crash}: kill the worker domain *)
   | Tear of int  (** write only this many bytes of the next frame *)
 
 exception Dropped

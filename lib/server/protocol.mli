@@ -80,8 +80,9 @@
 
     {2 Overload}
 
-    When admission control sheds a request — the job queue is at
-    capacity, or the front end is at its connection limit — the server
+    When admission control sheds a request — the backlog of read but
+    unanswered requests is at capacity, or the front end is at its
+    connection limit — the server
     still answers, with a structured shed reply rather than a dropped
     connection:
 
@@ -91,16 +92,17 @@
      "retry_after_ms": 75}
     v}
 
-    [retry_after_ms] scales with the current queue depth.  A
+    [retry_after_ms] scales with the current backlog.  A
     well-behaved client treats it as a {e floor} for its next retry
     delay: {!Client.rpc_retrying} sleeps at least that long (plus
     jitter) before resending, and the client's circuit breaker counts
     consecutive [overloaded]/timeout replies so a saturated server
     stops receiving retries entirely for a cooldown period.  Requests
-    that were {e admitted} are never shed retroactively: their queued
-    time counts against their [timeout_ms] deadline instead, so a
-    long-queued job answers [{"verdict": "timeout"}] rather than
-    running after its caller gave up.
+    that were {e admitted} are never shed retroactively: the time they
+    wait behind other requests counts against their [timeout_ms]
+    deadline instead, so a long-waiting request answers
+    [{"verdict": "timeout"}] rather than running after its caller gave
+    up.
 
     {2 Stats}
 
@@ -109,8 +111,7 @@
     [search_default] fields went with the parallel search), the open
     [sessions], a [cache] object ([entries], [hits], [misses],
     [hit_rate] — a decimal string like ["0.833"], ["0.000"] before any
-    lookup — [carried], [dropped]), a [workers] pool-health object
-    when serving, and a [metrics] array mirroring the full
+    lookup — [carried], [dropped]), and a [metrics] array mirroring the full
     {!Ric_obs.Metrics} registry (every counter, gauge and latency
     histogram the Prometheus socket exposes, as structured JSON).
 

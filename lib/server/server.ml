@@ -5,7 +5,6 @@ module Recorder = Ric_obs.Recorder
 
 type config = {
   socket_path : string;
-  domains : int;
   queue_capacity : int;
   max_connections : int;
   read_deadline_s : float;
@@ -21,10 +20,9 @@ type config = {
 let default_config =
   {
     socket_path = "/tmp/ricd.sock";
-    domains = 2;
     queue_capacity = 64;
     (* [Unix.select] tops out at FD_SETSIZE (1024) descriptors; leave
-       headroom for the listen sockets, the wake pipe and stdio *)
+       headroom for the listen sockets and stdio *)
     max_connections = 960;
     read_deadline_s = 10.;
     write_deadline_s = 10.;
@@ -62,7 +60,7 @@ let m_evicted =
 
 let m_queue_wait =
   Metrics.histogram
-    ~help:"seconds a request spent in the job queue before a worker took it"
+    ~help:"seconds from reading a request frame to starting its handler"
     "ric_server_queue_wait_seconds"
 
 let src = Logs.Src.create "ricd" ~doc:"the ric completeness-checking daemon"
@@ -73,19 +71,22 @@ module Log = (val Logs.src_log src : Logs.LOG)
    flag and on read/write deadlines, so both have ~this granularity. *)
 let tick_s = 0.1
 
-(* Per-connection cap on fully-parsed frames waiting for dispatch; at
-   the cap the loop stops reading from that connection (backpressure
-   through the socket buffer) rather than parsing without bound. *)
+(* Per-connection cap on parsed frames waiting their turn; at the cap
+   the loop stops reading from that connection (backpressure through
+   the socket buffer) rather than parsing without bound. *)
 let pending_cap = 64
 
 let read_chunk = 65536
 
 (* ------------------------------------------------------------------ *)
-(* Connection state.  Every field is owned by the event-loop thread;
-   workers receive the record opaquely and hand it back through the
-   completion queue without touching it. *)
+(* Connection state, owned by the event loop. *)
 
 type wbuf = { buf : Bytes.t; mutable off : int }
+
+(* A parsed frame waiting its turn: admitted, with the time it was
+   read, or shed at read time, with its retry hint.  Both are answered
+   in request order. *)
+type frame = Admitted of string * float | Shed of int
 
 type conn = {
   fd : Unix.file_descr;
@@ -95,19 +96,13 @@ type conn = {
   mutable frame_deadline : float option;
       (* armed while a partial frame sits in [rbuf]: the slow-loris
          eviction clock *)
-  pending : string Queue.t;  (* parsed frames awaiting dispatch *)
-  mutable in_flight : bool;  (* one job at a time preserves reply order *)
+  pending : frame Queue.t;
   wq : wbuf Queue.t;
   mutable wq_progress_at : float;  (* last write progress: the flush clock *)
   mutable close_after_flush : bool;
   mutable eof : bool;  (* stop reading; still flush what is owed *)
   mutable closed : bool;
 }
-
-type outcome =
-  | Reply of string
-  | Reply_close of string  (* answer, then hang up (quarantine) *)
-  | Hangup  (* injected Drop: no reply *)
 
 (* ------------------------------------------------------------------ *)
 (* Startup helpers (shared with the old blocking front end). *)
@@ -216,11 +211,9 @@ let setup_journal service config =
        None)
 
 (* ------------------------------------------------------------------ *)
-(* The worker side: parse + dispatch one frame, report through the
-   completion queue.  Never lets an ordinary exception escape (that
-   would just bump the pool's failure counter and leave the connection
-   waiting forever); only [Pool.Crash] propagates, and the pool's
-   retry/quarantine machinery owns that path. *)
+(* One request: parse and handle a frame on the event loop.  An
+   ordinary exception becomes an error reply; [None] means an injected
+   [Drop]: hang up without a reply. *)
 
 let mint_counter = Atomic.make 0
 
@@ -232,10 +225,10 @@ let mint_req_id () =
     (int_of_float (Unix.gettimeofday () *. 1e3) land 0xffffff)
     (Atomic.fetch_and_add mint_counter 1)
 
-let run_job service push_completion (conn, payload, admitted_at) =
+let run_job service conn payload ~read_at =
   match
-    Faults.fire "worker";
-    Metrics.observe m_queue_wait (Metrics.now_s () -. admitted_at);
+    Faults.fire "request";
+    Metrics.observe m_queue_wait (Metrics.now_s () -. read_at);
     let t0 = Metrics.now_s () in
     let op, req_id, response =
       match Json.of_string payload with
@@ -256,7 +249,9 @@ let run_job service push_completion (conn, payload, admitted_at) =
          | Ok req ->
            Recorder.record ~kind:"request" ~req_id:rid ~conn:conn.cid
              (Protocol.op_name req);
-           (Protocol.op_name req, Some rid, Service.handle service ~admitted_at req))
+           ( Protocol.op_name req,
+             Some rid,
+             Service.handle service ~admitted_at:read_at req ))
     in
     let elapsed_us = int_of_float ((Metrics.now_s () -. t0) *. 1e6) in
     Recorder.record ~kind:"reply" ?req_id ~conn:conn.cid
@@ -273,12 +268,9 @@ let run_job service push_completion (conn, payload, admitted_at) =
     in
     Json.to_string response
   with
-  | response -> push_completion (conn, Reply response)
-  | exception Faults.Dropped -> push_completion (conn, Hangup)
-  | exception Pool.Crash msg -> raise (Pool.Crash msg)
-  | exception e ->
-    push_completion
-      (conn, Reply (Json.to_string (Protocol.error (Printexc.to_string e))))
+  | response -> Some response
+  | exception Faults.Dropped -> None
+  | exception e -> Some (Json.to_string (Protocol.error (Printexc.to_string e)))
 
 (* ------------------------------------------------------------------ *)
 
@@ -316,83 +308,37 @@ let run_inner config ~flight_path =
       Some (s, path)
   in
 
-  (* -- shared state ----------------------------------------------- *)
-  (* Everything below except [completions]/[active] is touched only by
-     the event-loop thread. *)
+  (* -- loop state ------------------------------------------------- *)
   let conns : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 64 in
-  let completions : (conn * outcome) Queue.t = Queue.create () in
-  let cmutex = Mutex.create () in
-  let wake_r, wake_w = Unix.pipe () in
-  Unix.set_nonblock wake_r;
-  Unix.set_nonblock wake_w;
+  let capacity = max 1 config.queue_capacity in
+  let backlog = ref 0 in  (* admitted frames not yet handled, all conns *)
   let active = Atomic.make 0 in
-  let jobs_outstanding = ref 0 in
   let draining = ref false in
   let next_cid = ref 0 in
-  let push_completion c =
-    Mutex.lock cmutex;
-    Queue.push c completions;
-    Mutex.unlock cmutex;
-    (* best-effort wake: a full pipe means a wake-up is already due *)
-    try ignore (Unix.write wake_w (Bytes.make 1 '!') 0 1)
-    with Unix.Unix_error _ -> ()
-  in
-
-  let pool =
-    Pool.create
-      ~on_quarantine:(fun (conn, _, _) reason ->
-        Recorder.record ~kind:"crash" ~conn:conn.cid
-          ("worker quarantine: " ^ reason);
-        dump_flight ~why:"worker quarantine" flight_path;
-        push_completion
-          ( conn,
-            Reply_close
-              (Json.to_string
-                 (Protocol.error ~kind:"worker_crash"
-                    (Printf.sprintf
-                       "request abandoned after repeated worker crashes: %s" reason))) ))
-      ~domains:config.domains ~capacity:config.queue_capacity
-      ~worker:(run_job service push_completion) ()
-  in
-  Service.set_pool_stats service (fun () -> Pool.stats pool);
-  (* worker-pool health as pull gauges, sampled at scrape time *)
-  let pool_gauge name help f =
-    Metrics.gauge_fn ~help name (fun () -> f (Pool.stats pool))
-  in
-  pool_gauge "ric_pool_failures" "jobs that raised in a worker domain"
-    (fun s -> s.Pool.failures);
-  pool_gauge "ric_pool_crashes" "worker domains that died mid-job"
-    (fun s -> s.Pool.crashes);
-  pool_gauge "ric_pool_respawns" "worker domains respawned after a crash"
-    (fun s -> s.Pool.respawns);
-  pool_gauge "ric_pool_quarantined" "jobs abandoned after repeated crashes"
-    (fun s -> s.Pool.quarantined);
-  pool_gauge "ric_pool_pending" "jobs queued but not yet picked up"
-    (fun s -> s.Pool.pending);
   Metrics.gauge_fn ~help:"connections the front end is currently holding open"
     "ric_server_connections_active" (fun () -> Atomic.get active);
-  Metrics.gauge_fn ~help:"jobs admitted but not yet picked up by a worker"
-    "ric_server_queue_depth" (fun () -> Pool.pending pool);
+  Metrics.gauge_fn ~help:"request frames admitted but not yet handled"
+    "ric_server_queue_depth" (fun () -> !backlog);
 
   (* -- event-loop helpers ----------------------------------------- *)
   let close_conn conn =
     if not conn.closed then begin
       conn.closed <- true;
+      Queue.iter (function Admitted _ -> decr backlog | Shed _ -> ()) conn.pending;
+      Queue.clear conn.pending;
       Hashtbl.remove conns conn.fd;
       Atomic.decr active;
       try Unix.close conn.fd with Unix.Unix_error _ -> ()
     end
   in
   (* a connection dies once nothing more is owed on it: its replies are
-     flushed, and (on EOF or drain) no admitted work remains *)
+     flushed, and (on EOF or drain) none of its frames is left *)
   let maybe_close conn =
     if
       (not conn.closed)
       && Queue.is_empty conn.wq
       && (conn.close_after_flush
-         || (conn.eof || !draining)
-            && (not conn.in_flight)
-            && Queue.is_empty conn.pending)
+         || (conn.eof || !draining) && Queue.is_empty conn.pending)
     then close_conn conn
   in
   let enqueue_reply conn payload =
@@ -411,35 +357,29 @@ let run_inner config ~flight_path =
         close_conn conn
     end
   in
-  (* admission control lives here: a frame leaves [pending] either into
-     the job queue (stamped with its admission time) or — queue full —
-     straight back out as an [overloaded] reply, in request order *)
-  let rec dispatch conn =
-    if (not conn.closed) && (not conn.in_flight) && not (Queue.is_empty conn.pending)
-    then begin
-      let payload = Queue.pop conn.pending in
-      let admitted_at = Metrics.now_s () in
-      if Pool.try_submit pool (conn, payload, admitted_at) then begin
-        conn.in_flight <- true;
-        incr jobs_outstanding
-      end
-      else begin
-        Metrics.incr m_shed;
-        let depth = Pool.pending pool in
-        let retry_after_ms = min 5000 (25 * (depth + 1)) in
-        Recorder.record ~kind:"shed" ~conn:conn.cid
-          (Printf.sprintf "queue full: depth=%d retry_after_ms=%d" depth
-             retry_after_ms);
-        enqueue_reply conn (Json.to_string (Protocol.overloaded ~retry_after_ms));
-        dispatch conn
-      end
-    end
-  in
   let protocol_error conn msg =
     enqueue_reply conn (Json.to_string (Protocol.error ~kind:"parse_error" msg));
     conn.close_after_flush <- true;
     conn.eof <- true;
     conn.rlen <- 0
+  in
+  (* admission control lives here: a frame is admitted when it is read,
+     unless the backlog is already at capacity — then it is shed, and
+     its [overloaded] reply waits its turn behind the connection's
+     admitted frames *)
+  let admit conn payload =
+    if !backlog < capacity then begin
+      incr backlog;
+      Queue.push (Admitted (payload, Metrics.now_s ())) conn.pending
+    end
+    else begin
+      Metrics.incr m_shed;
+      let retry_after_ms = min 5000 (25 * (!backlog + 1)) in
+      Recorder.record ~kind:"shed" ~conn:conn.cid
+        (Printf.sprintf "queue full: depth=%d retry_after_ms=%d" !backlog
+           retry_after_ms);
+      Queue.push (Shed retry_after_ms) conn.pending
+    end
   in
   let parse_frames conn =
     let continue = ref true in
@@ -451,7 +391,7 @@ let run_inner config ~flight_path =
           continue := false
         end
         else if conn.rlen >= 4 + len then begin
-          Queue.push (Bytes.sub_string conn.rbuf 4 len) conn.pending;
+          admit conn (Bytes.sub_string conn.rbuf 4 len);
           let rest = conn.rlen - 4 - len in
           Bytes.blit conn.rbuf (4 + len) conn.rbuf 0 rest;
           conn.rlen <- rest
@@ -480,8 +420,7 @@ let run_inner config ~flight_path =
         maybe_close conn
       | n ->
         conn.rlen <- conn.rlen + n;
-        parse_frames conn;
-        dispatch conn
+        parse_frames conn
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
         ()
       | exception Unix.Unix_error _ -> close_conn conn
@@ -507,6 +446,33 @@ let run_inner config ~flight_path =
       maybe_close conn
     end
   in
+  (* answer a connection's oldest frame and try to send the reply at
+     once, saving the select round trip *)
+  let serve_one conn =
+    (match Queue.pop conn.pending with
+     | Shed retry_after_ms ->
+       enqueue_reply conn (Json.to_string (Protocol.overloaded ~retry_after_ms))
+     | Admitted (payload, read_at) -> (
+       decr backlog;
+       match run_job service conn payload ~read_at with
+       | Some reply -> enqueue_reply conn reply
+       | None ->
+         Log.warn (fun m -> m "conn=%d dropped: injected fault" conn.cid);
+         close_conn conn));
+    handle_writable conn
+  in
+  let by_cid a b = compare a.cid b.cid in
+  let live_conns () = Hashtbl.fold (fun _ c acc -> c :: acc) conns [] in
+  (* one frame from each connection that has one, oldest connection
+     first; [true] when some connection still has frames left *)
+  let serve_pass () =
+    let ready =
+      List.filter (fun c -> not (Queue.is_empty c.pending)) (live_conns ())
+      |> List.sort by_cid
+    in
+    List.iter (fun c -> if not c.closed then serve_one c) ready;
+    List.exists (fun c -> (not c.closed) && not (Queue.is_empty c.pending)) ready
+  in
   let register_conn fd =
     Unix.set_nonblock fd;
     incr next_cid;
@@ -518,7 +484,6 @@ let run_inner config ~flight_path =
         rlen = 0;
         frame_deadline = None;
         pending = Queue.create ();
-        in_flight = false;
         wq = Queue.create ();
         wq_progress_at = Metrics.now_s ();
         close_after_flush = false;
@@ -527,7 +492,10 @@ let run_inner config ~flight_path =
       }
     in
     Hashtbl.replace conns fd conn;
-    Atomic.incr active
+    Atomic.incr active;
+    (* a client that connected while the loop was busy has usually
+       sent its request already: read it now, behind older connections *)
+    handle_readable conn
   in
   (* at the connection cap the front end still answers: a best-effort
      overloaded frame on the doomed socket, never a silent RST *)
@@ -556,30 +524,6 @@ let run_inner config ~flight_path =
       ()
     | exception Unix.Unix_error (Unix.ECONNABORTED, _, _) -> accept_all ()
   in
-  let drain_completions () =
-    Mutex.lock cmutex;
-    let batch = Queue.create () in
-    Queue.transfer completions batch;
-    Mutex.unlock cmutex;
-    Queue.iter
-      (fun (conn, outcome) ->
-        decr jobs_outstanding;
-        if not conn.closed then begin
-          conn.in_flight <- false;
-          (match outcome with
-           | Reply r ->
-             enqueue_reply conn r;
-             dispatch conn
-           | Reply_close r ->
-             enqueue_reply conn r;
-             conn.close_after_flush <- true
-           | Hangup ->
-             Log.warn (fun m -> m "conn=%d dropped: injected fault" conn.cid);
-             close_conn conn);
-          maybe_close conn
-        end)
-      batch
-  in
   let evict_stale () =
     let now = Metrics.now_s () in
     let victims = ref [] in
@@ -605,90 +549,83 @@ let run_inner config ~flight_path =
   in
 
   Log.app (fun m ->
-      m "ricd listening on %s (%d worker domain%s, queue %d, max %d conns)"
-        config.socket_path (Pool.domains pool)
-        (if Pool.domains pool = 1 then "" else "s")
-        (Pool.capacity pool) config.max_connections);
+      m "ricd listening on %s (queue %d, max %d conns)" config.socket_path capacity
+        config.max_connections);
 
   (* -- the loop --------------------------------------------------- *)
   let running = ref true in
+  let more = ref false in
   while !running do
     if Service.shutdown_requested service && not !draining then begin
       draining := true;
       Log.app (fun m ->
-          m "ricd draining: %d connection(s), %d job(s) outstanding"
-            (Hashtbl.length conns) !jobs_outstanding);
+          m "ricd draining: %d connection(s), %d request(s) admitted"
+            (Hashtbl.length conns) !backlog);
       (* stop accepting immediately: close and unlink the listen socket
          so new clients get ECONNREFUSED, not a hang *)
       (try Unix.close sock with Unix.Unix_error _ -> ());
       (try Unix.unlink config.socket_path with Unix.Unix_error _ -> ());
-      (* frames already read are admitted work: push them at the pool *)
-      Hashtbl.iter (fun _ conn -> dispatch conn) conns
+      (* a last read: frames that reached the socket while the loop was
+         busy are owed an answer too *)
+      live_conns () |> List.sort by_cid |> List.iter handle_readable;
+      more := true
     end;
+    let reads = ref [] in
+    if not !draining then begin
+      reads := [ sock ];
+      match msock with Some (s, _) -> reads := s :: !reads | None -> ()
+    end;
+    let writes = ref [] in
+    Hashtbl.iter
+      (fun fd conn ->
+        if
+          (not conn.eof)
+          && (not conn.close_after_flush)
+          && (not !draining)
+          && Queue.length conn.pending < pending_cap
+        then reads := fd :: !reads;
+        if not (Queue.is_empty conn.wq) then writes := fd :: !writes)
+      conns;
+    (match Unix.select !reads !writes [] (if !more then 0. else tick_s) with
+     | readable, writable, _ ->
+       List.iter
+         (fun fd ->
+           match Hashtbl.find_opt conns fd with
+           | Some conn -> handle_writable conn
+           | None -> ())
+         writable;
+       (* existing connections first, oldest first, so admission
+          follows connection age; then the listen sockets *)
+       List.filter_map (fun fd -> Hashtbl.find_opt conns fd) readable
+       |> List.sort by_cid |> List.iter handle_readable;
+       List.iter
+         (fun fd ->
+           if fd == sock then accept_all ()
+           else
+             match msock with
+             | Some (s, _) when fd == s -> (
+               match Unix.accept s with
+               | cfd, _ -> serve_scrape cfd
+               | exception Unix.Unix_error _ -> ())
+             | _ -> ())
+         readable
+     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
+    more := serve_pass ();
+    evict_stale ();
+    if Atomic.compare_and_set dump_requested true false then
+      dump_flight ~why:"SIGUSR1" flight_path;
     if !draining then begin
-      Hashtbl.fold (fun _ c acc -> c :: acc) conns [] |> List.iter maybe_close;
-      if Hashtbl.length conns = 0 && !jobs_outstanding = 0 then running := false
-    end;
-    if !running then begin
-      let reads = ref [ wake_r ] in
-      if not !draining then begin
-        reads := sock :: !reads;
-        match msock with Some (s, _) -> reads := s :: !reads | None -> ()
-      end;
-      let writes = ref [] in
-      Hashtbl.iter
-        (fun fd conn ->
-          if
-            (not conn.eof)
-            && (not conn.close_after_flush)
-            && (not !draining)
-            && Queue.length conn.pending < pending_cap
-          then reads := fd :: !reads;
-          if not (Queue.is_empty conn.wq) then writes := fd :: !writes)
-        conns;
-      (match Unix.select !reads !writes [] tick_s with
-       | readable, writable, _ ->
-         List.iter
-           (fun fd ->
-             if fd == wake_r then (
-               try ignore (Unix.read wake_r (Bytes.create 256) 0 256)
-               with Unix.Unix_error _ -> ())
-             else if fd == sock then accept_all ()
-             else
-               match msock with
-               | Some (s, _) when fd == s -> (
-                 match Unix.accept s with
-                 | cfd, _ -> serve_scrape cfd
-                 | exception Unix.Unix_error _ -> ())
-               | _ -> (
-                 match Hashtbl.find_opt conns fd with
-                 | Some conn -> handle_readable conn
-                 | None -> () (* closed earlier this iteration *)))
-           readable;
-         List.iter
-           (fun fd ->
-             match Hashtbl.find_opt conns fd with
-             | Some conn -> handle_writable conn
-             | None -> ())
-           writable
-       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-      drain_completions ();
-      evict_stale ();
-      if Atomic.compare_and_set dump_requested true false then
-        dump_flight ~why:"SIGUSR1" flight_path
+      List.iter maybe_close (live_conns ());
+      if Hashtbl.length conns = 0 then running := false
     end
   done;
 
   Log.app (fun m -> m "ricd shutting down");
-  Hashtbl.fold (fun _ c acc -> c :: acc) conns [] |> List.iter close_conn;
   (match msock with
    | Some (s, path) ->
      (try Unix.close s with Unix.Unix_error _ -> ());
      (try Unix.unlink path with Unix.Unix_error _ -> ())
    | None -> ());
-  (try Unix.close wake_r with Unix.Unix_error _ -> ());
-  (try Unix.close wake_w with Unix.Unix_error _ -> ());
-  Pool.shutdown pool;
   (match journal with None -> () | Some j -> Journal.close j);
   match config.trace with Some _ -> Ric_obs.Trace.close () | None -> ()
 

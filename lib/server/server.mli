@@ -1,30 +1,43 @@
 (** [ricd]: the completeness-checking daemon.
 
-    The front end is a single-threaded [Unix.select] event loop over
+    The daemon is one domain running a [Unix.select] event loop over
     non-blocking sockets: it accepts connections, assembles framed
-    requests incrementally in per-connection buffers, and hands each
-    complete frame to a {!Pool} of worker domains — so the number of
-    open connections is bounded by [max_connections] (and ultimately
-    [FD_SETSIZE]), not by [domains].  Replies travel back through a
-    completion queue and per-connection write buffers; requests
-    pipelined on one connection are answered in order.
+    requests incrementally in per-connection buffers, and runs each
+    complete frame's {!Service.handle} on the loop itself, one frame
+    per ready connection per pass, oldest connection first.  Replies
+    go out through per-connection write buffers (written at once where
+    the socket takes them); requests pipelined on one connection are
+    answered in order.  The deciders are pure functions of an
+    immutable snapshot, and every benchmarked client keeps at most one
+    request in flight, so a pool of worker domains bought no
+    throughput on the hardware measured (EXPERIMENTS.md, "Retiring the
+    domain pool").
 
-    Overload behaviour: a frame is {e admitted} when it enters the
-    bounded job queue.  A full queue sheds instead — the client gets a
-    structured [overloaded] reply carrying [retry_after_ms] (scaled by
-    queue depth), never a silent drop; the same reply (best-effort) is
-    written to connections refused at [max_connections].  Admitted
-    requests have their [timeout_ms] deadline anchored at admission,
-    so time queued behind other jobs counts against it.  Connections
-    that stall mid-frame for [read_deadline_s], or stop draining their
-    replies for [write_deadline_s], are evicted (slow-loris defense).
+    The trade-off: while a request runs, nothing else is read or
+    answered.  A request without [timeout_ms] holds the loop until it
+    finishes, so clients that send slow decides should set one.
+
+    Overload behaviour: a frame is {e admitted} when the loop reads it
+    and fewer than [queue_capacity] admitted frames wait unanswered.
+    Past that backlog the frame is shed — the client gets a structured
+    [overloaded] reply carrying [retry_after_ms] (scaled by the
+    backlog), in request order, never a silent drop; the same reply
+    (best-effort) is written to connections refused at
+    [max_connections].  Admitted requests have their [timeout_ms]
+    deadline anchored at the read, so time spent waiting behind other
+    requests counts against it (time in the kernel's socket buffer
+    does not).  Connections that stall mid-frame for
+    [read_deadline_s], or stop draining their replies for
+    [write_deadline_s], are evicted (slow-loris defense).
 
     {!run} blocks until a [shutdown] request {e or} a SIGTERM/SIGINT
-    arrives, then drains: the listen socket closes immediately, every
-    admitted job is still answered, write buffers are flushed, and
-    only then do the workers join.  A stale socket file left by a
-    crashed daemon is detected (nothing answers it) and removed at
-    startup; a live one makes {!run} raise rather than steal it.
+    arrives, then drains: the listen socket closes immediately, each
+    connection is read one last time (frames that arrived while the
+    loop was busy count), every admitted frame is answered, and write
+    buffers are flushed before {!run} returns.  A stale socket file
+    left by a crashed daemon is detected (nothing answers it) and
+    removed at startup; a live one makes {!run} raise rather than
+    steal it.
 
     With [journal] set, every session mutation is appended to a
     JSON-lines journal ({!Ric_text.Journal}); with [recover] it is
@@ -44,16 +57,14 @@
 
     The flight recorder ({!Ric_obs.Recorder}) keeps the last window of
     request/reply/shed/evict/crash events in a fixed-size in-memory
-    ring at all times; it is flushed to [flight] as JSONL on worker
-    quarantine, on a fatal (uncaught-exception) exit, on SIGUSR1, and
-    on a [dump] request. *)
+    ring at all times; it is flushed to [flight] as JSONL on a fatal
+    (uncaught-exception) exit, on SIGUSR1, and on a [dump] request. *)
 
 type config = {
   socket_path : string;
-  domains : int;  (** worker domains running the deciders (min 1) *)
   queue_capacity : int;
-      (** admitted-but-unserved request backlog; a full queue sheds
-          with an [overloaded] reply instead of queueing further *)
+      (** admitted-but-unanswered request backlog (min 1); past it new
+          frames are shed with an [overloaded] reply *)
   max_connections : int;
       (** connections the event loop will hold open at once; beyond
           it, new sockets get a best-effort [overloaded] frame and are
@@ -77,12 +88,12 @@ type config = {
   flight : string option;
       (** flight-recorder dump target ({!Ric_obs.Recorder}); [None]
           (default) derives [socket_path ^ ".flight.jsonl"].  The
-          in-memory ring always records; it is written out on worker
-          quarantine, fatal exit, SIGUSR1, or a [dump] request *)
+          in-memory ring always records; it is written out on fatal
+          exit, SIGUSR1, or a [dump] request *)
 }
 
 val default_config : config
-(** [/tmp/ricd.sock], 2 domains, queue capacity 64, 960 connections,
+(** [/tmp/ricd.sock], queue capacity 64, 960 connections,
     10 s read/write deadlines, no root, no journal, no metrics socket, no tracing, flight recorder beside the
     socket. *)
 

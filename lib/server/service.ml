@@ -43,7 +43,6 @@ type t = {
   mutable requests : int;
   mutable timeouts : int;
   mutable journal : Journal.t option;
-  mutable pool_stats : (unit -> Pool.stats) option;
   mutable flight_path : string option;
 }
 
@@ -70,7 +69,6 @@ let create ?root () =
       requests = 0;
       timeouts = 0;
       journal = None;
-      pool_stats = None;
       flight_path = None;
     }
   in
@@ -89,8 +87,6 @@ let request_shutdown t = Atomic.set t.stop true
 
 let attach_journal t j = t.journal <- Some j
 
-let set_pool_stats t f = t.pool_stats <- Some f
-
 let set_flight_path t path = t.flight_path <- Some path
 
 (* Callers hold no particular lock; [Journal.append] serialises
@@ -104,19 +100,6 @@ let journal_entry t entry =
 (* Response builders. *)
 
 let ok fields = Json.Obj (("ok", Json.Bool true) :: fields)
-
-let violation_json (cc, witness) =
-  Json.Obj [ ("constraint", Json.Str cc); ("witness", Report.tuple witness) ]
-
-let not_closed_result v =
-  Json.Obj
-    [
-      ("verdict", Json.Str "not_partially_closed");
-      ("violation", violation_json v);
-    ]
-
-let unsupported_result msg =
-  Json.Obj [ ("verdict", Json.Str "unsupported"); ("reason", Json.Str msg) ]
 
 let timeout_result ?rcdp_stats ~clock ~timeout_ms reason =
   Json.Obj
@@ -204,7 +187,7 @@ let handle_open t ~path ~source ~name =
        ]
       @
       match s.Session.closure_violation with
-      | Some v -> [ ("violation", violation_json v) ]
+      | Some v -> [ ("violation", Report.violation v) ]
       | None -> [])
 
 (* ------------------------------------------------------------------ *)
@@ -262,12 +245,14 @@ let note_timeout t =
   Metrics.incr m_timeouts;
   with_lock t (fun () -> t.timeouts <- t.timeouts + 1)
 
-(* A request's deadline is anchored at [admitted_at] (when the front
-   end accepted it, on the monotonic clock), not at decider start: time spent waiting in the
-   job queue counts against [timeout_ms], so a long-queued job answers
-   a timeout verdict quickly instead of running after its caller gave
-   up.  A deadline already in the past yields a budget that raises on
-   its first tick. *)
+(* A request's deadline is anchored at [admitted_at] (when the event
+   loop read its frame, on the monotonic clock), not at decider start:
+   time spent waiting behind other frames counts against [timeout_ms],
+   so a long-waiting request answers a timeout verdict quickly instead
+   of running after its caller gave up.  Time the frame spent in the
+   kernel's socket buffer before the loop read it does not count.  A
+   deadline already in the past yields a budget that raises on its
+   first tick. *)
 let clock_of_timeout ?admitted_at ?label ?(explain = false) timeout_ms =
   match timeout_ms with
   | Some ms ->
@@ -331,7 +316,7 @@ let cached_decide t ~kind ~session ~query ~nocache ~explain ~key ~compute sn =
     (* not partially closed: the problem is undefined here — answer
        without caching (the violation is epoch-stable anyway) *)
     verdict_response ~session ~query ~epoch:sn.sn_epoch ~cached:false ~revalidated:false
-      ~elapsed_us:0 (not_closed_result v)
+      ~elapsed_us:0 (Report.not_closed_result v)
   | None ->
     let hit =
       if nocache || explain then None
@@ -391,7 +376,7 @@ let compute_rcdp t ?admitted_at ?req_id ~explain ~timeout_ms sn =
     }
   | exception Rcdp.Unsupported msg ->
     {
-      c_result = unsupported_result msg;
+      c_result = Report.unsupported_result msg;
       c_rcdp = None;
       c_cacheable = true;
       c_profile = prof ();
@@ -424,14 +409,14 @@ let compute_audit t ?admitted_at ?req_id ~explain ~timeout_ms sn =
     }
   | exception Rcdp.Unsupported msg ->
     {
-      c_result = unsupported_result msg;
+      c_result = Report.unsupported_result msg;
       c_rcdp = None;
       c_cacheable = true;
       c_profile = prof ();
     }
   | exception Rcqp.Unsupported msg ->
     {
-      c_result = unsupported_result msg;
+      c_result = Report.unsupported_result msg;
       c_rcdp = None;
       c_cacheable = true;
       c_profile = prof ();
@@ -496,7 +481,7 @@ let handle_rcqp t ~admitted_at ~session ~query ~nocache ~timeout_ms ~req_id
              ~master:sc.Scenario.master ~ccs:(Scenario.all_ccs sc) sn.sn_query
          with
          | verdict -> (Report.rcqp_verdict verdict, true)
-         | exception Rcqp.Unsupported msg -> (unsupported_result msg, true)
+         | exception Rcqp.Unsupported msg -> (Report.unsupported_result msg, true)
          | exception Budget.Exhausted reason ->
            note_timeout t;
            (timeout_result ~clock ~timeout_ms reason, false)
@@ -713,7 +698,7 @@ let inserted_response t ~session ~old_epoch ~inserted s =
      ]
     @
     match s.Session.closure_violation with
-    | Some v -> [ ("violation", violation_json v) ]
+    | Some v -> [ ("violation", Report.violation v) ]
     | None -> [])
 
 let handle_insert t ~session ~rel ~rows =
@@ -844,23 +829,8 @@ let handle_stats t =
                  ("carried", Json.Int cs.Cache.carried);
                  ("dropped", Json.Int cs.Cache.dropped);
                ] );
-         ]
-        @ (match t.pool_stats with
-           | None -> []
-           | Some f ->
-             let ps = f () in
-             [
-               ( "workers",
-                 Json.Obj
-                   [
-                     ("failures", Json.Int ps.Pool.failures);
-                     ("crashes", Json.Int ps.Pool.crashes);
-                     ("respawns", Json.Int ps.Pool.respawns);
-                     ("quarantined", Json.Int ps.Pool.quarantined);
-                     ("pending", Json.Int ps.Pool.pending);
-                   ] );
-             ])
-        @ [ ("metrics", metrics) ]))
+           ("metrics", metrics);
+         ]))
 
 (* ------------------------------------------------------------------ *)
 (* crash recovery *)

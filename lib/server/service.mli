@@ -1,7 +1,8 @@
 (** The [ricd] request brain: session registry + verdict cache +
     decider dispatch, independent of any transport.
 
-    {!handle} is safe to call concurrently from many domains: registry
+    [ricd] calls {!handle} from its one event loop, but it is safe to
+    call concurrently from many domains (the tests do): registry
     and cache bookkeeping is serialised behind one mutex, while the
     deciders themselves run {e outside} the lock on immutable
     snapshots of [(D, Dm, V, Q)] — so two RCDP requests on different
@@ -30,11 +31,10 @@ val handle : t -> ?admitted_at:float -> Protocol.request -> Ric_text.Json.t
     transport to flush.
 
     [admitted_at] (a {!Ric_obs.Metrics.now_s} stamp, on the monotonic
-    clock) anchors the request's
-    [timeout_ms] deadline at the moment the front end admitted it, so
-    time spent queued behind other jobs counts against the budget; a
-    deadline already spent answers a ["timeout"] verdict on the
-    decider's first tick.  Omitted, the deadline starts when the
+    clock) anchors the request's [timeout_ms] deadline at the moment
+    the front end read its frame, so time spent waiting behind other
+    requests counts against the budget; a deadline already spent
+    answers a ["timeout"] verdict on the decider's first tick.  Omitted, the deadline starts when the
     decider does (the legacy behaviour, used by direct callers).
 
     A decide request carrying a [req_id] gets it stamped on the
@@ -57,10 +57,6 @@ val attach_journal : t -> Ric_text.Journal.t -> unit
     {e after} {!recover} so replay is not re-journalled.  Journal
     write failures are swallowed: losing durability must not fail
     live requests. *)
-
-val set_pool_stats : t -> (unit -> Pool.stats) -> unit
-(** Let [stats] responses report the worker pool's failure /
-    crash / respawn / quarantine counters. *)
 
 val set_flight_path : t -> string -> unit
 (** Where a [dump] request writes the flight recorder

@@ -17,6 +17,16 @@ let database d =
        d []
     |> List.rev)
 
+let violation (cc, witness) =
+  Json.Obj [ ("constraint", Json.Str cc); ("witness", tuple witness) ]
+
+let not_closed_result v =
+  Json.Obj
+    [ ("verdict", Json.Str "not_partially_closed"); ("violation", violation v) ]
+
+let unsupported_result msg =
+  Json.Obj [ ("verdict", Json.Str "unsupported"); ("reason", Json.Str msg) ]
+
 let rcdp_verdict = function
   | Rcdp.Complete -> Json.Obj [ ("verdict", Json.Str "complete") ]
   | Rcdp.Incomplete cex ->

@@ -78,11 +78,16 @@ RIC="_build/default/bin/ric.exe"
 cleanup() {
   "$RIC" shutdown -S "$SOCKET" >/dev/null 2>&1 || true
   wait "${SERVER_PID:-$$}" 2>/dev/null || true
-  rm -f "$SOCKET"
+  rm -f "$SOCKET" "${TMPDIR:-/tmp}/ricd-check-$$.smoke.flight.jsonl"
 }
 trap cleanup EXIT INT TERM
 
-"$RIC" serve -S "$SOCKET" -d 2 &
+# started with the end-to-end benchmark's flag line (ricbench/daemon.ml;
+# only the flight-recorder path differs), so a flag it relies on cannot
+# silently stop parsing
+"$RIC" serve -S "$SOCKET" --domains 2 --queue 64 --max-connections 16 \
+  --read-deadline 30 --write-deadline 30 --search seq --root . \
+  --flight "${TMPDIR:-/tmp}/ricd-check-$$.smoke.flight.jsonl" &
 SERVER_PID=$!
 
 # wait for the socket to accept connections
@@ -95,6 +100,17 @@ until "$RIC" request ping -S "$SOCKET" >/dev/null 2>&1; do
   fi
   sleep 0.1
 done
+
+# ricd decides on its event loop: --domains is ignored, and the
+# process runs one thread
+if [ -d "/proc/$SERVER_PID/task" ]; then
+  THREADS=$(ls "/proc/$SERVER_PID/task" | wc -l)
+  echo "threads: $THREADS"
+  if [ "$THREADS" -ne 1 ]; then
+    echo "FAIL: ricd runs $THREADS threads, expected 1" >&2
+    exit 1
+  fi
+fi
 
 OPEN=$("$RIC" request open scenarios/crm.ric -S "$SOCKET")
 echo "open:    $OPEN"
@@ -133,7 +149,7 @@ cleanup_metrics() {
 }
 trap cleanup_metrics EXIT INT TERM
 
-"$RIC" serve -S "$SOCKET" -d 2 --metrics "$MSOCKET" &
+"$RIC" serve -S "$SOCKET" --metrics "$MSOCKET" &
 SERVER_PID=$!
 i=0
 until "$RIC" request ping -S "$SOCKET" >/dev/null 2>&1; do
@@ -206,7 +222,7 @@ cleanup_flight() {
 }
 trap cleanup_flight EXIT INT TERM
 
-"$RIC" serve -S "$SOCKET" -d 2 --flight "$FLIGHT" &
+"$RIC" serve -S "$SOCKET" --flight "$FLIGHT" &
 SERVER_PID=$!
 i=0
 until "$RIC" request ping -S "$SOCKET" >/dev/null 2>&1; do
@@ -262,7 +278,7 @@ cleanup2() {
 }
 trap cleanup2 EXIT INT TERM
 
-"$RIC" serve -S "$SOCKET" -d 2 --journal "$JOURNAL" &
+"$RIC" serve -S "$SOCKET" --journal "$JOURNAL" &
 SERVER_PID=$!
 i=0
 until "$RIC" request ping -S "$SOCKET" >/dev/null 2>&1; do
@@ -307,7 +323,7 @@ if [ -e "$SOCKET" ]; then
 fi
 
 # --recover restores the journaled sessions (with their inserts)
-"$RIC" serve -S "$SOCKET" -d 2 --journal "$JOURNAL" --recover &
+"$RIC" serve -S "$SOCKET" --journal "$JOURNAL" --recover &
 SERVER_PID=$!
 i=0
 until "$RIC" request ping -S "$SOCKET" >/dev/null 2>&1; do

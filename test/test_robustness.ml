@@ -1,8 +1,7 @@
 (* Robustness tests for the ricd service: cooperative deadlines through
-   the deciders, fault injection (worker crashes, torn frames, dropped
-   replies, injected latency), pool supervision (respawn + quarantine),
-   client receive timeouts, and crash recovery from the session
-   journal. *)
+   the deciders, fault injection (torn frames, dropped replies,
+   injected latency), overload shedding and graceful drain, client
+   receive timeouts, and crash recovery from the session journal. *)
 
 open Ric_service
 open Ric_complete
@@ -39,14 +38,6 @@ let assert_ok j =
   if not (get_bool "ok" j) then Alcotest.failf "request failed: %s" (Json.to_string j)
 
 let verdict_of j = get_str "verdict" (get "result" j)
-
-let rec wait_until ?(timeout = 5.0) msg pred =
-  if pred () then ()
-  else if timeout <= 0. then Alcotest.failf "timed out waiting: %s" msg
-  else begin
-    Unix.sleepf 0.02;
-    wait_until ~timeout:(timeout -. 0.02) msg pred
-  end
 
 (* An easy scenario (decides in microseconds) and a hostile one: QH's
    verdict is Complete, but only after the decider exhausts every
@@ -190,64 +181,6 @@ let test_service_timeout_verdict () =
   Alcotest.(check bool) "timeouts counted" true (get_int "timeouts" stats >= 2)
 
 (* ------------------------------------------------------------------ *)
-(* pool supervision *)
-
-let test_pool_survives_job_failure () =
-  let served = Atomic.make 0 in
-  let pool =
-    Pool.create ~domains:1 ~capacity:4
-      ~worker:(fun n ->
-        if n = 0 then failwith "per-job failure"
-        else ignore (Atomic.fetch_and_add served 1))
-      ()
-  in
-  Alcotest.(check bool) "submit bad" true (Pool.submit pool 0);
-  Alcotest.(check bool) "submit good" true (Pool.submit pool 1);
-  wait_until "good job after failure" (fun () -> Atomic.get served = 1);
-  Pool.shutdown pool;
-  let s = Pool.stats pool in
-  Alcotest.(check int) "failure counted" 1 s.Pool.failures;
-  Alcotest.(check int) "no crashes" 0 s.Pool.crashes
-
-let test_pool_crash_respawn_retry () =
-  let served = Atomic.make 0 in
-  let pool =
-    Pool.create ~domains:2 ~capacity:4
-      ~worker:(fun (attempt : int Atomic.t) ->
-        (* crash the first worker this job lands on; succeed on retry *)
-        if Atomic.fetch_and_add attempt 1 = 0 then raise (Pool.Crash "boom")
-        else ignore (Atomic.fetch_and_add served 1))
-      ()
-  in
-  Alcotest.(check bool) "submitted" true (Pool.submit pool (Atomic.make 0));
-  wait_until "job retried on a fresh worker" (fun () -> Atomic.get served = 1);
-  (* the pool still has capacity to serve new jobs afterwards *)
-  Alcotest.(check bool) "submitted" true (Pool.submit pool (Atomic.make 1));
-  wait_until "later job served" (fun () -> Atomic.get served = 2);
-  Pool.shutdown pool;
-  let s = Pool.stats pool in
-  Alcotest.(check int) "one crash" 1 s.Pool.crashes;
-  Alcotest.(check int) "one respawn" 1 s.Pool.respawns;
-  Alcotest.(check int) "nothing quarantined" 0 s.Pool.quarantined
-
-let test_pool_quarantines_double_crash () =
-  let quarantined = Atomic.make 0 in
-  let pool =
-    Pool.create
-      ~on_quarantine:(fun _job _reason -> ignore (Atomic.fetch_and_add quarantined 1))
-      ~domains:2 ~capacity:4
-      ~worker:(fun () -> raise (Pool.Crash "always fatal"))
-      ()
-  in
-  Alcotest.(check bool) "submitted" true (Pool.submit pool ());
-  wait_until "job quarantined after two crashes" (fun () -> Atomic.get quarantined = 1);
-  Pool.shutdown pool;
-  let s = Pool.stats pool in
-  Alcotest.(check int) "two crashes" 2 s.Pool.crashes;
-  Alcotest.(check int) "quarantined once" 1 s.Pool.quarantined;
-  Alcotest.(check int) "workers replaced" 2 s.Pool.respawns
-
-(* ------------------------------------------------------------------ *)
 (* framing under faults *)
 
 let test_torn_write_detected () =
@@ -274,19 +207,22 @@ let test_oversized_header_rejected () =
   Unix.close b
 
 let test_faults_env_parsing () =
-  Unix.putenv "RIC_FAULTS" "tear_write=tear:9, decide=delay:0.001 ,bogus,also=bad";
+  Unix.putenv "RIC_FAULTS"
+    "tear_write=tear:9, decide=delay:0.001 ,bogus,also=bad,request=crash";
   Faults.init_from_env ();
   Alcotest.(check (option int)) "tear armed from env" (Some 9) (Faults.tear ());
   Alcotest.(check (option int)) "single shot" None (Faults.tear ());
   Faults.fire "decide";
   (* delay consumed without raising *)
+  (* [crash] is no action: the item is rejected and nothing is armed *)
+  Faults.fire "request";
   Faults.reset ();
   Unix.putenv "RIC_FAULTS" ""
 
 (* ------------------------------------------------------------------ *)
 (* end to end under faults *)
 
-let with_server ?(domains = 2) ?(queue_capacity = 16) ?(read_deadline = 2.) ?journal
+let with_server ?(queue_capacity = 16) ?(read_deadline = 2.) ?journal
     ?(recover = false) f =
   let socket_path =
     Printf.sprintf "%s/ric-rob-%d-%d.sock"
@@ -298,7 +234,6 @@ let with_server ?(domains = 2) ?(queue_capacity = 16) ?(read_deadline = 2.) ?jou
         Server.run
           {
             Server.socket_path;
-            domains;
             queue_capacity;
             max_connections = 960;
             read_deadline_s = read_deadline;
@@ -344,38 +279,6 @@ let test_e2e_client_receive_timeout () =
           let pong = Client.rpc c Protocol.Ping in
           Alcotest.(check bool) "alive after abandoned request" true (get_bool "pong" pong)))
 
-let test_e2e_worker_crash_respawn () =
-  with_server ~domains:2 (fun socket_path ->
-      Client.with_connection ~retries:40 ~receive_timeout:2.0 socket_path (fun c ->
-          Faults.arm "worker" Faults.Crash_worker;
-          (* the worker dies holding this request; the pool requeues
-             the job to a fresh worker, which answers — a single crash
-             is invisible to the client under the event-loop front end *)
-          let pong = Client.rpc c Protocol.Ping in
-          Alcotest.(check bool) "served after respawn" true (get_bool "pong" pong));
-      Client.with_connection ~retries:40 socket_path (fun c ->
-          let stats = Client.rpc c Protocol.Stats in
-          let workers = get "workers" stats in
-          Alcotest.(check int) "crash counted" 1 (get_int "crashes" workers);
-          Alcotest.(check int) "respawn counted" 1 (get_int "respawns" workers)))
-
-let test_e2e_double_crash_quarantines () =
-  with_server ~domains:2 (fun socket_path ->
-      Client.with_connection ~retries:40 ~receive_timeout:2.0 socket_path (fun c ->
-          Faults.arm ~times:2 "worker" Faults.Crash_worker;
-          (* the request crashes its first worker, is retried, and
-             crashes the replacement too: the pool quarantines it and
-             the front end answers a structured error, then hangs up *)
-          let r = Client.rpc c Protocol.Ping in
-          Alcotest.(check bool) "refused" false (get_bool "ok" r);
-          Alcotest.(check string) "kind" "worker_crash" (get_str "kind" r));
-      Client.with_connection ~retries:40 socket_path (fun c ->
-          let stats = Client.rpc c Protocol.Stats in
-          let workers = get "workers" stats in
-          Alcotest.(check int) "quarantined" 1 (get_int "quarantined" workers);
-          Alcotest.(check bool) "daemon survived both crashes" true
-            (get_bool "ok" stats)))
-
 let test_e2e_torn_reply () =
   with_server (fun socket_path ->
       Client.with_connection ~retries:40 ~receive_timeout:0.5 socket_path (fun c ->
@@ -390,7 +293,7 @@ let test_e2e_torn_reply () =
 let test_e2e_dropped_connection () =
   with_server (fun socket_path ->
       Client.with_connection ~retries:40 ~receive_timeout:0.5 socket_path (fun c ->
-          Faults.arm "worker" Faults.Drop;
+          Faults.arm "request" Faults.Drop;
           (match Client.rpc c Protocol.Ping with
            | _ -> Alcotest.fail "dropped connection should not reply"
            | exception (Failure _ | Unix.Unix_error _) -> ()));
@@ -441,15 +344,19 @@ let wait_ready socket_path =
   Client.with_connection ~retries:40 socket_path (fun c ->
       ignore (Client.rpc c Protocol.Ping))
 
+let shed_total () = Ric_obs.Metrics.(counter_value (counter "ric_server_shed_total"))
+
 let test_e2e_queue_full_sheds () =
-  with_server ~domains:1 ~queue_capacity:1 (fun socket_path ->
+  with_server ~queue_capacity:1 (fun socket_path ->
       wait_ready socket_path;
       let s1 = raw_connect socket_path in
       let s2 = raw_connect socket_path in
       let s3 = raw_connect socket_path in
-      (* the only worker sleeps on s1's request; s2's fills the
-         one-slot queue; s3's finds it full and must be shed *)
-      Faults.arm "worker" (Faults.Delay 0.8);
+      (* s1's request parks the event loop; s2's and s3's wait in their
+         socket buffers, and the loop reads them together once it is
+         free: s2's (the older connection) fills the one-slot backlog,
+         s3's finds it full and must be shed *)
+      Faults.arm "request" (Faults.Delay 0.8);
       Protocol.write_frame s1 ping_payload;
       Unix.sleepf 0.3;
       Protocol.write_frame s2 ping_payload;
@@ -462,7 +369,7 @@ let test_e2e_queue_full_sheds () =
        | Some ms -> Alcotest.(check bool) "positive retry hint" true (ms > 0)
        | None -> Alcotest.fail "shed reply carries no retry_after_ms");
       (* admitted requests are never shed: both get their pong *)
-      Alcotest.(check bool) "in-worker request served" true (get_bool "pong" (raw_reply s1));
+      Alcotest.(check bool) "parked request served" true (get_bool "pong" (raw_reply s1));
       Alcotest.(check bool) "queued request served" true (get_bool "pong" (raw_reply s2));
       List.iter Unix.close [ s1; s2; s3 ])
 
@@ -489,21 +396,22 @@ let test_e2e_slow_loris_evicted () =
           Alcotest.(check bool) "alive after eviction" true (get_bool "pong" pong)))
 
 let test_e2e_sigterm_drains_queue () =
-  with_server ~domains:1 ~queue_capacity:8 (fun socket_path ->
+  with_server ~queue_capacity:8 (fun socket_path ->
       wait_ready socket_path;
       let s1 = raw_connect socket_path in
       let s2 = raw_connect socket_path in
       let s3 = raw_connect socket_path in
-      (* park the only worker on s1's request so s2's and s3's are
-         still queued when the signal lands *)
-      Faults.arm "worker" (Faults.Delay 0.6);
+      (* park the loop on s1's request so s2's and s3's are still
+         unread in their socket buffers when the signal lands *)
+      Faults.arm "request" (Faults.Delay 0.6);
       Protocol.write_frame s1 ping_payload;
       Unix.sleepf 0.2;
       Protocol.write_frame s2 ping_payload;
       Protocol.write_frame s3 ping_payload;
       Unix.sleepf 0.2;
       Unix.kill (Unix.getpid ()) Sys.sigterm;
-      (* graceful drain: every admitted job is answered before exit *)
+      (* graceful drain: the loop reads each connection one last time
+         and answers every frame before exit *)
       List.iter
         (fun fd ->
           Alcotest.(check bool) "answered during drain" true
@@ -534,12 +442,15 @@ let test_breaker_opens_and_half_opens () =
   Alcotest.(check bool) "closed admits again" true (allow b)
 
 let test_e2e_retry_honours_hint () =
-  with_server ~domains:1 ~queue_capacity:1 (fun socket_path ->
+  with_server ~queue_capacity:1 (fun socket_path ->
       wait_ready socket_path;
       let s1 = raw_connect socket_path in
       let s2 = raw_connect socket_path in
-      (* saturate: worker parked on s1, queue filled by s2 *)
-      Faults.arm "worker" (Faults.Delay 0.6);
+      (* saturate: the loop parked on s1's request; once free, it reads
+         s2's frame into the one-slot backlog before it accepts the
+         retrying client below, whose first attempt is shed *)
+      let sheds_before = shed_total () in
+      Faults.arm "request" (Faults.Delay 0.6);
       Protocol.write_frame s1 ping_payload;
       Unix.sleepf 0.2;
       Protocol.write_frame s2 ping_payload;
@@ -555,6 +466,7 @@ let test_e2e_retry_honours_hint () =
           Alcotest.(check bool) "served after retrying" true (get_bool "pong" r);
           Alcotest.(check bool) "breaker stayed closed" true
             (Client.Breaker.state breaker = Client.Breaker.Closed));
+      Alcotest.(check bool) "the first attempt was shed" true (shed_total () > sheds_before);
       Alcotest.(check bool) "parked request served" true (get_bool "pong" (raw_reply s1));
       Alcotest.(check bool) "queued request served" true (get_bool "pong" (raw_reply s2));
       List.iter Unix.close [ s1; s2 ])
@@ -853,13 +765,6 @@ let () =
           Alcotest.test_case "rcqp stays bounded" `Quick test_rcqp_deadline_aborts_promptly;
           Alcotest.test_case "service timeout verdict" `Quick test_service_timeout_verdict;
         ] );
-      ( "pool supervision",
-        [
-          Alcotest.test_case "job failure survived" `Quick test_pool_survives_job_failure;
-          Alcotest.test_case "crash respawns + retries" `Quick test_pool_crash_respawn_retry;
-          Alcotest.test_case "double crash quarantines" `Quick
-            test_pool_quarantines_double_crash;
-        ] );
       ( "framing faults",
         [
           Alcotest.test_case "torn write detected" `Quick test_torn_write_detected;
@@ -869,9 +774,6 @@ let () =
       ( "end to end",
         [
           Alcotest.test_case "client receive timeout" `Quick test_e2e_client_receive_timeout;
-          Alcotest.test_case "worker crash + respawn" `Quick test_e2e_worker_crash_respawn;
-          Alcotest.test_case "double crash quarantined" `Quick
-            test_e2e_double_crash_quarantines;
           Alcotest.test_case "torn reply" `Quick test_e2e_torn_reply;
           Alcotest.test_case "dropped connection" `Quick test_e2e_dropped_connection;
           Alcotest.test_case "timeout verdict over socket" `Quick

@@ -1,5 +1,5 @@
 (* Tests for the ricd service subsystem: wire protocol encoding and
-   framing, the worker pool, the session registry + verdict cache
+   framing, the session registry + verdict cache
    behind Service.handle, and a full client/server round trip over a
    Unix-domain socket with concurrent sessions. *)
 
@@ -208,23 +208,6 @@ let test_framing () =
        Protocol.write_frame c (String.make (Protocol.max_frame + 1) 'z');
        false
      with Protocol.Frame_error _ -> true)
-
-(* ------------------------------------------------------------------ *)
-(* Pool *)
-
-let test_pool_runs_everything () =
-  let counter = Atomic.make 0 in
-  let pool =
-    Pool.create ~domains:4 ~capacity:8
-      ~worker:(fun n -> ignore (Atomic.fetch_and_add counter n))
-      ()
-  in
-  for _ = 1 to 100 do
-    Alcotest.(check bool) "submitted" true (Pool.submit pool 1)
-  done;
-  Pool.shutdown pool;
-  Alcotest.(check int) "all jobs ran" 100 (Atomic.get counter);
-  Alcotest.(check bool) "submit after shutdown refused" false (Pool.submit pool 1)
 
 (* ------------------------------------------------------------------ *)
 (* Service: sessions, cache, inserts (no sockets involved) *)
@@ -672,7 +655,7 @@ let test_service_dump () =
 (* ------------------------------------------------------------------ *)
 (* End to end over a Unix-domain socket *)
 
-let with_server ?(domains = 2) f =
+let with_server f =
   let socket_path =
     Printf.sprintf "%s/ric-test-%d-%d.sock"
       (Filename.get_temp_dir_name ())
@@ -683,7 +666,6 @@ let with_server ?(domains = 2) f =
         Server.run
           {
             Server.socket_path;
-            domains;
             queue_capacity = 16;
             max_connections = 960;
             read_deadline_s = 2.;
@@ -778,10 +760,10 @@ let test_e2e_req_id () =
             (get_str "req_id" r)))
 
 let test_e2e_concurrent_sessions () =
-  with_server ~domains:2 (fun socket_path ->
+  with_server (fun socket_path ->
       (* two sessions, driven concurrently from two client domains;
-         nocache forces every request through the decider so both
-         workers genuinely compute in parallel *)
+         nocache forces every request through the decider, so the
+         event loop interleaves the two connections' decides *)
       let sids =
         Client.with_connection ~retries:40 socket_path (fun c ->
             List.map
@@ -1193,7 +1175,6 @@ let () =
         ] );
       ( "cache keys",
         [ Alcotest.test_case "component escaping" `Quick test_cache_key_escaping ] );
-      ("pool", [ Alcotest.test_case "drains all jobs" `Quick test_pool_runs_everything ]);
       ( "service",
         [
           Alcotest.test_case "open + errors" `Quick test_service_open_and_errors;
