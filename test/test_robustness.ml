@@ -796,7 +796,7 @@ let () =
           Alcotest.test_case "journal round trip" `Quick test_journal_roundtrip;
           Alcotest.test_case "torn tail tolerated" `Quick test_journal_torn_tail;
           Alcotest.test_case "service recovery" `Quick test_service_recovery;
-          Alcotest.test_case "recovered session serves an inc request" `Quick
+          Alcotest.test_case "recovered session serves an inc" `Quick
             test_recovered_inc_request;
           Alcotest.test_case "recovered writes agree with live" `Quick
             test_e2e_recover_agrees;
