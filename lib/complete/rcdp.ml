@@ -116,8 +116,9 @@ let decide_ucq_with ~ind_mode ?(clock = Budget.unlimited)
      must abort before the partial-closure check does any work *)
   Budget.check_now clock;
   require_monotone_ccs ccs;
-  (* one checker for the entry check, Q(D) and every disjunct's search:
-     its index store indexes D once for all three *)
+  (* one checker for the entry check and every disjunct's search; D's
+     relations keep the indexes the entry check, Q(D) and the searches
+     build, so D is indexed once for all three *)
   let checker =
     match checker with
     | Some chk -> chk
@@ -130,7 +131,7 @@ let decide_ucq_with ~ind_mode ?(clock = Budget.unlimited)
     raise
       (Not_partially_closed
          "RCDP: the input database does not satisfy the containment constraints");
-  let qd = Checker.answers checker db ucq in
+  let qd = Ucq.eval db ucq in
   let tableaux = List.filter_map (Tableau.of_cq schema) ucq in
   (* One fresh value per query-tableau variable (Section 3.2's New).
      Constraint variables need none here: Proposition 3.3's small-model

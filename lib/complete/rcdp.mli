@@ -69,12 +69,13 @@ val decide :
     can report how much work a timed-out decide had done.
 
     One {!Ric_constraints.Checker} serves the whole decide: the entry
-    closure check, the evaluation of [Q(D)] and the search of every
-    disjunct, so its index store indexes [D] once for all three.
+    closure check and the search of every disjunct.  [D]'s relations
+    carry their own column indexes, so the entry check, the evaluation
+    of [Q(D)] and the searches index [D] once for all three.
     [checker] supplies it; it must have been created over [ccs] on
     [master] — a session passes the checker it keeps across its
-    decides and writes, whose store may already hold [D]'s indexes.
-    Without it the decide builds its own over [ccs].  Either way the
+    decides and writes.  Without it the decide builds its own over
+    [ccs].  Either way the
     search starts on a closed base ({!Valuation_search.iter}'s
     [`Closed_base]): [(D, Dm) ⊨ V] was checked at entry or is the
     caller's guarantee, so no root re-check runs.

@@ -765,14 +765,19 @@ let e2_search ~clock ?profile ~cons ~budget ~schema ~ccs ~reserved ~searches poo
    the active domain.  One pass suffices: rejections are final because
    violations persist under growth.  The witness so far is consistent,
    so an instantiation is checked by adding its tuples one at a time,
-   each a delta check against the witness as the indexed base: for
-   monotone constraints that accepts exactly the instantiations a full
-   check of the union would. *)
+   each a delta check against the witness: for monotone constraints
+   that accepts exactly the instantiations a full check of the union
+   would.  The witness lives as interned rows in one checker frame
+   over the empty database — an instantiation's new rows are pushed,
+   checked, and popped again if one is rejected — and becomes a
+   database once, at the end. *)
 let greedy_maximal_witness ?(clock = Budget.unlimited) ?profile ~cons ~budget
     ~schema ~adom tableaux =
   Trace.with_span "rcqp.witness_greedy" @@ fun _sp ->
   let empty_db = Database.empty schema in
-  let dw = ref empty_db in
+  let frame = Checker.frame cons.chk ~base:empty_db in
+  (* the witness's tuples: a tuple it holds is checked already *)
+  let held = Hashtbl.create 64 in
   let count = ref 0 in
   let ticks = ref 0 in
   let exceeded = ref false in
@@ -798,24 +803,24 @@ let greedy_maximal_witness ?(clock = Budget.unlimited) ?profile ~cons ~budget
               end
               else begin
                 if Tableau.neqs_ok tab mu then begin
-                  let grown =
-                    fold_tuples
-                      (fun rel tuple -> function
-                        | None -> None
-                        | Some pending ->
-                          let pending = Database.add_tuple pending rel tuple in
-                          if consistent_add cons ~base:!dw ~delta:pending rel tuple
-                          then Some pending
-                          else None)
-                      (Tableau.instantiate tab mu) (Some empty_db)
+                  let pushed = ref [] in
+                  let add rel tuple ok =
+                    ok
+                    && (Hashtbl.mem held (rel, tuple)
+                       ||
+                       let row = Intern.row tuple in
+                       Kernel.Overlay.push (Checker.overlay frame rel) row;
+                       pushed := (rel, tuple) :: !pushed;
+                       Checker.check_row (Checker.watch frame ~generated:false rel) row = None)
                   in
-                  match grown with
-                  | Some pending ->
-                    dw :=
-                      fold_tuples
-                        (fun rel t w -> Database.add_tuple w rel t)
-                        pending !dw
-                  | None -> ()
+                  if
+                    Lazy.force cons.empty_ok
+                    && fold_tuples add (Tableau.instantiate tab mu) true
+                  then List.iter (fun k -> Hashtbl.replace held k ()) !pushed
+                  else
+                    List.iter
+                      (fun (rel, _) -> Kernel.Overlay.pop (Checker.overlay frame rel))
+                      !pushed
                 end;
                 false
               end)
@@ -823,7 +828,8 @@ let greedy_maximal_witness ?(clock = Budget.unlimited) ?profile ~cons ~budget
         ()
       end)
     tableaux;
-  if !exceeded then None else Some !dw
+  if !exceeded then None
+  else Some (Database.add_tuples empty_db (Hashtbl.fold (fun k () acc -> k :: acc) held []))
 
 (* Exact Empty check by fresh-value pumping: if some satisfiable
    disjunct admits a valuation μ* that (i) gives every infinite-domain

@@ -176,12 +176,19 @@ let valuation leaf =
 (* a tuple is its values' array *)
 let tuple_of_row row : Tuple.t = Array.map Intern.value row
 
+(* each relation built once from copies of the levels' interned rows
+   (the search reuses the rows themselves) *)
 let extension leaf =
-  let db = ref (Database.empty leaf.search.tab.Tableau.schema) in
+  let by_rel = Hashtbl.create 4 in
   Array.iteri
-    (fun lv l -> db := Database.add_tuple !db l.atom.Atom.rel (tuple_of_row leaf.rows.(lv)))
+    (fun lv l ->
+      let rel = l.atom.Atom.rel and row = Array.copy leaf.rows.(lv) in
+      Hashtbl.replace by_rel rel (row :: Option.value ~default:[] (Hashtbl.find_opt by_rel rel)))
     leaf.search.levels;
-  !db
+  Hashtbl.fold
+    (fun rel rows db -> Database.set_relation db rel (Relation.of_rows rows))
+    by_rel
+    (Database.empty leaf.search.tab.Tableau.schema)
 
 (* One run of a compiled search over one base.  The root is [base]
    itself: in [`Against_base D] and [`Closed_base D] mode the run

@@ -16,10 +16,11 @@ open Ric_query
      once, in declaration order — together with their probes pinned on
      that relation.
 
-   Per check, plans join over [base]'s persistent indexes plus [delta]
-   as a small interned overlay, stopping at the first answer escaping
-   the cached RHS (a [frame] holds both, below).  FO/FP or unsafe LHSs
-   keep the full-evaluation path so they raise (or recurse) exactly as
+   Per check, plans join over [base]'s relations, each probed through
+   its own column index, plus [delta] as a small interned overlay,
+   stopping at the first answer escaping the cached RHS (a [frame]
+   holds both, below).  FO/FP or unsafe LHSs keep the full-evaluation
+   path so they raise (or recurse) exactly as
    [Containment.holds_all].  [mem_answer] runs a query's disjuncts the
    same way, with the head bound to the asked tuple instead of a
    pinned atom. *)
@@ -57,7 +58,6 @@ type generator = {
   g_entry : entry;
   g_atom : Atom.t;
   g_head : Term.t list;
-  g_rix : Rix.t option Atomic.t; (* the RHS, column-indexed on first use *)
 }
 
 (* One candidate list, as an array, with its value id -> positions
@@ -75,7 +75,6 @@ type t = {
       (* [by_rel] less the generators: what a generated tuple needs *)
   generators : (string, generator list) Hashtbl.t; (* in declaration order *)
   lists : (Value.t list * cands) list Atomic.t; (* keyed by physical identity *)
-  store : Kernel.Store.t;
 }
 
 (* Process-wide work counters, one bump per check (not per entry) so
@@ -207,7 +206,7 @@ let create ~master ccs =
           match ns with
           | [ { Cq.n_atoms = [ a ]; n_neqs = []; n_head } ] ->
             push generators a.Atom.rel
-              { g_entry = e; g_atom = a; g_head = n_head; g_rix = Atomic.make None };
+              { g_entry = e; g_atom = a; g_head = n_head };
             true
           | _ -> false
         in
@@ -229,18 +228,11 @@ let create ~master ccs =
     (fun tbl -> Hashtbl.filter_map_inplace (fun _ ws -> Some (List.rev ws)) tbl)
     [ by_rel; by_rel_rest ];
   Hashtbl.filter_map_inplace (fun _ gs -> Some (List.rev gs)) generators;
-  {
-    entries;
-    by_rel;
-    by_rel_rest;
-    generators;
-    lists = Atomic.make [];
-    store = Kernel.Store.create ();
-  }
+  { entries; by_rel; by_rel_rest; generators; lists = Atomic.make [] }
 
 (* A frame: one base database and an overlay of interned rows per
    relation, with the plans its checks run bound to both on first use
-   (base index and overlay resolved once per frame, not per check).
+   (base relation and overlay resolved once per frame, not per check).
    [check] and friends make one per call from a [delta] database; the
    valuation search makes one per search and pushes and pops its
    levels' rows itself. *)
@@ -288,14 +280,13 @@ let frame_of t ~base ~delta =
   Database.fold
     (fun rel r () ->
       let o = overlay f rel in
-      Relation.iter (fun tu -> Kernel.Overlay.push o (Intern.row tu)) r)
+      Array.iter (Kernel.Overlay.push o) (Relation.rows r))
     delta ();
   f
 
 let bind f plan =
-  Kernel.bind plan ~overlay:(overlay f) ~rix:(fun rel ->
-      Kernel.Store.rix f.chk.store rel
-        (try Database.relation f.base rel with Not_found -> Relation.empty))
+  Kernel.bind plan ~overlay:(overlay f) ~lookup:(fun rel ->
+      try Database.relation f.base rel with Not_found -> Relation.empty)
 
 let bind_plan f e p =
   let buf = Array.make (Array.length p.head) 0 in
@@ -307,15 +298,12 @@ let bind_plan f e p =
 
 (* [base ∪ overlay] as a database: the full-evaluation path only *)
 let materialise f =
-  List.fold_left
-    (fun db (rel, o) ->
-      let acc = ref db in
-      Kernel.Overlay.iter
-        (fun row ->
-          acc := Database.add_tuple !acc rel (Array.map Intern.value row))
-        o;
-      !acc)
-    f.base f.overlays
+  let added = ref [] in
+  List.iter
+    (fun (rel, o) ->
+      Kernel.Overlay.iter (fun row -> added := (rel, Array.map Intern.value row) :: !added) o)
+    f.overlays;
+  Database.add_tuples f.base !added
 
 (* Does some answer of [bp] (pinned on [row] by [pin]) escape the
    cached RHS? *)
@@ -462,10 +450,6 @@ let check_adds t ~base ~delta ~added =
 
 let check_add t ~base ~delta ~rel ~tuple = check_adds t ~base ~delta ~added:[ (rel, tuple) ]
 
-let drop_indexes t = Kernel.Store.clear t.store
-
-let answers t db ucq = Ucq.eval ~store:t.store db ucq
-
 let mem_answer t ~base ~delta q tuple =
   let f = frame_of t ~base ~delta in
   match disjuncts q with
@@ -543,8 +527,6 @@ let memo cell f =
     let v = f () in
     Atomic.set cell (Some v);
     v
-
-let rhs_rix g = memo g.g_rix (fun () -> Rix.build g.g_entry.rhs_rel)
 
 let unify_step ~operand ~depth g (a : Atom.t) =
   if List.compare_lengths g.g_atom.Atom.args a.Atom.args <> 0 then None
@@ -701,15 +683,16 @@ let generate g regs visit =
       let cols = s.s_pinned.(d + 1) in
       if Array.length cols = 0 then not (Relation.is_empty s.s_gen.g_entry.rhs_rel)
       else begin
-        let rix = rhs_rix s.s_gen in
+        let rhs = s.s_gen.g_entry.rhs_rel in
+        let rows = Relation.rows rhs in
         let rec agrees row n =
           n = Array.length cols || (row.(cols.(n)) = get s.s_head.(cols.(n)) && agrees row (n + 1))
         in
         let rec any = function
           | [] -> false
-          | i :: is -> agrees (Rix.row rix i) 0 || any is
+          | i :: is -> agrees rows.(i) 0 || any is
         in
-        any (Rix.bucket rix cols.(0) (get s.s_head.(cols.(0))))
+        any (Relation.bucket rhs cols.(0) (get s.s_head.(cols.(0))))
       end
   in
   let rec eqs_hold = function
@@ -737,8 +720,8 @@ let generate g regs visit =
           Array.iteri (fun p id -> Hashtbl.add h id p) cands.ids;
           h)
     in
-    let rix = rhs_rix s.s_gen in
-    let rows = Rix.rows rix in
+    let rhs = s.s_gen.g_entry.rhs_rel in
+    let rows = Relation.rows rhs in
     let t0 = d.d_targets.(0) in
     let acc = ref [] in
     let take i =
@@ -750,7 +733,7 @@ let generate g regs visit =
         acc := List.rev_append (Hashtbl.find_all pos row.(t0)) !acc
     in
     if Array.length pinned = 0 then Array.iteri (fun i _ -> take i) rows
-    else List.iter take (Rix.bucket rix pinned.(0) (get s.s_head.(pinned.(0))));
+    else List.iter take (Relation.bucket rhs pinned.(0) (get s.s_head.(pinned.(0))));
     List.sort_uniq Int.compare !acc
   in
   let rec go j =

@@ -11,20 +11,20 @@
     them — so a step only joins.
 
     Checked databases are always split as [base ∪ delta]: [base] is the
-    large fixed part (its column indexes are built once and cached),
-    [delta] the small growing part, joined as an interned overlay.
-    Every check names the first violated constraint (its [cc_name]) in
-    declaration order, or returns [None] when every constraint holds —
-    the boolean check is [= None].  The index store lives as long as
-    the checker, so consecutive checks over one [base] (a search, or
-    one write's closure check and revalidations) index it once.
+    large fixed part, probed through its relations' own column indexes
+    (built once per relation and kept on it, so consecutive checks
+    over one [base] index it once), [delta] the small growing part,
+    joined as an interned overlay.  Every check names the first
+    violated constraint (its [cc_name]) in declaration order, or
+    returns [None] when every constraint holds — the boolean check is
+    [= None].
 
     LHS queries without a UCQ form (FO, FP) or with unsafe disjuncts
     are evaluated in full against the cached RHS, so they raise exactly
-    where {!Containment.holds_all} would.  Domain-safe: the index store
-    and the interner serialise internally, so one checker may be shared
-    across domains; a {!frame} or a {!gen} made from it has one
-    owner. *)
+    where {!Containment.holds_all} would.  Domain-safe: relation
+    indexes and the interner serialise internally, so one checker may
+    be shared across domains; a {!frame} or a {!gen} made from it has
+    one owner. *)
 
 open Ric_relational
 
@@ -68,8 +68,8 @@ val check_add :
     The valuation search checks [base ∪ μ(T)] after every tuple it
     adds.  A {!frame} holds [base] and the extension as interned
     overlay rows per relation, which the search pushes and pops itself;
-    each check then joins over the base's cached indexes and the
-    overlay directly, with its plans bound to both once per frame.  No
+    each check then joins over the base's relations and the overlay
+    directly, with its plans bound to both once per frame.  No
     tuple is interned, and no database built, per check. *)
 
 type frame
@@ -154,22 +154,11 @@ val generate : gen -> int array -> (unit -> bool) -> bool
     as long as the variable's list: that list is filtered, one probe
     per value, stopping with the visit. *)
 
-val drop_indexes : t -> unit
-(** Forget the cached indexes of the bases checked so far.  A checker
-    kept across changing bases (a session's, across writes) calls this
-    when done with one, so it never pins an index of a database the
-    caller has moved past; the next check rebuilds what it needs. *)
-
-val answers : t -> Database.t -> Ric_query.Ucq.t -> Relation.t
-(** [answers t db q] is [Ucq.eval db q], with [db]'s relations indexed
-    through [t]'s index store: a check over the same [db], before or
-    after, reuses those indexes instead of building its own. *)
-
 val mem_answer :
   t -> base:Database.t -> delta:Database.t -> Ric_query.Lang.t -> Tuple.t -> bool
 (** [tuple ∈ q(base ∪ delta)], by one head-bound existence probe per
     UCQ disjunct: the head is unified with [tuple] and the body joined
-    over [base]'s cached indexes plus [delta] as an overlay — no answer
+    over [base]'s relations plus [delta] as an overlay — no answer
     set is materialised.  FO/FP queries and unsafe disjuncts are
     evaluated in full, so they raise exactly where [Lang.eval]
     would. *)

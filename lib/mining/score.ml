@@ -15,13 +15,12 @@ let cc_of ?name (c : Enumerate.candidate) =
   Containment.make ?name (Lang.Q_cq (cq_of c)) c.rhs
 
 type ctx = {
-  store : Kernel.Store.t;
   master : Database.t;
   rowsets : (string, Kernel.Rowset.t) Hashtbl.t;
 }
 
 let ctx ~master () =
-  { store = Kernel.Store.create (); master; rowsets = Hashtbl.create 16 }
+  { master; rowsets = Hashtbl.create 16 }
 
 let rowset ctx (rhs : Projection.t) =
   let key = Format.asprintf "%a" Projection.pp rhs in
@@ -32,46 +31,45 @@ let rowset ctx (rhs : Projection.t) =
     Hashtbl.add ctx.rowsets key rs;
     rs
 
-let bind ctx ~db plan =
-  Kernel.bind plan ~rix:(fun rel ->
-      Kernel.Store.rix ctx.store rel
-        (try Database.relation db rel with Not_found -> Relation.empty))
+let bind ~db plan =
+  Kernel.bind plan ~lookup:(fun rel ->
+      try Database.relation db rel with Not_found -> Relation.empty)
 
 (* Distinct interned head rows of [atoms, neqs] over [db]. *)
-let distinct_heads ~budget ctx ~db ~atoms ~neqs ~head =
+let distinct_heads ~budget ~db ~atoms ~neqs ~head =
   let plan = Kernel.compile atoms neqs in
   let enc = Kernel.encode_terms plan head in
   let ids = Array.make (Array.length enc) 0 in
   let rows : (int array, unit) Hashtbl.t = Hashtbl.create 64 in
   ignore
-    (Kernel.run (bind ctx ~db plan) ~pin:[||] ~row:[||] (fun regs ->
+    (Kernel.run (bind ~db plan) ~pin:[||] ~row:[||] (fun regs ->
          Budget.tick budget;
          if Kernel.ground enc regs ids && not (Hashtbl.mem rows ids) then
            Hashtbl.add rows (Array.copy ids) ();
          false));
   rows
 
-let has_match ~budget ctx ~db ~atoms ~neqs =
+let has_match ~budget ~db ~atoms ~neqs =
   let plan = Kernel.compile atoms neqs in
-  Kernel.run (bind ctx ~db plan) ~pin:[||] ~row:[||] (fun _ ->
+  Kernel.run (bind ~db plan) ~pin:[||] ~row:[||] (fun _ ->
       Budget.tick budget;
       true)
 
 let score ?(budget = Budget.unlimited) ctx ~db (c : Enumerate.candidate) =
   match c.rhs with
   | Projection.Empty ->
-    let violated = has_match ~budget ctx ~db ~atoms:c.atoms ~neqs:c.neqs in
+    let violated = has_match ~budget ~db ~atoms:c.atoms ~neqs:c.neqs in
     let support =
       match c.support_hint with
       | Some n -> n
       | None ->
         Hashtbl.length
-          (distinct_heads ~budget ctx ~db ~atoms:c.atoms ~neqs:[] ~head:c.head)
+          (distinct_heads ~budget ~db ~atoms:c.atoms ~neqs:[] ~head:c.head)
     in
     { candidate = c; support; confidence = (if violated then 0.0 else 1.0) }
   | Projection.Proj _ ->
     let rows =
-      distinct_heads ~budget ctx ~db ~atoms:c.atoms ~neqs:c.neqs ~head:c.head
+      distinct_heads ~budget ~db ~atoms:c.atoms ~neqs:c.neqs ~head:c.head
     in
     let support = Hashtbl.length rows in
     if support = 0 then { candidate = c; support; confidence = 0.0 }

@@ -32,9 +32,8 @@ val cq_of : Enumerate.candidate -> Cq.t
 val cc_of : ?name:string -> Enumerate.candidate -> Containment.t
 
 type ctx
-(** Evaluation context for one mining pass: a {!Ric_query.Kernel.Store}
-    reused across candidates plus a cache of interned RHS rowsets keyed
-    by projection. *)
+(** Evaluation context for one mining pass: a cache of interned RHS
+    rowsets keyed by projection, reused across candidates. *)
 
 val ctx : master:Database.t -> unit -> ctx
 

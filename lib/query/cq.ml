@@ -179,21 +179,21 @@ let check_safe n =
   if not ok then
     invalid_arg "Cq.eval: unsafe query (head/inequality variable not in any atom)"
 
-let eval ?store db q =
+let eval db q =
   match normalize q with
   | None -> Relation.empty
   | Some n ->
     check_safe n;
     let lookup rel = try Database.relation db rel with Not_found -> Relation.empty in
-    let out = ref Relation.empty in
+    let out = ref [] in
     let (_ : bool) =
-      Match_engine.solve ~lookup ~neqs:n.n_neqs ?store n.n_atoms (fun v ->
+      Match_engine.solve ~lookup ~neqs:n.n_neqs n.n_atoms (fun v ->
           (match Valuation.tuple_of_terms v n.n_head with
-           | Some t -> out := Relation.add t !out
+           | Some t -> out := t :: !out
            | None -> assert false);
           false)
     in
-    !out
+    Relation.of_tuples !out
 
 let holds db q =
   match normalize q with

@@ -62,10 +62,9 @@ val normalize : t -> norm option
 (** [None] when the equalities/inequalities are contradictory on
     ground terms (the query is unsatisfiable outright). *)
 
-val eval : ?store:Kernel.Store.t -> Database.t -> t -> Relation.t
-(** Set semantics.  [store] supplies the index cache the join reads
-    [db]'s relations through (see {!Match_engine.solve}); without it
-    each call indexes afresh.
+val eval : Database.t -> t -> Relation.t
+(** Set semantics.  The answers are collected, then sorted into a
+    relation once.
     @raise Invalid_argument if unsafe (see above). *)
 
 val holds : Database.t -> t -> bool

@@ -121,18 +121,18 @@ type strategy = Naive | Seminaive
 
 let delta_name n = "\xCE\x94" ^ n (* "Δ" ^ n; IDB names never start with Δ *)
 
-(* Fire one normalized rule under [lookup]; add derived head tuples to
-   [acc]. *)
-let fire lookup nr acc =
-  let out = ref acc in
+(* Fire one normalized rule under [lookup]: the derived head tuples,
+   collected and then sorted into a relation once. *)
+let fire lookup nr =
+  let out = ref [] in
   let (_ : bool) =
     Match_engine.solve ~lookup ~neqs:nr.nr_neqs nr.nr_atoms (fun v ->
         (match Valuation.tuple_of_terms v nr.nr_head with
-         | Some t -> out := Relation.add t !out
+         | Some t -> out := t :: !out
          | None -> assert false);
         false)
   in
-  !out
+  Relation.of_tuples !out
 
 let fixpoint ~strategy db p =
   let idb_set = SSet.of_list (idb p) in
@@ -155,7 +155,7 @@ let fixpoint ~strategy db p =
        changed := false;
        List.iter
          (fun nr ->
-           let derived = fire current nr Relation.empty in
+           let derived = fire current nr in
            let old = current nr.nr_pred in
            let merged = Relation.union old derived in
            if not (Relation.equal merged old) then begin
@@ -170,7 +170,7 @@ let fixpoint ~strategy db p =
      let set_delta name r = deltas := SMap.add name r !deltas in
      List.iter
        (fun nr ->
-         let derived = fire current nr Relation.empty in
+         let derived = fire current nr in
          if not (Relation.is_empty derived) then begin
            state := SMap.add nr.nr_pred (Relation.union (current nr.nr_pred) derived) !state;
            set_delta nr.nr_pred
@@ -203,7 +203,7 @@ let fixpoint ~strategy db p =
                    then delta_of (String.sub name 2 (String.length name - 2))
                    else current name
                  in
-                 let derived = fire lookup { nr with nr_atoms = marked } Relation.empty in
+                 let derived = fire lookup { nr with nr_atoms = marked } in
                  let fresh = Relation.diff derived (current nr.nr_pred) in
                  if not (Relation.is_empty fresh) then
                    new_deltas :=

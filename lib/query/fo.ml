@@ -160,19 +160,19 @@ let eval ?extra db t =
       t.head
     |> List.sort_uniq String.compare
   in
-  let out = ref Relation.empty in
+  let out = ref [] in
   let (_ : bool) =
     Valuation.enumerate_iter
       (List.map (fun x -> (x, dom)) head_vars)
       (fun env ->
         if sat db dom env t.body then begin
           (match Valuation.tuple_of_terms env t.head with
-           | Some tuple -> out := Relation.add tuple !out
+           | Some tuple -> out := tuple :: !out
            | None -> assert false)
         end;
         false)
   in
-  !out
+  Relation.of_tuples !out
 
 let holds ?extra db t = not (Relation.is_empty (eval ?extra db t))
 

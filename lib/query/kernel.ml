@@ -11,24 +11,20 @@ open Ric_relational
    of a [Map.Make(String)] rebalance, and every equality test is an
    [int] compare on interned ids.
 
-   Relations are reached through a {!Store}: a cache of {!Rix.t}
-   indexes keyed by relation name and validated by physical identity
-   of the source relation, so an unchanged database pays for indexing
-   once per store instead of once per solve.  Small, changing deltas
-   ride alongside as an {!Overlay} of interned rows scanned linearly —
-   candidate tuples for an atom are (bucket of the base index) ∪
-   (overlay rows), which is exactly base ∪ delta up to harmless
-   duplicates.  A plan is {!bind}ed to its indexes and overlays once,
-   and each run reuses the bound scratch. *)
+   Each atom joins over its relation's own column index
+   ({!Relation.bucket}), built on the relation at its first probe and
+   reused by every later join over the same relation.  Small, changing
+   deltas ride alongside as an {!Overlay} of interned rows scanned
+   linearly — candidate tuples for an atom are (bucket of the base
+   relation) ∪ (overlay rows), which is exactly base ∪ delta up to
+   harmless duplicates.  A plan is {!bind}ed to its relations and
+   overlays once, and each run reuses the bound scratch. *)
 
-let m_builds =
-  Ric_obs.Metrics.counter
-    ~help:"relation indexes built by the compiled match kernel"
-    "ric_match_index_builds_total"
-
+(* Builds are counted where a column index is built, in [Relation];
+   reuses here, once per atom bound to a relation already indexed. *)
 let m_reuses =
   Ric_obs.Metrics.counter
-    ~help:"relation indexes reused across solves from a kernel store"
+    ~help:"atoms bound to a relation whose column index is already built"
     "ric_match_index_reuses_total"
 
 type catom = {
@@ -160,70 +156,10 @@ module Rowset = struct
 
   let of_relation rel =
     let h = Rows.create (max 16 (Relation.cardinal rel)) in
-    Relation.iter (fun tu -> Rows.replace h (Intern.row tu) ()) rel;
+    Array.iter (fun row -> Rows.replace h row ()) (Relation.rows rel);
     h
 
   let mem h row = Rows.mem h row
-end
-
-(* The index cache is read-mostly: after the first few solves every
-   probe is a hit on an unchanged relation.  The hit path is
-   lock-free — one [Atomic.get] of a persistent-map snapshot plus a
-   physical-identity check — so concurrent search workers sharing a
-   store never contend.  Only a miss (new relation, or a relation that
-   changed identity) takes the mutex, double-checks against the latest
-   snapshot, builds, and publishes a new snapshot with [Atomic.set].
-   Publishing a persistent map wholesale means readers always see a
-   consistent (possibly slightly stale) cache; a stale read at worst
-   causes one redundant double-checked lookup under the lock, never a
-   wrong index: the [Rix.source] identity check validates every hit. *)
-module Store = struct
-  module SMap = Map.Make (String)
-
-  let m_lock_acquisitions =
-    Ric_obs.Metrics.counter
-      ~help:
-        "mutex acquisitions by kernel index stores (cache misses only; \
-         index-cache hits are lock-free)"
-      "ric_store_lock_acquisitions_total"
-
-  type t = {
-    snap : Rix.t SMap.t Atomic.t;
-    mx : Mutex.t;
-  }
-
-  let create () = { snap = Atomic.make SMap.empty; mx = Mutex.create () }
-
-  let build_locked st name rel =
-    (* another domain may have built it between our probe and the
-       lock — re-check the latest snapshot before paying for a build *)
-    match SMap.find_opt name (Atomic.get st.snap) with
-    | Some rx when Rix.source rx == rel ->
-      Ric_obs.Metrics.incr m_reuses;
-      rx
-    | _ ->
-      let rx = Rix.build rel in
-      Atomic.set st.snap (SMap.add name rx (Atomic.get st.snap));
-      Ric_obs.Metrics.incr m_builds;
-      rx
-
-  let clear st = Atomic.set st.snap SMap.empty
-
-  let rix st name rel =
-    match SMap.find_opt name (Atomic.get st.snap) with
-    | Some rx when Rix.source rx == rel ->
-      Ric_obs.Metrics.incr m_reuses;
-      rx
-    | _ ->
-      Mutex.lock st.mx;
-      Ric_obs.Metrics.incr m_lock_acquisitions;
-      (match build_locked st name rel with
-       | rx ->
-         Mutex.unlock st.mx;
-         rx
-       | exception e ->
-         Mutex.unlock st.mx;
-         raise e)
 end
 
 (* Interned overlay rows of one relation, kept as a stack: the small,
@@ -258,13 +194,13 @@ end
 (* never pushed: the overlay of an atom bound without one *)
 let no_overlay = Overlay.create ()
 
-(* A plan bound to its sources: per atom, the base index and the
+(* A plan bound to its sources: per atom, the base relation and the
    overlay, both resolved once at [bind]; and the scratch every run
    reuses — registers, undo trail, join order, inequality schedule —
    so a run allocates nothing of its own. *)
 type bound = {
   b_plan : plan;
-  b_rix : Rix.t array; (* per atom *)
+  b_rel : Relation.t array; (* per atom *)
   b_ov : Overlay.t array; (* per atom *)
   b_regs : int array; (* slot -> value id, -1 = unbound *)
   b_trail : int array;
@@ -275,11 +211,16 @@ type bound = {
   b_neq_at : int array; (* per inequality: the depth checking it *)
 }
 
-let bind ?overlay plan ~rix =
+let bind ?overlay plan ~lookup =
   let na = Array.length plan.p_atoms and ns = max 1 plan.p_nslots in
+  let resolve ca =
+    let r = lookup ca.c_rel in
+    if Relation.indexed r then Ric_obs.Metrics.incr m_reuses;
+    r
+  in
   {
     b_plan = plan;
-    b_rix = Array.map (fun ca -> rix ca.c_rel) plan.p_atoms;
+    b_rel = Array.map resolve plan.p_atoms;
     b_ov =
       (match overlay with
        | None -> Array.make na no_overlay
@@ -294,7 +235,7 @@ let bind ?overlay plan ~rix =
   }
 
 (* Static greedy join order, fixed once per run: most bound arguments
-   first, then smallest relation (base index plus overlay), the
+   first, then smallest relation (base plus overlay), the
    earlier atom on a tie.  Which slots are bound at depth [k] depends
    only on the pin and the atoms ordered before [k], never on the
    values branched on, so ordering up front is exact.  [b_depth] marks
@@ -311,7 +252,7 @@ let order_atoms b =
         Array.iter
           (fun a -> if a < 0 || depth.(a) <= k then incr nb)
           atoms.(i).c_args;
-        let c = Rix.cardinal b.b_rix.(i) + Overlay.length b.b_ov.(i) in
+        let c = Relation.cardinal b.b_rel.(i) + Overlay.length b.b_ov.(i) in
         if !best < 0 || !nb > !best_b || (!nb = !best_b && c < !best_c) then begin
           best := i;
           best_b := !nb;
@@ -382,16 +323,16 @@ let rec solve b k on_match =
   if k = Array.length b.b_order then on_match b.b_regs
   else begin
     let ai = b.b_order.(k) in
-    let args = b.b_plan.p_atoms.(ai).c_args and rix = b.b_rix.(ai) in
+    let args = b.b_plan.p_atoms.(ai).c_args and rel = b.b_rel.(ai) in
     (* probe a column bucket when some argument is already ground;
        overlay rows are always scanned (unification rejects the
        mismatches) *)
-    let col = ground_col b.b_regs args 0 in
+    let col = ground_col b.b_regs args 0 and rows = Relation.rows rel in
     (if col >= 0 then
        let a = args.(col) in
        let v = if a < 0 then -a - 1 else b.b_regs.(a) in
-       try_bucket b k args rix (Rix.bucket rix col v) on_match
-     else try_rows b k args (Rix.rows rix) 0 on_match)
+       try_bucket b k args rows (Relation.bucket rel col v) on_match
+     else try_rows b k args rows 0 on_match)
     || try_overlay b k args b.b_ov.(ai) 0 on_match
   end
 
@@ -404,10 +345,10 @@ and try_row b k args row on_match =
   done;
   stop
 
-and try_bucket b k args rix ris on_match =
+and try_bucket b k args rows ris on_match =
   match ris with
   | [] -> false
-  | ri :: ris -> try_row b k args (Rix.row rix ri) on_match || try_bucket b k args rix ris on_match
+  | ri :: ris -> try_row b k args rows.(ri) on_match || try_bucket b k args rows ris on_match
 
 and try_rows b k args rows i on_match =
   i < Array.length rows

@@ -4,11 +4,19 @@
     string-map valuation binds and per-solve index builds on every
     step.  This kernel compiles a conjunctive body once — variables
     numbered into int slots, constants interned — and runs it with a
-    mutable register array plus an undo trail, probing persistent
-    {!Ric_relational.Rix} column indexes cached in a {!Store}.  The
+    mutable register array plus an undo trail, probing each relation's
+    own column index ({!Ric_relational.Relation.bucket}), built on the
+    relation at its first probe and kept as long as the relation.  The
     solution set is identical to the interpreted engine's (only the
     enumeration order may differ); the [naive] oracle in
-    {!Match_engine} remains the differential-testing reference. *)
+    {!Match_engine} remains the differential-testing reference.
+
+    {b Index counters.}  [ric_match_index_builds_total] counts column
+    indexes built: one per relation and column, at the column's first
+    probe.  [ric_match_index_reuses_total] counts atoms {!bind}ed to a
+    relation that already has a built column, i.e. joins that find
+    the relation's index from an earlier join in place.  A relation
+    that is only scanned, never probed, counts in neither. *)
 
 open Ric_relational
 
@@ -48,43 +56,13 @@ val valuation_of : plan -> init:Valuation.t -> int array -> Valuation.t
     [init]. *)
 
 (** Compiled view of a cached RHS relation: membership of an interned
-    answer row in one hash probe. *)
+    answer row in one hash probe.  Built from the relation's interned
+    rows, nothing interned again. *)
 module Rowset : sig
   type t
 
   val of_relation : Relation.t -> t
   val mem : t -> int array -> bool
-end
-
-(** Cache of {!Ric_relational.Rix} indexes keyed by relation name and
-    validated by physical identity of the source relation — the
-    persistent replacement for per-solve index builds.  Safe to share
-    across domains.
-
-    {b Publication contract (lock-free hit path).}  The cache is a
-    persistent map published through an [Atomic.t] snapshot: a hit is
-    one atomic read plus a physical-identity check and takes no lock,
-    so concurrent search workers sharing a store never contend.  Only
-    a miss takes the internal mutex, double-checks the latest
-    snapshot, builds, and republishes the whole map with [Atomic.set]
-    — a reader holding a stale snapshot at worst repeats the
-    double-checked lookup, never observes a wrong index.  Hits and
-    misses are counted by [ric_match_index_reuses_total] /
-    [ric_match_index_builds_total]; mutex acquisitions (misses only)
-    by [ric_store_lock_acquisitions_total]. *)
-module Store : sig
-  type t
-
-  val create : unit -> t
-
-  val rix : t -> string -> Relation.t -> Rix.t
-  (** [rix store name rel] — the cached index for [name] if it was
-      built from this very [rel], else a fresh build (replacing the
-      stale entry). *)
-
-  val clear : t -> unit
-  (** Forget every cached index (a reader holding an old snapshot
-      keeps using it). *)
 end
 
 (** Interned overlay rows of one relation: the small, changing part of
@@ -104,24 +82,27 @@ module Overlay : sig
 end
 
 type bound
-(** A plan bound to its row sources — per atom, the base index and
+(** A plan bound to its row sources — per atom, the base relation and
     the overlay, resolved once — with the scratch registers its runs
     reuse.  Single-owner: not domain-safe, and two runs of one [bound]
     must not nest. *)
 
-val bind : ?overlay:(string -> Overlay.t) -> plan -> rix:(string -> Rix.t) -> bound
-(** [bind plan ~rix ~overlay] resolves each atom's relation once: its
-    base index [rix rel] and its overlay [overlay rel] (none when
-    omitted).  Overlays are read at every run, so rows pushed after
-    [bind] are joined. *)
+val bind :
+  ?overlay:(string -> Overlay.t) -> plan -> lookup:(string -> Relation.t) -> bound
+(** [bind plan ~lookup ~overlay] resolves each atom's relation once:
+    its base relation [lookup rel] and its overlay [overlay rel] (none
+    when omitted).  Overlays are read at every run, so rows pushed
+    after [bind] are joined. *)
 
 val run : bound -> pin:int array -> row:int array -> (int array -> bool) -> bool
 (** [run b ~pin ~row on_match] unifies the encoded arguments [pin]
     with the interned [row] (both [[||]] for no prebinding; [false] on
     a mismatch), then enumerates every way of embedding the plan's
-    atoms into their sources (base index ∪ overlay rows) that
+    atoms into their sources (base relation ∪ overlay rows) that
     satisfies every inequality whose sides become ground, calling
-    [on_match regs] per solution until it returns [true].  Join order
+    [on_match regs] per solution until it returns [true].  An atom
+    with a ground argument reads the base relation's bucket for it,
+    otherwise all its rows.  Join order
     is fixed per run by bound-argument count, then base-plus-overlay
     cardinality, comparing ints only.  Overlay rows also present in
     the base relation may be visited twice — callers use the overlay

@@ -1,7 +1,7 @@
 open Ric_relational
 
 (* The default path compiles the body into a slot-addressed plan and
-   runs it over persistent Rix indexes (see [Kernel]); the [naive]
+   runs it over the relations' own column indexes (see [Kernel]); the [naive]
    path below is the original interpreted engine — first-atom order,
    full scans, string-map valuations — kept verbatim as the
    differential-testing oracle and ablation baseline. *)
@@ -58,17 +58,11 @@ let naive_solve ~lookup ~neqs ~init atoms visit =
   in
   go init neqs atoms
 
-let solve ~lookup ?(neqs = []) ?(init = Valuation.empty) ?(naive = false)
-    ?store atoms visit =
+let solve ~lookup ?(neqs = []) ?(init = Valuation.empty) ?(naive = false) atoms visit =
   if naive then naive_solve ~lookup ~neqs ~init atoms visit
   else begin
     let plan = Kernel.plan_for atoms neqs in
-    let store =
-      match store with
-      | Some s -> s
-      | None -> Kernel.Store.create ()
-    in
-    let b = Kernel.bind plan ~rix:(fun rel -> Kernel.Store.rix store rel (lookup rel)) in
+    let b = Kernel.bind plan ~lookup in
     let pin, row = Kernel.pin_of_valuation plan init in
     Kernel.run b ~pin ~row (fun regs -> visit (Kernel.valuation_of plan ~init regs))
   end

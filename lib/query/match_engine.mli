@@ -7,9 +7,10 @@
     slot-addressed {!Kernel} plan (memoised across calls): atoms are
     ordered greedily (most bound arguments first, then smallest
     relation), and candidate tuples for an atom with a ground argument
-    come from a persistent {!Ric_relational.Rix} column index instead
-    of a scan — together the difference between polynomial joins and a
-    cross product on realistic bodies; see the [ablation] bench. *)
+    come from the relation's column index
+    ({!Ric_relational.Relation.bucket}) instead of a scan — together
+    the difference between polynomial joins and a cross product on
+    realistic bodies; see the [ablation] bench. *)
 
 open Ric_relational
 
@@ -18,7 +19,6 @@ val solve :
   ?neqs:(Term.t * Term.t) list ->
   ?init:Valuation.t ->
   ?naive:bool ->
-  ?store:Kernel.Store.t ->
   Atom.t list ->
   (Valuation.t -> bool) ->
   bool
@@ -31,10 +31,9 @@ val solve :
     ground are ignored (callers ensure range restriction).
     [~naive:true] bypasses the compiled kernel entirely and runs the
     original interpreted engine in first-atom order with full scans —
-    the differential-testing oracle and ablation baseline.  [?store]
-    supplies a shared index cache so consecutive solves over the same
-    physical relations skip re-indexing; without it each call builds
-    (and drops) its own. *)
+    the differential-testing oracle and ablation baseline.  The
+    compiled path probes each relation's own column index, so
+    consecutive solves over the same relations index them once. *)
 
 val all : lookup:(string -> Relation.t) ->
   ?neqs:(Term.t * Term.t) list ->

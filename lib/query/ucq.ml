@@ -16,8 +16,7 @@ let arity = function
   | q :: _ -> Cq.arity q
   | [] -> invalid_arg "Ucq.arity: empty union"
 
-let eval ?store db t =
-  List.fold_left (fun acc q -> Relation.union acc (Cq.eval ?store db q)) Relation.empty t
+let eval db t = List.fold_left (fun acc q -> Relation.union acc (Cq.eval db q)) Relation.empty t
 
 let holds db t = List.exists (Cq.holds db) t
 

@@ -11,9 +11,8 @@ val make : Cq.t list -> t
 
 val arity : t -> int
 
-val eval : ?store:Kernel.Store.t -> Database.t -> t -> Relation.t
-(** The union of the disjuncts' {!Cq.eval}s, every one indexing
-    through [store] when given. *)
+val eval : Database.t -> t -> Relation.t
+(** The union of the disjuncts' {!Cq.eval}s. *)
 
 val holds : Database.t -> t -> bool
 

@@ -50,7 +50,23 @@ let add_tuple d name t =
     { d with rels = SMap.add name (Relation.add t existing) d.rels }
   | None -> unknown name
 
-let add_tuples d pairs = List.fold_left (fun d (name, t) -> add_tuple d name t) d pairs
+(* Every pair is validated first, in order, so the first bad one
+   raises what [add_tuple] would; then each relation merges its new
+   tuples once — one sort and one copy per relation, not one copy per
+   tuple. *)
+let add_tuples d pairs =
+  List.iter
+    (fun (name, t) -> if SMap.mem name d.rels then check_tuple d.sch name t else unknown name)
+    pairs;
+  let fresh =
+    List.fold_left
+      (fun m (name, t) -> SMap.update name (fun ts -> Some (t :: Option.value ~default:[] ts)) m)
+      SMap.empty pairs
+  in
+  let merge name ts rels =
+    SMap.add name (Relation.union (SMap.find name rels) (Relation.of_tuples ts)) rels
+  in
+  { d with rels = SMap.fold merge fresh d.rels }
 
 let contained a b =
   SMap.for_all

@@ -35,6 +35,9 @@ val check_tuple : Schema.t -> string -> Tuple.t -> unit
     that does not conform to the schema; return otherwise. *)
 
 val add_tuples : t -> (string * Tuple.t) list -> t
+(** {!add_tuple} of every pair, in bulk: all pairs are validated first
+    (the first bad one raises what {!add_tuple} raises for it), then
+    each relation merges its new tuples in one {!Relation.union}. *)
 
 val contained : t -> t -> bool
 (** [contained d d'] — the paper's [D ⊆ D']; both instances must be

@@ -30,8 +30,8 @@
 
    The reverse array is published via [Atomic] only after the new
    entry is written, and ids travel to other domains through
-   synchronised structures (index stores, checkers built before
-   spawning) or through [fast] itself, so every read of [rev.(i)] is
+   synchronised structures (relations' atomically published column
+   indexes, checkers built before spawning) or through [fast] itself, so every read of [rev.(i)] is
    ordered after the write of entry [i]. *)
 
 let m_lock_acquisitions =

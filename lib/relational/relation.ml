@@ -1,101 +1,115 @@
-module TSet = Set.Make (struct
-  type t = Tuple.t
-
-  let compare = Tuple.compare
-end)
-
 module VSet = Set.Make (Value)
 
-(* Two backings share one interface.  [Set] is the historical balanced
-   tree, still what every incremental operation produces.  [Packed] is
-   the bulk-load representation: the tuples as a sorted, deduplicated
-   array plus the same rows as interned int arrays, built once by
-   {!Builder.finish} without ever touching a [TSet].  Operations that
-   genuinely need set algebra force a [TSet] view lazily and memoise
-   it; the streaming scenario loader and [Rix.build] never do.
+(* Column buckets are keyed by value id: ids are dense, so the id is
+   its own hash — no polymorphic hashing or compare. *)
+module Ids = Hashtbl.Make (struct
+  type t = int
 
-   The memoised [p_set] write is a benign race under parallel domains:
-   both writers compute the same set from the same immutable arrays,
-   and a torn read is impossible for an immediate-or-pointer field. *)
-type packed = {
-  p_tuples : Tuple.t array; (* strictly increasing Tuple.compare order *)
-  p_rows : int array array; (* Intern ids, same order as p_tuples *)
-  mutable p_set : TSet.t option;
-}
+  let equal = Int.equal
+  let hash x = x land max_int
+end)
 
-type backing =
-  | Set of TSet.t
-  | Packed of packed
+(* One representation: the tuples as a sorted, deduplicated array, in
+   [Tuple.compare] order, and the same rows as interned id arrays, so
+   the match kernel joins over the relation itself.  Nothing mutates
+   either array once a relation holds it; every operation builds a new
+   relation (or returns an argument unchanged).
 
-(* The arity and cardinality ride along with the backing: the arity
-   probe used to [choose] a witness tuple on every insert, and
-   [Set.cardinal] is linear — both showed up in the match engine's
-   per-node atom scoring.  [arity] is [-1] exactly when the relation
-   is empty.
-
-   [vals] memoises the relation's constants ({!values}): filled on
-   first use, and [add] extends a known one by the new tuple's values.
-   As for [p_set], a racing fill is benign: both domains compute the
-   same immutable set and one write wins. *)
+   [arity] is [-1] exactly when the relation is empty.  [vals]
+   memoises the constants ({!values}): a racing fill is benign, both
+   domains compute the same immutable set and one write wins.  [cols]
+   holds the column index, one bucket table per column mapping a value
+   id to the indexes of the rows holding it, each built on the first
+   probe of its column and published through [Atomic] once complete.
+   The index goes with the relation: a join over an unchanged relation
+   reuses it wherever the relation is bound. *)
 type t = {
   arity : int;
-  card : int;
-  backing : backing;
+  tuples : Tuple.t array;
+  rows : int array array;
   mutable vals : VSet.t option;
+  cols : int list Ids.t option Atomic.t array;
 }
 
-let make ?vals arity card backing = { arity; card; backing; vals }
+let empty = { arity = -1; tuples = [||]; rows = [||]; vals = None; cols = [||] }
+
+(* [tuples] and [rows] aligned, strictly increasing, never mutated *)
+let make ?vals tuples rows =
+  if Array.length tuples = 0 then empty
+  else
+    let arity = Tuple.arity tuples.(0) in
+    { arity; tuples; rows; vals; cols = Array.init arity (fun _ -> Atomic.make None) }
 
 (* a tuple is its values' array *)
 let add_values vs (t : Tuple.t) = Array.fold_left (fun vs v -> VSet.add v vs) vs t
 
-let empty = make (-1) 0 (Set TSet.empty)
+let arity_mismatch got want =
+  invalid_arg (Printf.sprintf "Relation: arity mismatch (%d vs %d)" got want)
 
-let force r =
-  match r.backing with
-  | Set s -> s
-  | Packed p -> (
-    match p.p_set with
-    | Some s -> s
-    | None ->
-      let s =
-        Array.fold_left (fun acc t -> TSet.add t acc) TSet.empty p.p_tuples
-      in
-      p.p_set <- Some s;
-      s)
+(* Sort aligned tuples and rows, unsorted and possibly repeating, into
+   a relation: one sort and one deduplicating pass.  The first tuple
+   fixes the arity; a later one of another width is reported as [add]
+   reports it. *)
+let of_arrays tuples rows =
+  let n = Array.length tuples in
+  (if n > 0 then
+     let a = Tuple.arity tuples.(0) in
+     Array.iter (fun t -> if Tuple.arity t <> a then arity_mismatch (Tuple.arity t) a) tuples);
+  let perm = Array.init n Fun.id in
+  Array.stable_sort (fun i j -> Tuple.compare tuples.(i) tuples.(j)) perm;
+  let keep = Array.make n 0 and m = ref 0 in
+  Array.iteri
+    (fun k i ->
+      if k = 0 || Tuple.compare tuples.(perm.(k - 1)) tuples.(i) <> 0 then begin
+        keep.(!m) <- i;
+        incr m
+      end)
+    perm;
+  make (Array.init !m (fun k -> tuples.(keep.(k)))) (Array.init !m (fun k -> rows.(keep.(k))))
 
-let of_set set =
-  if TSet.is_empty set then empty
-  else make (Tuple.arity (TSet.choose set)) (TSet.cardinal set) (Set set)
+let of_tuple_array ts = of_arrays ts (Array.map Intern.row ts)
+let of_tuples ts = of_tuple_array (Array.of_list ts)
+let of_int_rows rows = of_tuples (List.map Tuple.of_ints rows)
+let of_str_rows rows = of_tuples (List.map Tuple.of_strs rows)
 
-(* Binary search in the sorted tuple array. *)
-let packed_mem p t =
-  let lo = ref 0 and hi = ref (Array.length p.p_tuples) in
-  let found = ref false in
-  while (not !found) && !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    let c = Tuple.compare t p.p_tuples.(mid) in
-    if c = 0 then found := true
-    else if c < 0 then hi := mid
-    else lo := mid + 1
-  done;
-  !found
+let of_rows rows =
+  let rows = Array.of_list rows in
+  of_arrays (Array.map (Array.map Intern.value) rows) rows
 
-let mem t r =
-  match r.backing with
-  | Set s -> TSet.mem t s
-  | Packed p -> packed_mem p t
+(* The least index in [lo, hi) whose tuple is [>= t], or [hi]. *)
+let rec lower_bound r t lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) lsr 1 in
+    if Tuple.compare r.tuples.(mid) t < 0 then lower_bound r t (mid + 1) hi
+    else lower_bound r t lo mid
 
-(* A packed relation marks the intern ids its rows use and sorts the
-   distinct values once; a tree-backed one folds its tuples' values
-   into the set. *)
+let cardinal r = Array.length r.tuples
+let is_empty r = r.arity < 0
+let arity r = if r.arity < 0 then None else Some r.arity
+
+(* one compare per probe: the search's per-leaf membership test *)
+let rec mem_in r t lo hi =
+  lo < hi
+  &&
+  let mid = (lo + hi) lsr 1 in
+  let c = Tuple.compare t r.tuples.(mid) in
+  c = 0 || if c < 0 then mem_in r t lo mid else mem_in r t (mid + 1) hi
+
+let mem t r = mem_in r t 0 (cardinal r)
+
+(* The relation's distinct value ids, sorted once as values.  A
+   relation with at least 1/64 as many cells as the intern table has
+   entries marks its ids in a byte map the table's size; a smaller one
+   sorts its own ids.  Either way the cost is bounded by the
+   relation's own cells, never by the whole table. *)
 let value_set r =
   match r.vals with
   | Some vs -> vs
   | None ->
-    let vs =
-      match r.backing with
-      | Packed p ->
+    let cells = Array.fold_left (fun m row -> m + Array.length row) 0 r.rows in
+    let ids =
+      if 64 * cells >= Intern.size () then begin
         let seen = Bytes.make (Intern.size ()) '\000' in
         let ids = ref [] in
         Array.iter
@@ -104,120 +118,195 @@ let value_set r =
                  Bytes.set seen id '\001';
                  ids := id :: !ids
                end))
-          p.p_rows;
-        VSet.of_list (List.rev_map Intern.value !ids)
-      | Set s -> TSet.fold (fun t vs -> add_values vs t) s VSet.empty
+          r.rows;
+        !ids
+      end
+      else
+        List.sort_uniq Int.compare
+          (Array.fold_left (fun ids row -> Array.fold_right List.cons row ids) [] r.rows)
     in
+    let vs = VSet.of_list (List.rev_map Intern.value ids) in
     r.vals <- Some vs;
     vs
 
-(* [add] extends a known memo.  A packed relation's is computed first
-   (one pass over its interned rows, far cheaper than the tree the add
-   builds from them), so the first write to a loaded relation keeps
-   it; a relation grown from [empty] starts without one, so building
-   one tuple by tuple pays nothing for constants nobody asks for. *)
+let values r = VSet.elements (value_set r)
+
+(* a copy of [a] with [x] inserted at [i] *)
+let insert a i x =
+  let n = Array.length a in
+  let b = Array.make (n + 1) x in
+  Array.blit a 0 b 0 i;
+  Array.blit a i b (i + 1) (n - i);
+  b
+
+(* [add] extends a known memo; an unknown one stays unknown, so a
+   relation grown tuple by tuple pays nothing for constants nobody
+   asks for. *)
 let add t r =
-  if r.card = 0 then make (Tuple.arity t) 1 (Set (TSet.singleton t))
-  else if Tuple.arity t <> r.arity then
-    invalid_arg
-      (Printf.sprintf "Relation: arity mismatch (%d vs %d)" (Tuple.arity t)
-         r.arity)
-  else if mem t r then r
+  if r.arity >= 0 && Tuple.arity t <> r.arity then arity_mismatch (Tuple.arity t) r.arity
   else
-    let set = TSet.add t (force r) in
-    let vals =
-      match (r.vals, r.backing) with
-      | Some vs, _ -> Some (add_values vs t)
-      | None, Packed _ -> Some (add_values (value_set r) t)
-      | None, Set _ -> None
-    in
-    make ?vals r.arity (r.card + 1) (Set set)
-
-let of_tuples ts = List.fold_left (fun acc t -> add t acc) empty ts
-let of_int_rows rows = of_tuples (List.map Tuple.of_ints rows)
-let of_str_rows rows = of_tuples (List.map Tuple.of_strs rows)
-
-let cardinal r = r.card
-let is_empty r = r.card = 0
-let subset a b = a.card <= b.card && TSet.subset (force a) (force b)
-let arity r = if r.card = 0 then None else Some r.arity
-
-let union a b =
-  if a.card > 0 && b.card > 0 && a.arity <> b.arity then
-    invalid_arg "Relation.union: arity mismatch";
-  if a.card = 0 then b
-  else if b.card = 0 then a
-  else
-    let sa = force a and sb = force b in
-    let set = TSet.union sa sb in
-    if set == sa then a
-    else if set == sb then b
+    let n = cardinal r in
+    let i = lower_bound r t 0 n in
+    if i < n && Tuple.equal r.tuples.(i) t then r
     else
+      make
+        ?vals:(Option.map (fun vs -> add_values vs t) r.vals)
+        (insert r.tuples i t)
+        (insert r.rows i (Intern.row t))
+
+let fold f r acc = Array.fold_left (fun acc t -> f t acc) acc r.tuples
+let iter f r = Array.iter f r.tuples
+let exists f r = Array.exists f r.tuples
+let for_all f r = Array.for_all f r.tuples
+let elements r = Array.to_list r.tuples
+let rows r = r.rows
+
+(* The rows [keep] accepts, by index, in order; [r] itself when it
+   accepts all, so the relation keeps its memo and its index. *)
+let select keep r =
+  let n = cardinal r in
+  let kept = Array.make n 0 and m = ref 0 in
+  for i = 0 to n - 1 do
+    if keep i then begin
+      kept.(!m) <- i;
+      incr m
+    end
+  done;
+  if !m = n then r
+  else
+    make
+      (Array.init !m (fun k -> r.tuples.(kept.(k))))
+      (Array.init !m (fun k -> r.rows.(kept.(k))))
+
+let filter f r = select (fun i -> f r.tuples.(i)) r
+let subset a b = cardinal a <= cardinal b && for_all (fun t -> mem t b) a
+let diff a b = if is_empty b then a else select (fun i -> not (mem a.tuples.(i) b)) a
+
+let inter a b =
+  let small, large = if cardinal a <= cardinal b then (a, b) else (b, a) in
+  select (fun i -> mem small.tuples.(i) large) small
+
+(* Merge the smaller relation into the larger: a binary search per
+   tuple of the smaller finds where it goes, then one exact-size copy
+   of the larger's runs between them, so a write of [k] rows into [n]
+   costs O(k log n) compares plus one O(n) copy.  When nothing is new
+   the larger comes back unchanged, index and memo included.  The
+   result knows its constants when either argument does (the other's
+   are computed for the merge). *)
+let union a b =
+  if a.arity >= 0 && b.arity >= 0 && a.arity <> b.arity then
+    invalid_arg "Relation.union: arity mismatch";
+  if is_empty a then b
+  else if is_empty b then a
+  else begin
+    let g, s = if cardinal a >= cardinal b then (a, b) else (b, a) in
+    let ng = cardinal g and ns = cardinal s in
+    (* where each tuple of [s] goes in [g]; -1 when [g] holds it *)
+    let at = Array.make ns (-1) and fresh = ref 0 in
+    let lo = ref 0 in
+    for j = 0 to ns - 1 do
+      let t = s.tuples.(j) in
+      let p = lower_bound g t !lo ng in
+      lo := p;
+      if not (p < ng && Tuple.equal g.tuples.(p) t) then begin
+        at.(j) <- p;
+        incr fresh
+      end
+    done;
+    if !fresh = 0 then g
+    else begin
+      let n = ng + !fresh in
+      let ts = Array.make n [||] and rs = Array.make n [||] in
+      (* [i]: next tuple of [g] to copy; [k]: next free slot *)
+      let i = ref 0 and k = ref 0 in
+      let copy upto =
+        Array.blit g.tuples !i ts !k (upto - !i);
+        Array.blit g.rows !i rs !k (upto - !i);
+        k := !k + upto - !i;
+        i := upto
+      in
+      Array.iteri
+        (fun j p ->
+          if p >= 0 then begin
+            copy p;
+            ts.(!k) <- s.tuples.(j);
+            rs.(!k) <- s.rows.(j);
+            incr k
+          end)
+        at;
+      copy ng;
       let vals =
         match (a.vals, b.vals) with
-        | Some va, Some vb -> Some (VSet.union va vb)
-        | _ -> None
+        | None, None -> None
+        | _ -> Some (VSet.union (value_set a) (value_set b))
       in
-      make ?vals a.arity (TSet.cardinal set) (Set set)
-
-let diff a b = of_set (TSet.diff (force a) (force b))
-let inter a b = of_set (TSet.inter (force a) (force b))
+      make ?vals ts rs
+    end
+  end
 
 let equal a b =
   a == b
-  || a.card = b.card
+  || cardinal a = cardinal b
      &&
-     match (a.backing, b.backing) with
-     | Packed p, Packed q ->
-       (* both sorted and deduplicated: positional comparison *)
-       let n = Array.length p.p_tuples in
-       let rec go i =
-         i = n || (Tuple.equal p.p_tuples.(i) q.p_tuples.(i) && go (i + 1))
-       in
-       go 0
-     | _ -> TSet.equal (force a) (force b)
+     let rec go i = i < 0 || (Tuple.equal a.tuples.(i) b.tuples.(i) && go (i - 1)) in
+     go (cardinal a - 1)
 
-let compare a b = TSet.compare (force a) (force b)
-
-let fold f r acc =
-  match r.backing with
-  | Set s -> TSet.fold f s acc
-  | Packed p -> Array.fold_left (fun acc t -> f t acc) acc p.p_tuples
-
-let iter f r =
-  match r.backing with
-  | Set s -> TSet.iter f s
-  | Packed p -> Array.iter f p.p_tuples
-
-let exists f r =
-  match r.backing with
-  | Set s -> TSet.exists f s
-  | Packed p -> Array.exists f p.p_tuples
-
-let for_all f r =
-  match r.backing with
-  | Set s -> TSet.for_all f s
-  | Packed p -> Array.for_all f p.p_tuples
-
-let filter f r = of_set (TSet.filter f (force r))
-
-let elements r =
-  match r.backing with
-  | Set s -> TSet.elements s
-  | Packed p -> Array.to_list p.p_tuples
+(* the sorted sequences compared lexicographically, as [Set.compare] *)
+let compare a b =
+  let na = cardinal a and nb = cardinal b in
+  let rec go i =
+    if i = na then if i = nb then 0 else -1
+    else if i = nb then 1
+    else
+      let c = Tuple.compare a.tuples.(i) b.tuples.(i) in
+      if c <> 0 then c else go (i + 1)
+  in
+  go 0
 
 let project cols r =
-  of_set
-    (fold (fun t acc -> TSet.add (Tuple.project cols t) acc) r TSet.empty)
+  let idx = Array.of_list cols in
+  of_arrays
+    (Array.map (Tuple.project cols) r.tuples)
+    (Array.map (fun row -> Array.map (fun c -> row.(c)) idx) r.rows)
 
-let map f r = of_set (fold (fun t acc -> TSet.add (f t) acc) r TSet.empty)
+let map f r = of_tuple_array (Array.map f r.tuples)
 
-let values r = VSet.elements (value_set r)
+(* ------------------------------------------------------------------ *)
+(* The column index.  Buckets list a value's rows in decreasing row
+   order.  Built under one process-wide lock, so each column of each
+   relation is built once, and published with [Atomic.set], so a
+   reader sees a complete table or none. *)
 
-let packed_rows r =
-  match r.backing with
-  | Packed p -> Some (p.p_tuples, p.p_rows)
-  | Set _ -> None
+let m_builds =
+  Ric_obs.Metrics.counter
+    ~help:"column indexes built on relations (one per relation and probed column)"
+    "ric_match_index_builds_total"
+
+let build_mx = Mutex.create ()
+
+let column r col =
+  match Atomic.get r.cols.(col) with
+  | Some h -> h
+  | None ->
+    Mutex.protect build_mx (fun () ->
+        match Atomic.get r.cols.(col) with
+        | Some h -> h (* another domain won the race *)
+        | None ->
+          let h = Ids.create (max 16 (cardinal r)) in
+          Array.iteri
+            (fun i row ->
+              let k = row.(col) in
+              Ids.replace h k (i :: Option.value ~default:[] (Ids.find_opt h k)))
+            r.rows;
+          Atomic.set r.cols.(col) (Some h);
+          Ric_obs.Metrics.incr m_builds;
+          h)
+
+let bucket r col v =
+  if col < 0 || col >= Array.length r.cols then []
+  else Option.value ~default:[] (Ids.find_opt (column r col) v)
+
+let indexed r = Array.exists (fun c -> Atomic.get c <> None) r.cols
 
 let pp ppf r =
   Format.fprintf ppf "{%a}"
@@ -227,8 +316,8 @@ let pp ppf r =
 (* ------------------------------------------------------------------ *)
 (* Columnar builder: the bulk-ingest path.  Cells arrive as interned
    ids into one flat, row-major, doubling int array — no per-tuple
-   boxing, no tree insertion.  [finish] sorts a row permutation by the
-   Value.compare rank of each id (so the packed order matches
+   boxing, no per-tuple compare.  [finish] sorts a row permutation by
+   the Value.compare rank of each id (so the row order matches
    [Tuple.compare] exactly), drops adjacent duplicates, and
    materialises the tuple view by sharing the interned value boxes. *)
 module Builder = struct
@@ -398,6 +487,6 @@ module Builder = struct
           incr out
         end
       done;
-      make ar m (Packed { p_tuples; p_rows; p_set = None })
+      make p_tuples p_rows
     end
 end

@@ -1,39 +1,10 @@
-(** Interned, column-indexed relation: the persistent index backing
-    the compiled match kernel.
+(** The column index of a relation.
 
-    A [Rix.t] snapshots one {!Relation.t} as an array of interned
-    [int array] rows plus lazily built per-column buckets mapping a
-    value id to the row indexes carrying it.  Building is linear;
-    afterwards every probe is a hash lookup and every unification an
-    [int] compare.  Values are interned through {!Intern}, so row
-    contents are comparable across relations and databases.
+    A relation carries its own index: its interned rows
+    ({!Relation.rows}) and per-column buckets ({!Relation.bucket}),
+    built lazily, column by column, on the relation.  [build] is the
+    relation itself, in O(1). *)
 
-    Domain-safe: lazily built buckets are published via [Atomic] under
-    an internal mutex. *)
-
-type t
+type t = Relation.t
 
 val build : Relation.t -> t
-
-val source : t -> Relation.t
-(** The relation this index was built from; stores compare it by
-    physical identity to decide reuse. *)
-
-val cardinal : t -> int
-(** O(1) row count (satellite of the O(n) [Set.cardinal] fix). *)
-
-val arity : t -> int
-(** Arity of the rows, [-1] when the relation is empty. *)
-
-val rows : t -> int array array
-(** All interned rows, in increasing {!Tuple.compare} order.  Callers
-    must not mutate. *)
-
-val row : t -> int -> int array
-
-val tuple : t -> int -> Tuple.t
-(** The source tuple aligned with {!row} [i]. *)
-
-val bucket : t -> int -> int -> int list
-(** [bucket t col v] — indexes of the rows whose column [col] holds
-    the value id [v]; [[]] when out of range or absent. *)

@@ -360,8 +360,8 @@ let compute_rcdp t ?admitted_at ?req_id ~explain ~timeout_ms sn =
   match
     (* partial closure is tracked per-session and already checked;
        skip the decider's own O(|V|) re-verification.  The session's
-       checker is over the same CCs and master, and its index store
-       may already hold this epoch's indexes (its write built them) *)
+       checker is over the same CCs and master, and [D]'s relations
+       may already carry this epoch's indexes (its write built them) *)
     Rcdp.decide ~clock ~collect_stats:stats ?profile
       ~check_partially_closed:false ~checker:(sn.sn_checker ())
       ~schema:sc.Scenario.db_schema ~master:sc.Scenario.master
@@ -616,8 +616,8 @@ let handle_mine t ~admitted_at ~session ~nocache ~timeout_ms ~min_support =
 (* [(Δ, t)] is still a counterexample over the grown, partially closed
    [D′] iff [(D′ ∪ Δ, Dm) ⊨ V], [t ∈ Q(D′ ∪ Δ)] and [t ∉ Q(D′)].  [D′]
    satisfies V, so the first is a delta check over Δ's tuples; the
-   other two are head-bound probes through the checker's index store,
-   which indexes [D′] once for every revalidation of the write. *)
+   other two are head-bound probes over [D′]'s relations, whose
+   indexes the first probe builds for every revalidation of the write. *)
 let revalidate_cex s (cex : Rcdp.counterexample) q =
   let chk = Session.checker s and base = s.Session.db in
   let delta = cex.Rcdp.cex_extension in

@@ -111,64 +111,50 @@ let checker s =
         Memo.replace memo s.scenario chk;
         chk)
 
-(* Drop the indexes the session's checker holds, if it has one.  The
-   indexes of one epoch are kept from its write (or first decide)
-   until the next write begins or the session closes: that epoch's
-   decides reuse them, and the old epoch's are gone before a write
-   builds the new one's. *)
-let release_indexes s =
-  Mutex.protect memo_lock (fun () ->
-      Option.iter Checker.drop_indexes (Memo.find_opt memo s.scenario))
-
 let close reg id =
   match Hashtbl.find_opt reg.sessions id with
-  | Some s ->
-    release_indexes s;
+  | Some _ ->
     Hashtbl.remove reg.sessions id;
     true
   | None -> false
 
 exception Reject of string
 
-(* Stage every row onto [db]; also return the tuples that are really
-   new, in insertion order. *)
+(* Stage every row onto [db], one merge per relation for the whole
+   write; also return the tuples that are really new, in insertion
+   order. *)
 let stage db batches =
-  let db, added =
-    List.fold_left
-      (fun acc (rel, rows) ->
-        try
-          List.fold_left
-            (fun (db, added) row ->
-              let tuple = Tuple.make row in
-              let db' = Database.add_tuple db rel tuple in
-              if Relation.mem tuple (Database.relation db rel) then (db', added)
-              else (db', (rel, tuple) :: added))
-            acc rows
-        with
-        | Invalid_argument msg -> raise (Reject msg)
-        | Not_found -> raise (Reject (Printf.sprintf "unknown relation %S" rel)))
-      (db, []) batches
+  let pairs =
+    List.concat_map (fun (rel, rows) -> List.map (fun row -> (rel, Tuple.make row)) rows) batches
   in
-  (db, List.rev added)
+  match Database.add_tuples db pairs with
+  | staged ->
+    let seen = Hashtbl.create 16 in
+    let fresh (rel, tuple) =
+      if Relation.mem tuple (Database.relation db rel) || Hashtbl.mem seen (rel, tuple) then false
+      else begin
+        Hashtbl.add seen (rel, tuple) ();
+        true
+      end
+    in
+    (staged, List.filter fresh pairs)
+  | exception Invalid_argument msg -> raise (Reject msg)
 
 let insert_batches s ~batches =
   match stage s.db batches with
   | db, added ->
     (* all batches validated against the staged database before any of
        them lands: one epoch bump, one closure re-check, whatever the
-       batch count — and a rejected batch leaves the session untouched
-       (its indexes too).  The old epoch's indexes go before this
-       write builds the new one's *)
-    release_indexes s;
+       batch count — and a rejected batch leaves the session untouched *)
     s.db <- db;
     s.epoch <- s.epoch + 1;
     (* a violation is monotone: once broken, stay broken without
        re-searching.  Otherwise the old state was closed, so only joins
        through the new tuples can break V: delta-check those over the
        grown [db], and pay the full re-check only to name the
-       declaration-first violation and its witness.  The indexes of
-       [db] stay in the checker for the write's revalidations and this
-       epoch's decides, which run over [db] too *)
+       declaration-first violation and its witness.  The indexes this
+       builds stay on [db]'s relations for the write's revalidations
+       and this epoch's decides, which run over [db] too *)
     (if partially_closed s && added <> [] then
        let none = Database.empty (Database.schema db) in
        if Checker.check_adds (checker s) ~base:db ~delta:none ~added <> None then

@@ -14,11 +14,12 @@
     monotone, so an insert [Δ] can break V only through LHS answers
     that use a tuple of [Δ] not already in [D], and
     {!Ric_constraints.Checker.check_adds} probes exactly those over
-    [D ∪ Δ], whose indexes the session's {!checker} keeps for the
-    write's revalidations and the new epoch's decides.  Only when it finds a violation does the
-    insert fall back to the full [Containment.first_violation] over
-    [D ∪ Δ], which names the declaration-first violated constraint and
-    its witness — so the report is the one a from-scratch check gives.  An insert that adds
+    [D ∪ Δ], whose relations keep the column indexes the probes build
+    for the write's revalidations and the new epoch's decides.  Only
+    when it finds a violation does the insert fall back to the full
+    [Containment.first_violation] over [D ∪ Δ], which names the
+    declaration-first violated constraint and its witness — so the
+    report is the one a from-scratch check gives.  An insert that adds
     no new tuple runs no check at all; one into an already violated
     [D] runs none either (violations persist).
 
@@ -52,14 +53,11 @@ val checker : t -> Ric_constraints.Checker.t
     scenario share one.  Writes delta-check through it, and the
     service's RCDP decides run on it.
 
-    {b Index lifetime.}  Its index store caches the indexes of the
-    databases checked or queried through it.  The indexes of one epoch
-    are built by its write (the closure check and the counterexample
-    revalidations) or by its first decide, and kept until the next
-    {!insert_batches} that stages a batch begins, or the session
-    closes: every decide of the epoch reuses them, and since a write
-    drops the old epoch's before it builds the new one's, the store
-    holds one epoch's indexes at a time. *)
+    {b Index lifetime.}  The checker holds no index: each relation of
+    [db] carries its own, built by the epoch's write (the closure check
+    and the counterexample revalidations) or by its first decide.
+    Every decide of the epoch reuses it; a write replaces the grown
+    relations, and the old epoch's indexes go with them. *)
 
 val find_query : t -> string -> Ric_query.Lang.t option
 
@@ -78,8 +76,7 @@ val open_scenario : registry -> ?id:string -> ?name:string -> Ric_text.Scenario.
 val find : registry -> string -> t option
 
 val close : registry -> string -> bool
-(** Remove the session and drop its checker's indexes; [false] when
-    the id is unknown. *)
+(** Remove the session; [false] when the id is unknown. *)
 
 val count : registry -> int
 
@@ -104,6 +101,6 @@ val insert_batches :
     them lands, the epoch is bumped {e once} and partial closure is
     re-checked {e once}, one delta probe per new tuple against the
     whole batch — the unit cost that made per-tuple inserts a
-    bottleneck for bulk feeds.  [Error] (the first schema violation)
-    leaves the session completely untouched.  A staged batch first
-    drops the old epoch's indexes (see {!checker}). *)
+    bottleneck for bulk feeds.  The rows are merged into each relation
+    once ({!Ric_relational.Database.add_tuples}).  [Error] (the first
+    schema violation) leaves the session completely untouched. *)

@@ -188,9 +188,9 @@ let body st =
 (* How a [rows] block travels from the parser to [build].  The fast
    path interns every cell while parsing and packs the block into a
    columnar relation on the spot — no [Value.t list] per row, no
-   per-tuple tree insertion at build time.  The slurp path keeps the
-   historical value-list representation (and the historical per-tuple
-   [Database.add_tuple] fold) as the ingest baseline. *)
+   per-tuple sort at build time.  The slurp path keeps the historical
+   value-list representation as the ingest baseline, and installs each
+   block with one bulk [Database.add_tuples]. *)
 type row_block =
   | Row_vals of Value.t list list
   | Row_packed of Relation.t
@@ -421,22 +421,21 @@ let build acc =
         else fail_at p (Printf.sprintf "rows for undeclared relation %S" name)
       in
       match block with
-      | Row_vals rows ->
-        List.iter
-          (fun vs ->
-            let tuple = Tuple.make vs in
-            try
-              match target with
-              | `Db -> db := Database.add_tuple !db name tuple
-              | `Master -> master := Database.add_tuple !master name tuple
-            with Invalid_argument m -> fail_at p m)
-          rows
+      | Row_vals rows -> (
+        (* validated tuple by tuple, in order, then merged once: the
+           first bad row fails the block as a per-tuple fold would *)
+        let pairs = List.map (fun vs -> (name, Tuple.make vs)) rows in
+        try
+          match target with
+          | `Db -> db := Database.add_tuples !db pairs
+          | `Master -> master := Database.add_tuples !master pairs
+        with Invalid_argument m -> fail_at p m)
       | Row_packed rel ->
-        (* install the whole packed block at once: [Database.empty]
+        (* install the whole block at once: [Database.empty]
            pre-populates every declared relation as [Relation.empty],
-           so the union below keeps the packed backing unless an
-           earlier block already filled this relation.  Conformance is
-           checked by [set_relation] — one pass, no tree inserts. *)
+           so the union below is the block itself unless an earlier
+           block already filled this relation.  Conformance is checked
+           by [set_relation] — one pass. *)
         let into dbref =
           let merged =
             try Relation.union (Database.relation !dbref name) rel
@@ -531,9 +530,9 @@ let parse ?chunk src =
   parse_tokens (Fast s) (fun () -> Lexer.next s)
 
 (* The pre-streaming loader, verbatim in behaviour: whole-input token
-   list, value-list rows, per-tuple [Database.add_tuple] folds.  Kept
-   as the baseline the ingest bench and the loader differential
-   compare the fast path against. *)
+   list, value-list rows, each block validated tuple by tuple and
+   merged in bulk.  Kept as the baseline the ingest bench and the
+   loader differential compare the fast path against. *)
 let parse_slurp src =
   let toks =
     try Lexer.tokenize src

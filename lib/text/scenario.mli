@@ -62,14 +62,15 @@ val parse : ?chunk:int -> string -> t
 (** @raise Parse_error on malformed input (with position), including
     semantic errors such as unknown relations or arity mismatches.
     Runs the streaming columnar loader: [rows] cells are interned as
-    they are lexed and packed into {!Ric_relational.Relation} arrays
-    without per-tuple tree insertion.  [chunk] caps the refill size
+    they are lexed and sorted into {!Ric_relational.Relation} arrays
+    by {!Ric_relational.Relation.Builder}, without per-tuple compares.  [chunk] caps the refill size
     (default 64 KiB) — the chunk-boundary differential drives it down
     to one byte to force every token split. *)
 
 val parse_slurp : string -> t
-(** The pre-streaming loader — whole-input token list, per-tuple
-    [Database.add_tuple] folds — kept as the ingest baseline.  Accepts
+(** The pre-streaming loader — whole-input token list, value-list
+    rows, each block validated tuple by tuple and merged by one
+    [Database.add_tuples] — kept as the ingest baseline.  Accepts
     exactly the language of {!parse} and builds an equal scenario; the
     loader differential and [bench load] hold it to that. *)
 

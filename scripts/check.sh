@@ -530,11 +530,18 @@ RIC_BENCH_LOAD_TUPLES="${RIC_BENCH_LOAD_TUPLES:-${LBASE_TUPLES:-1000000}}" \
   RIC_BENCH_LOAD_OUT="$LOAD_OUT" \
   _build/default/bench/main.exe load >/dev/null \
   || { echo "FAIL: ingest bench failed (stream/slurp divergence?)" >&2; rm -f "$LOAD_OUT"; exit 1; }
-# the 10^4 and 10^5 rungs also time a nocache decide after a write;
-# only the field's presence is asserted: an absolute-time guard would
-# fail on host load alone
+# the 10^4 and 10^5 rungs also time a nocache decide after a write,
+# and every rung one-row and hundred-row writes after the load; only
+# the fields' presence is asserted: an absolute-time guard would fail
+# on host load alone
 if [ -z "$(bench_int "$LOAD_OUT" '"decide_after_load_us":{"median')" ]; then
   echo "FAIL: $LOAD_OUT records no decide_after_load_us" >&2
+  rm -f "$LOAD_OUT"
+  exit 1
+fi
+if [ -z "$(bench_int "$LOAD_OUT" '"insert_after_load_us":{"one_row":{"median')" ] \
+  || [ -z "$(bench_int "$LOAD_OUT" '"hundred_rows":{"median')" ]; then
+  echo "FAIL: $LOAD_OUT records no insert_after_load_us" >&2
   rm -f "$LOAD_OUT"
   exit 1
 fi

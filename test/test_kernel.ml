@@ -1,9 +1,9 @@
 (* Tests for the compiled match kernel and its satellites: value
-   interning round-trips, Rix column buckets, O(1) relation
+   interning round-trips, relation column buckets, O(1) relation
    cardinality/arity, Valuation.union conflict handling, the
    compiled-vs-naive solve differential (verdicts AND solution sets)
-   over random bodies and databases, index-store reuse counters, and
-   the constraint checker's two entry points (Checker.check and
+   over random bodies and databases, relation-index reuse counters,
+   and the constraint checker's two entry points (Checker.check and
    Checker.check_add) differential against Containment.holds_all. *)
 
 open Ric_relational
@@ -46,29 +46,25 @@ let test_intern_roundtrip () =
 
 let test_rix_buckets () =
   let r = Relation.of_str_rows [ [ "0"; "1" ]; [ "0"; "2" ]; [ "1"; "2" ] ] in
-  let rx = Rix.build r in
-  Alcotest.(check int) "cardinal" 3 (Rix.cardinal rx);
-  Alcotest.(check int) "arity" 2 (Rix.arity rx);
-  Alcotest.(check bool) "source is physical" true (Rix.source rx == r);
+  Alcotest.(check bool) "the index is the relation's own" true (Rix.build r == r);
   let id s = Intern.id (Value.str s) in
-  Alcotest.(check int) "col 0 bucket '0'" 2
-    (List.length (Rix.bucket rx 0 (id "0")));
+  Alcotest.(check (list int)) "col 0 bucket '0', rows in decreasing order" [ 1; 0 ]
+    (Relation.bucket r 0 (id "0"));
   Alcotest.(check int) "col 1 bucket '2'" 2
-    (List.length (Rix.bucket rx 1 (id "2")));
-  Alcotest.(check (list int)) "absent value" [] (Rix.bucket rx 0 (id "9"));
-  Alcotest.(check (list int)) "column out of range" [] (Rix.bucket rx 7 (id "0"));
-  List.iter
-    (fun i ->
+    (List.length (Relation.bucket r 1 (id "2")));
+  Alcotest.(check (list int)) "absent value" [] (Relation.bucket r 0 (id "9"));
+  Alcotest.(check (list int)) "column out of range" [] (Relation.bucket r 7 (id "0"));
+  List.iteri
+    (fun i tu ->
       Alcotest.(check bool)
         (Printf.sprintf "row %d aligns with tuple %d" i i)
         true
-        (Tuple.equal (Rix.tuple rx i)
+        (Tuple.equal tu
            (Tuple.make
-              (Array.to_list (Array.map Intern.value (Rix.row rx i))))))
-    [ 0; 1; 2 ];
-  let empty = Rix.build Relation.empty in
-  Alcotest.(check int) "empty cardinal" 0 (Rix.cardinal empty);
-  Alcotest.(check int) "empty arity" (-1) (Rix.arity empty)
+              (Array.to_list (Array.map Intern.value (Relation.rows r).(i))))))
+    (Relation.elements r);
+  Alcotest.(check int) "empty has no rows" 0 (Array.length (Relation.rows Relation.empty));
+  Alcotest.(check (list int)) "empty has no buckets" [] (Relation.bucket Relation.empty 0 (id "0"))
 
 (* ------------------------------------------------------------------ *)
 (* Relation satellites: O(1) cardinal must track every operation, and
@@ -236,18 +232,20 @@ let test_solve_init () =
     compiled
 
 (* ------------------------------------------------------------------ *)
-(* Store reuse: same physical relation → cached index (reuse counter),
-   changed relation → rebuild (build counter) *)
+(* Relation-index reuse: a join over the same physical relation finds
+   its index built (reuse counter), a changed relation builds its own
+   (build counter).  The join probes S's column with y bound, so the
+   index is built at all. *)
 
-let test_store_reuse () =
+let test_relation_index_reuse () =
   let builds = Metrics.counter "ric_match_index_builds_total" in
   let reuses = Metrics.counter "ric_match_index_reuses_total" in
-  let db = db_of [ (0, (0, 1, 0)); (0, (1, 2, 0)) ] in
-  let atoms = [ Atom.make "R" [ v "x"; v "y" ] ] in
-  let store = Kernel.Store.create () in
+  let db =
+    db_of [ (0, (0, 1, 0)); (0, (1, 2, 0)); (1, (1, 0, 0)); (1, (2, 0, 0)); (1, (3, 0, 0)) ]
+  in
+  let atoms = [ Atom.make "R" [ v "x"; v "y" ]; Atom.make "S" [ v "y" ] ] in
   let solve db =
-    ignore
-      (Match_engine.solve ~lookup:(lookup_in db) ~store atoms (fun _ -> false))
+    ignore (Match_engine.solve ~lookup:(lookup_in db) atoms (fun _ -> false))
   in
   let b0 = Metrics.counter_value builds in
   solve db;
@@ -259,8 +257,8 @@ let test_store_reuse () =
     (Metrics.counter_value builds);
   Alcotest.(check bool) "second solve reuses" true
     (Metrics.counter_value reuses > r0);
-  (* growing the relation invalidates the cache entry by identity *)
-  solve (Database.add_tuple db "R" (Tuple.of_strs [ "2"; "2" ]));
+  (* a grown relation is a new relation, with an index of its own *)
+  solve (Database.add_tuple db "S" (Tuple.of_strs [ "4" ]));
   Alcotest.(check bool) "changed relation rebuilds" true
     (Metrics.counter_value builds > b1)
 
@@ -518,7 +516,8 @@ let () =
           QCheck_alcotest.to_alcotest test_solve_differential;
           Alcotest.test_case "initial valuations" `Quick test_solve_init;
         ] );
-      ("store", [ Alcotest.test_case "index reuse" `Quick test_store_reuse ]);
+      ( "relation index",
+        [ Alcotest.test_case "reuse across joins" `Quick test_relation_index_reuse ] );
       ( "compiled",
         [
           QCheck_alcotest.to_alcotest test_compiled_differential;

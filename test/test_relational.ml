@@ -104,7 +104,7 @@ let test_relation_arity_mismatch () =
     (fun () -> ignore (Relation.add (Tuple.of_ints [ 1; 2 ]) a))
 
 (* ------------------------------------------------------------------ *)
-(* Columnar builder / packed backing *)
+(* Columnar builder *)
 
 let build_rows rows =
   let b = Relation.Builder.create () in
@@ -124,26 +124,27 @@ let test_builder_matches_of_tuples () =
       [ Value.int 0; Value.str "z" ];
     ]
   in
-  let packed = build_rows rows in
+  let built = build_rows rows in
   let reference = Relation.of_tuples (List.map Tuple.make rows) in
-  Alcotest.check relation_testable "equal as sets" reference packed;
-  Alcotest.(check int) "deduplicated" 3 (Relation.cardinal packed);
-  (* elements come out in Tuple.compare order, exactly like a TSet *)
+  Alcotest.check relation_testable "equal as sets" reference built;
+  Alcotest.(check int) "deduplicated" 3 (Relation.cardinal built);
+  (* elements come out in Tuple.compare order from either constructor *)
   Alcotest.(check (list tuple_testable)) "same iteration order"
-    (Relation.elements reference) (Relation.elements packed);
+    (Relation.elements reference) (Relation.elements built);
+  Alcotest.(check bool) "same interned rows" true
+    (Relation.rows reference = Relation.rows built);
   Alcotest.(check bool) "mem hits" true
-    (Relation.mem (Tuple.make [ Value.str "a"; Value.int 1 ]) packed);
-  (* mutation falls back to set backing without losing rows *)
-  let grown = Relation.add (Tuple.of_ints [ 5; 5 ]) packed in
-  Alcotest.(check int) "add on packed" 4 (Relation.cardinal grown)
+    (Relation.mem (Tuple.make [ Value.str "a"; Value.int 1 ]) built);
+  let grown = Relation.add (Tuple.of_ints [ 5; 5 ]) built in
+  Alcotest.(check int) "add on a built relation" 4 (Relation.cardinal grown)
 
 let test_builder_large_block_sorted () =
   (* enough rows to cross the radix-sort threshold, in reverse order *)
   let n = 5000 in
   let rows = List.init n (fun i -> [ Value.int (n - i); Value.int ((n - i) mod 7) ]) in
-  let packed = build_rows rows in
-  Alcotest.(check int) "all distinct" n (Relation.cardinal packed);
-  let sorted = Relation.elements packed in
+  let built = build_rows rows in
+  Alcotest.(check int) "all distinct" n (Relation.cardinal built);
+  let sorted = Relation.elements built in
   Alcotest.(check bool) "rank-lex sorted" true
     (List.for_all2 Tuple.equal sorted (List.sort Tuple.compare sorted))
 
@@ -280,6 +281,15 @@ let show_op = function
 let expected_values r =
   List.sort_uniq Value.compare (List.concat_map Tuple.values (Relation.elements r))
 
+(* bucket [c] of value [v]: the indexes of the elements holding [v] at
+   [c], by a filter, in decreasing order *)
+let expected_bucket r c v =
+  List.rev
+    (List.filter_map Fun.id
+       (List.mapi
+          (fun i t -> if Value.equal (Tuple.get t c) v then Some i else None)
+          (Relation.elements r)))
+
 let prop_values_cached =
   QCheck2.Test.make ~name:"cached values ≡ sort_uniq of the tuple values" ~count:400
     ~print:(fun (force, start, ops) ->
@@ -319,29 +329,55 @@ let prop_values_cached =
            r0 ops);
       true)
 
-(* Two domains force one relation's values at once, on both backings:
-   nothing raises, and both get the same, right list. *)
+(* Two domains force one relation's memos at once — its values and
+   each column's buckets — on relations from both constructors:
+   nothing raises, both get the same, right answers, and each column
+   is built once. *)
 let test_values_two_domains () =
   let rows = List.init 20_000 (fun i -> [ Value.int (i mod 997); Value.str (Printf.sprintf "s%d" (i mod 331)) ]) in
+  let builds = Ric_obs.Metrics.counter "ric_match_index_builds_total" in
+  let probe = [ (0, Value.int 5); (1, Value.str "s7") ] in
   List.iter
     (fun (name, r) ->
       let want = expected_values r in
+      let want_buckets = List.map (fun (c, v) -> expected_bucket r c v) probe in
       let go = Atomic.make false in
       let force () =
         while not (Atomic.get go) do
           Stdlib.Domain.cpu_relax ()
         done;
-        Relation.values r
+        let vs = Relation.values r in
+        (vs, List.map (fun (c, v) -> Relation.bucket r c (Intern.id v)) probe)
       in
+      let b0 = Ric_obs.Metrics.counter_value builds in
       let d1 = Stdlib.Domain.spawn force and d2 = Stdlib.Domain.spawn force in
       Atomic.set go true;
-      let v1 = Stdlib.Domain.join d1 and v2 = Stdlib.Domain.join d2 in
-      Alcotest.(check bool) (name ^ ": both domains agree") true (v1 = v2);
-      Alcotest.(check bool) (name ^ ": the right values") true (v1 = want))
+      let v1, k1 = Stdlib.Domain.join d1 and v2, k2 = Stdlib.Domain.join d2 in
+      Alcotest.(check bool) (name ^ ": both domains agree") true (v1 = v2 && k1 = k2);
+      Alcotest.(check bool) (name ^ ": the right values") true (v1 = want);
+      Alcotest.(check bool) (name ^ ": the right buckets") true (k1 = want_buckets);
+      Alcotest.(check int) (name ^ ": each column built once") 2
+        (Ric_obs.Metrics.counter_value builds - b0))
     [
-      ("packed", build_rows rows);
-      ("tree", Relation.of_tuples (List.map Tuple.make rows));
+      ("builder", build_rows rows);
+      ("of_tuples", Relation.of_tuples (List.map Tuple.make rows));
     ]
+
+(* A relation's first [values] costs its own cells, not the intern
+   table: with 2·10^5 values interned, a one-row relation's allocates
+   a few words. *)
+let test_values_no_cliff () =
+  for i = 0 to 200_000 - 1 do
+    ignore (Intern.id (Value.str (Printf.sprintf "cliff-%d" i)))
+  done;
+  let r = Relation.of_tuples [ Tuple.of_strs [ "cliff-1"; "cliff-2"; "cliff-3" ] ] in
+  let before = Gc.allocated_bytes () in
+  let vs = Relation.values r in
+  let allocated = Gc.allocated_bytes () -. before in
+  Alcotest.(check int) "three values" 3 (List.length vs);
+  Alcotest.(check bool)
+    (Printf.sprintf "allocates under 64 KB (%.0f bytes)" allocated)
+    true (allocated < 65536.)
 
 let test_value_union_sorted () =
   let l xs = List.map Value.int xs in
@@ -350,10 +386,111 @@ let test_value_union_sorted () =
   Alcotest.(check bool) "ints before strings" true
     (Value.union_sorted [ Value.str "a" ] (l [ 7 ]) = [ Value.int 7; Value.str "a" ])
 
+(* ------------------------------------------------------------------ *)
+(* Model test: every [Relation] operation against a sorted, deduplicated
+   tuple list, on relations from [of_tuples], from [Builder.finish] and
+   from a mix of both (a built half unioned with a listed half, then a
+   few [add]s). *)
+
+let model l = List.sort_uniq Tuple.compare l
+
+let rec compare_lists a b =
+  match (a, b) with
+  | [], [] -> 0
+  | [], _ -> -1
+  | _, [] -> 1
+  | x :: a, y :: b ->
+    let c = Tuple.compare x y in
+    if c <> 0 then c else compare_lists a b
+
+type origin =
+  | Listed
+  | Built
+  | Mixed
+
+let make_rel origin ts =
+  match origin with
+  | Listed -> Relation.of_tuples ts
+  | Built -> build_rows (List.map Tuple.values ts)
+  | Mixed ->
+    let n = List.length ts in
+    let first = List.filteri (fun i _ -> i < n / 2) ts
+    and rest = List.filteri (fun i _ -> i >= n / 2) ts in
+    let adds = List.filteri (fun i _ -> i < 2) rest in
+    List.fold_left
+      (fun r t -> Relation.add t r)
+      (Relation.union (build_rows (List.map Tuple.values first)) (Relation.of_tuples rest))
+      adds
+
+let origin_gen = QCheck2.Gen.oneofl [ Listed; Built; Mixed ]
+let side_gen = QCheck2.Gen.(pair origin_gen (list_size (int_bound 10) mixed_tuple_gen))
+
+let show_side (o, ts) =
+  Format.asprintf "%s %a"
+    (match o with Listed -> "of_tuples" | Built -> "builder" | Mixed -> "mixed")
+    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf " ") Tuple.pp)
+    ts
+
+let prop_model =
+  QCheck2.Test.make ~name:"every relation operation ≡ its sorted-list model" ~count:500
+    ~print:(fun (a, b, t) ->
+      Format.asprintf "a = %s; b = %s; t = %a" (show_side a) (show_side b) Tuple.pp t)
+    QCheck2.Gen.(triple side_gen side_gen mixed_tuple_gen)
+    (fun ((oa, la), (ob, lb), t) ->
+      let a = make_rel oa la and b = make_rel ob lb in
+      let ma = model la and mb = model lb in
+      let same what r m =
+        if not (List.equal Tuple.equal (Relation.elements r) m) then
+          QCheck2.Test.fail_reportf "%s: %a, model %a" what Relation.pp r Relation.pp
+            (Relation.of_tuples m)
+      in
+      let check what ok = if not ok then QCheck2.Test.fail_reportf "%s" what in
+      same "elements" a ma;
+      check "fold order"
+        (List.equal Tuple.equal (List.rev (Relation.fold List.cons a [])) ma);
+      check "iter order"
+        (let seen = ref [] in
+         Relation.iter (fun t -> seen := t :: !seen) a;
+         List.equal Tuple.equal (List.rev !seen) ma);
+      check "cardinal" (Relation.cardinal a = List.length ma);
+      check "is_empty" (Relation.is_empty a = (ma = []));
+      check "arity" (Relation.arity a = (match ma with [] -> None | t :: _ -> Some (Tuple.arity t)));
+      List.iter
+        (fun u -> check "mem" (Relation.mem u a = List.exists (Tuple.equal u) ma))
+        (t :: lb);
+      same "add" (Relation.add t a) (model (t :: ma));
+      same "union" (Relation.union a b) (model (ma @ mb));
+      same "diff" (Relation.diff a b) (List.filter (fun u -> not (List.exists (Tuple.equal u) mb)) ma);
+      same "inter" (Relation.inter a b) (List.filter (fun u -> List.exists (Tuple.equal u) mb) ma);
+      check "subset" (Relation.subset a b = List.for_all (fun u -> List.exists (Tuple.equal u) mb) ma);
+      check "equal" (Relation.equal a b = List.equal Tuple.equal ma mb);
+      check "compare" (Int.compare (Relation.compare a b) 0 = Int.compare (compare_lists ma mb) 0);
+      let p u = Value.hash (Tuple.get u 0) land 1 = 0 in
+      same "filter" (Relation.filter p a) (List.filter p ma);
+      same "project" (Relation.project [ 1; 0 ] a) (model (List.map (Tuple.project [ 1; 0 ]) ma));
+      same "project one column" (Relation.project [ 0 ] a) (model (List.map (Tuple.project [ 0 ]) ma));
+      let f u = Tuple.make [ Tuple.get u 1; Value.int 0 ] in
+      same "map" (Relation.map f a) (model (List.map f ma));
+      check "values" (Relation.values a = expected_values a);
+      check "rows"
+        (List.equal Tuple.equal
+           (Array.to_list (Array.map (Array.map Intern.value) (Relation.rows a)))
+           ma);
+      List.iter
+        (fun c ->
+          List.iter
+            (fun v ->
+              if Relation.bucket a c (Intern.id v) <> expected_bucket a c v then
+                QCheck2.Test.fail_reportf "bucket %d of %a" c Value.pp v)
+            (Value.str "absent" :: List.concat_map Tuple.values ma))
+        [ 0; 1 ];
+      check "bucket out of range" (Relation.bucket a 2 (Intern.id (Value.int 0)) = []);
+      true)
+
 let properties =
   List.map QCheck_alcotest.to_alcotest
     [ prop_union_commutative; prop_project_idempotent; prop_diff_subset;
-      prop_containment_partial_order; prop_values_cached ]
+      prop_containment_partial_order; prop_values_cached; prop_model ]
 
 let () =
   Alcotest.run "relational"
@@ -386,6 +523,7 @@ let () =
           Alcotest.test_case "algebra" `Quick test_relation_algebra;
           Alcotest.test_case "arity mismatch" `Quick test_relation_arity_mismatch;
           Alcotest.test_case "values from two domains" `Quick test_values_two_domains;
+          Alcotest.test_case "first values costs its own cells" `Quick test_values_no_cliff;
         ] );
       ( "builder",
         [
