@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Print the golden transcript: the JSON replies of `ric file rcdp`,
-# `ric file rcqp` and `ric explain` (rcdp and rcqp modes) for every
-# scenario query (less hard.ric's QH, which never finishes without a
-# deadline) and for ladder rungs 1-5 at seeds 1-3, then `ric mine` on
-# every scenario.  The test suite diffs this against
+# `ric file rcqp`, `ric file audit` and `ric explain` (rcdp, rcqp and
+# audit modes) for every scenario query (less hard.ric's QH, which
+# never finishes without a deadline) and for ladder rungs 1-5 at seeds
+# 1-3, then `ric mine` on every scenario.  The test suite diffs this against
 # transcript.expected, so any change to a verdict, counterexample,
 # witness or explain profile shows up as a failing diff.
 #
@@ -14,7 +14,8 @@ scenarios=$2
 
 run() {
   local file=$1 label=$2 q=$3
-  for cmd in "file rcdp" "file rcqp" "explain" "explain -m rcqp"; do
+  for cmd in "file rcdp" "file rcqp" "file audit" "explain" "explain -m rcqp" \
+    "explain -m audit"; do
     echo "## $label $q $cmd"
     # shellcheck disable=SC2086
     "$ric" $cmd --json -q "$q" "$file"
