@@ -1,35 +1,18 @@
 (* ric — relative information completeness workbench.
 
-   A small CLI over the library: audit the built-in CRM scenario,
-   decide RCDP/RCQP for its queries, and run the hardness reductions
-   on random instances.  Meant as a demonstrator; programmatic use
-   goes through the libraries. *)
+   A CLI over the library: decide RCDP/RCQP and audit the queries of
+   .ric scenario files (through the same request path as the ricd
+   daemon), mine constraints, generate scenarios at scale, serve and
+   talk to ricd, and run the hardness reductions on random instances.
+   Programmatic use goes through the libraries. *)
 
 open Ric_relational
-open Ric_query
 open Ric_complete
 open Ric_workloads
 open Cmdliner
-
-let queries =
-  [
-    ("q0", `Cq Crm.q0, "domestic area-908 customers");
-    ("q0-all", `Cq Crm.q0_all_customers, "every customer incl. international");
-    ("q1", `Cq Crm.q1, "area-908 customers supported by e0");
-    ("q2", `Cq Crm.q2, "customers supported by e0");
-    ("q2-tuples", `Cq Crm.q2_tuples, "full support rows of e0");
-    ("q4", `Cq Crm.q4, "support rows of e0 in d0");
-    ("q3", `Fp Crm.q3_fp, "everyone above e0 (datalog)");
-  ]
-
-let constraint_sets =
-  [
-    ("domestic", [ Crm.cc_domestic_customers ], "domestic Cust rows bounded by DCust");
-    ("supported", [ Crm.cc_supported_domestic ], "supported domestic customers bounded");
-    ("fd-dept", Crm.ccs_fd_dept, "FD eid → dept on Supt");
-    ("fd-full", Crm.ccs_fd_supt, "FD eid → dept, cid on Supt");
-    ("cap3", [ Crm.cc_support_load 3 ], "an employee supports at most 3 customers");
-  ]
+module Json = Ric_text.Json
+module Protocol = Ric_service.Protocol
+module Service = Ric_service.Service
 
 (* A converter over a keyed catalogue: parses the key straight to its
    value and turns an unknown key into a cmdliner error that lists
@@ -50,92 +33,7 @@ let lookup3 assoc k =
   | Some (_, v, _) -> v
   | None -> assert false (* keys come from [keyed], already validated *)
 
-let query_arg =
-  let doc =
-    "Query to analyse: " ^ String.concat ", " (List.map (fun (k, _, d) -> k ^ " (" ^ d ^ ")") queries)
-  in
-  Arg.(
-    value
-    & opt (keyed "query" queries) (lookup3 queries "q0")
-    & info [ "q"; "query" ] ~doc)
-
-let ccs_arg =
-  let doc =
-    "Constraint set: "
-    ^ String.concat ", " (List.map (fun (k, _, d) -> k ^ " (" ^ d ^ ")") constraint_sets)
-  in
-  Arg.(
-    value
-    & opt (keyed "constraint-set" constraint_sets) (lookup3 constraint_sets "domestic")
-    & info [ "c"; "constraints" ] ~doc)
-
-let customers_arg =
-  Arg.(value & opt int 6 & info [ "n"; "customers" ] ~doc:"Number of master customers")
-
-let keep_arg =
-  Arg.(value & opt float 0.7 & info [ "k"; "keep" ] ~doc:"Fraction of master rows present in the database")
-
 let seed_arg = Arg.(value & opt int 0 & info [ "s"; "seed" ] ~doc:"Generator seed")
-
-let scenario ~customers ~keep ~seed =
-  let master = Crm.master ~customers ~managers:[ ("e1", "e0"); ("e2", "e1") ] () in
-  let db = Crm.db ~seed ~master ~keep ~supported_by:[ ("e0", [ "d0" ]) ] () in
-  (master, db)
-
-let as_lang = function
-  | `Cq q -> Lang.Q_cq q
-  | `Fp p -> Lang.Q_fp p
-
-let audit_cmd =
-  let run query ccs customers keep seed =
-    let master, db = scenario ~customers ~keep ~seed in
-    let q = as_lang query in
-    Format.printf "database:@.%a@.@." Database.pp db;
-    (try
-       let result = Guidance.audit ~schema:Crm.db_schema ~master ~ccs ~db q in
-       Format.printf "%a@." Guidance.pp_audit result
-     with Rcdp.Unsupported msg -> Format.printf "undecidable combination: %s@." msg);
-    0
-  in
-  Cmd.v (Cmd.info "audit" ~doc:"Audit a CRM query: complete / completable / master data must grow")
-    Term.(const run $ query_arg $ ccs_arg $ customers_arg $ keep_arg $ seed_arg)
-
-let rcdp_cmd =
-  let run query ccs customers keep seed =
-    let master, db = scenario ~customers ~keep ~seed in
-    let q = as_lang query in
-    (try
-       match Rcdp.decide ~schema:Crm.db_schema ~master ~ccs ~db q with
-       | Rcdp.Complete -> Format.printf "complete@."
-       | Rcdp.Incomplete cex ->
-         Format.printf "incomplete — extension:@.%a@.new answer: %a@." Database.pp
-           cex.Rcdp.cex_extension Tuple.pp cex.Rcdp.cex_answer
-     with
-     | Rcdp.Unsupported msg -> Format.printf "undecidable (Theorem 3.1): %s@." msg
-     | Rcdp.Not_partially_closed msg -> Format.printf "input rejected: %s@." msg);
-    0
-  in
-  Cmd.v (Cmd.info "rcdp" ~doc:"Is the generated database complete for the query?")
-    Term.(const run $ query_arg $ ccs_arg $ customers_arg $ keep_arg $ seed_arg)
-
-let rcqp_cmd =
-  let run query ccs customers =
-    let master, _ = scenario ~customers ~keep:1.0 ~seed:0 in
-    let q = as_lang query in
-    (try
-       match Rcqp.decide ~schema:Crm.db_schema ~master ~ccs q with
-       | Rcqp.Nonempty { witness; reason } ->
-         Format.printf "nonempty — %s@." reason;
-         (match witness with
-          | Some w -> Format.printf "witness:@.%a@." Database.pp w
-          | None -> ())
-       | Rcqp.Empty { reason } -> Format.printf "empty — %s@." reason
-       | Rcqp.Unknown { reason } -> Format.printf "unknown — %s@." reason
-     with Rcqp.Unsupported msg -> Format.printf "undecidable (Theorem 4.1): %s@." msg);
-    0
-  in
-  Cmd.v (Cmd.info "rcqp" ~doc:"Does any complete database exist for the query?")
-    Term.(const run $ query_arg $ ccs_arg $ customers_arg)
 
 let reduction_cmd =
   let run seed n_forall n_exists n_clauses =
@@ -190,15 +88,61 @@ let file_trace_arg =
           "Write span events for this run to $(docv) as JSON lines; inspect with \
            $(b,ric trace summarize) $(docv)")
 
-(* Tracing a one-shot decide: open the sink for the duration of [f]
-   and hand it a step-counting clock (an [unlimited] clock skips the
-   counter, which would leave every span's [steps] attribute at 0). *)
-let with_trace trace f =
-  match trace with
-  | None -> f Budget.unlimited
-  | Some path ->
-    Ric_obs.Trace.open_file path;
-    Fun.protect ~finally:Ric_obs.Trace.close (fun () -> f (Budget.create ()))
+(* The decide requests, one constructor per op, shared by the one-shot
+   commands and [ric request]. *)
+let rcdp_request ~session ~query ~nocache ~timeout_ms ~search ~req_id ~explain =
+  Protocol.Rcdp { session; query; nocache; timeout_ms; search; req_id; explain }
+
+let rcqp_request ~session ~query ~nocache ~timeout_ms ~search ~req_id ~explain =
+  Protocol.Rcqp { session; query; nocache; timeout_ms; search; req_id; explain }
+
+let audit_request ~session ~query ~nocache ~timeout_ms ~search ~req_id ~explain =
+  Protocol.Audit { session; query; nocache; timeout_ms; search; req_id; explain }
+
+(* A one-shot decide takes ricd's request path: an in-process service
+   opens the file and answers one nocache [request], so the CLI's
+   verdict is the daemon's by construction.  Returns the query's name
+   and the reply's result and profile, or the message of the reply
+   that failed.  A traced decide carries a req_id, which makes its
+   budget count steps for the spans under its [server.op] root. *)
+let decide_file ?trace ?timeout_ms ~explain path qname request =
+  let svc = Service.create () in
+  let field k = function Json.Obj kvs -> List.assoc_opt k kvs | _ -> None in
+  let reply req =
+    let r = Service.handle svc req in
+    match (field "ok" r, field "error" r) with
+    | Some (Json.Bool false), Some (Json.Str msg) -> Error msg
+    | Some (Json.Bool false), _ -> Error (Json.to_string r)
+    | _ -> Ok r
+  in
+  let ( let* ) = Result.bind in
+  let* opened = reply (Protocol.Open { path = Some path; source = None; name = None }) in
+  let names =
+    match field "queries" opened with
+    | Some (Json.List l) -> List.filter_map (function Json.Str q -> Some q | _ -> None) l
+    | _ -> []
+  in
+  let* query =
+    match (qname, names) with
+    | Some q, _ when List.mem q names -> Ok q
+    | Some q, _ ->
+      Error (Printf.sprintf "no query %S; available: %s" q (String.concat ", " names))
+    | None, q :: _ -> Ok q
+    | None, [] -> Error "the scenario declares no queries"
+  in
+  let session = match field "session" opened with Some (Json.Str s) -> s | _ -> "" in
+  let req_id = Option.map (fun _ -> Printf.sprintf "ric-%d" (Unix.getpid ())) trace in
+  let decide () =
+    reply (request ~session ~query ~nocache:true ~timeout_ms ~search:None ~req_id ~explain)
+  in
+  let* r =
+    match trace with
+    | None -> decide ()
+    | Some file ->
+      Ric_obs.Trace.open_file file;
+      Fun.protect ~finally:Ric_obs.Trace.close decide
+  in
+  Ok (query, Option.value ~default:Json.Null (field "result" r), field "profile" r)
 
 let with_scenario path f =
   match Ric_text.Scenario.load path with
@@ -220,132 +164,37 @@ let pick_query (s : Ric_text.Scenario.t) = function
      | (name, q) :: _ -> Ok (name, q)
      | [] -> Error "the scenario declares no queries")
 
-(* A decide that rejects its input ((D, Dm) breaks V) or meets an
-   undecidable combination: under --json, the result object the daemon
-   answers, wrapped by [envelope]; otherwise one line of text. *)
-let print_rejection ~json (s : Ric_text.Scenario.t) envelope e =
-  let text, result =
-    match e with
-    | Rcdp.Not_partially_closed msg ->
-      ( "input rejected: " ^ msg,
-        Option.map
-          (fun (cc, witness) ->
-            Ric_text.Report.not_closed_result (cc.Ric_constraints.Containment.cc_name, witness))
-          (Ric_constraints.Containment.first_violation ~db:s.Ric_text.Scenario.db
-             ~master:s.Ric_text.Scenario.master (Ric_text.Scenario.all_ccs s)) )
-    | Rcdp.Unsupported msg | Rcqp.Unsupported msg ->
-      ("undecidable: " ^ msg, Some (Ric_text.Report.unsupported_result msg))
-    | e -> raise e
-  in
-  match result with
-  | Some r when json -> Format.printf "%a@." Ric_text.Json.pp (envelope r)
-  | _ -> Format.printf "%s@." text
-
-(* the [ric file] envelope: {"query": name, "result": ...} *)
-let file_result name r =
-  Ric_text.Json.Obj [ ("query", Ric_text.Json.Str name); ("result", r) ]
-
 let file_show_cmd =
   let run path =
     with_scenario path (fun s ->
+        let db = s.Ric_text.Scenario.db in
+        let checker =
+          Ric_constraints.Checker.create ~master:s.Ric_text.Scenario.master
+            (Ric_text.Scenario.all_ccs s)
+        in
         Format.printf "%a@." Ric_text.Scenario.pp s;
         Format.printf "# partially closed: %b@."
-          (Ric_constraints.Containment.holds_all ~db:s.Ric_text.Scenario.db
-             ~master:s.Ric_text.Scenario.master
-             (Ric_text.Scenario.all_ccs s));
+          (Ric_constraints.Checker.check checker ~base:db
+             ~delta:(Database.empty (Database.schema db))
+          = None);
         0)
   in
   Cmd.v (Cmd.info "show" ~doc:"Parse a scenario and print it back (with a closure check)")
     Term.(const run $ file_arg)
 
-let file_audit_cmd =
+let file_decide_cmd name doc request =
   let run path qname json (_search : string) trace =
-    with_scenario path (fun s ->
-        match pick_query s qname with
-        | Error m ->
-          Format.eprintf "%s@." m;
-          1
-        | Ok (name, q) ->
-          (try
-             let result =
-               with_trace trace (fun clock ->
-                   Guidance.audit ~clock ~schema:s.Ric_text.Scenario.db_schema
-                     ~master:s.Ric_text.Scenario.master
-                     ~ccs:(Ric_text.Scenario.all_ccs s)
-                     ~db:s.Ric_text.Scenario.db q)
-             in
-             if json then
-               Format.printf "%a@." Ric_text.Json.pp
-                 (file_result name (Ric_text.Report.audit_result result))
-             else begin
-               Format.printf "auditing %s...@." name;
-               Format.printf "%a@." Guidance.pp_audit result
-             end
-           with Rcdp.Unsupported msg -> Format.printf "undecidable: %s@." msg);
-          0)
+    match decide_file ?trace ~explain:false path qname request with
+    | Error msg ->
+      Format.eprintf "%s@." msg;
+      1
+    | Ok (query, result, _) ->
+      if json then
+        Format.printf "%a@." Json.pp (Json.Obj [ ("query", Json.Str query); ("result", result) ])
+      else Format.printf "%a@." (Ric_text.Report.pp_result ~query) result;
+      0
   in
-  Cmd.v (Cmd.info "audit" ~doc:"Audit a query of a scenario file")
-    Term.(const run $ file_arg $ file_query_arg $ json_arg $ search_arg $ file_trace_arg)
-
-let file_rcqp_cmd =
-  let run path qname json (_search : string) trace =
-    with_scenario path (fun s ->
-        match pick_query s qname with
-        | Error m ->
-          Format.eprintf "%s@." m;
-          1
-        | Ok (name, q) ->
-          (try
-             let verdict =
-               with_trace trace (fun clock ->
-                   Rcqp.decide ~clock ~schema:s.Ric_text.Scenario.db_schema
-                     ~master:s.Ric_text.Scenario.master
-                     ~ccs:(Ric_text.Scenario.all_ccs s) q)
-             in
-             if json then
-               Format.printf "%a@." Ric_text.Json.pp
-                 (file_result name (Ric_text.Report.rcqp_verdict verdict))
-             else
-               match verdict with
-               | Rcqp.Nonempty { reason; _ } -> Format.printf "%s: nonempty — %s@." name reason
-               | Rcqp.Empty { reason } -> Format.printf "%s: empty — %s@." name reason
-               | Rcqp.Unknown { reason } -> Format.printf "%s: unknown — %s@." name reason
-           with Rcqp.Unsupported _ as e -> print_rejection ~json s (file_result name) e);
-          0)
-  in
-  Cmd.v (Cmd.info "rcqp" ~doc:"Can any database be complete for a scenario query?")
-    Term.(const run $ file_arg $ file_query_arg $ json_arg $ search_arg $ file_trace_arg)
-
-let file_rcdp_cmd =
-  let run path qname json (_search : string) trace =
-    with_scenario path (fun s ->
-        match pick_query s qname with
-        | Error m ->
-          Format.eprintf "%s@." m;
-          1
-        | Ok (name, q) ->
-          (try
-             let verdict =
-               with_trace trace (fun clock ->
-                   Rcdp.decide ~clock ~schema:s.Ric_text.Scenario.db_schema
-                     ~master:s.Ric_text.Scenario.master
-                     ~ccs:(Ric_text.Scenario.all_ccs s) ~db:s.Ric_text.Scenario.db q)
-             in
-             if json then
-               Format.printf "%a@." Ric_text.Json.pp
-                 (file_result name (Ric_text.Report.rcdp_verdict verdict))
-             else
-               match verdict with
-               | Rcdp.Complete -> Format.printf "%s: complete@." name
-               | Rcdp.Incomplete cex ->
-                 Format.printf
-                   "%s: incomplete — admissible extension:@.%a@.new answer: %a@." name
-                   Database.pp cex.Rcdp.cex_extension Tuple.pp cex.Rcdp.cex_answer
-           with (Rcdp.Unsupported _ | Rcdp.Not_partially_closed _) as e ->
-             print_rejection ~json s (file_result name) e);
-          0)
-  in
-  Cmd.v (Cmd.info "rcdp" ~doc:"Is the scenario's database complete for a query?")
+  Cmd.v (Cmd.info name ~doc)
     Term.(const run $ file_arg $ file_query_arg $ json_arg $ search_arg $ file_trace_arg)
 
 let file_worlds_cmd =
@@ -398,7 +247,13 @@ let file_worlds_cmd =
 
 let file_group =
   Cmd.group (Cmd.info "file" ~doc:"Work on .ric scenario files")
-    [ file_show_cmd; file_audit_cmd; file_rcdp_cmd; file_rcqp_cmd; file_worlds_cmd ]
+    [
+      file_show_cmd;
+      file_decide_cmd "audit" "Audit a query of a scenario file" audit_request;
+      file_decide_cmd "rcdp" "Is the scenario's database complete for a query?" rcdp_request;
+      file_decide_cmd "rcqp" "Can any database be complete for a scenario query?" rcqp_request;
+      file_worlds_cmd;
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Explain: one decide with a profile attached, rendered as tables —
@@ -408,142 +263,33 @@ let file_group =
 
 let explain_modes =
   [
-    ("rcdp", `Rcdp, "is the database complete? (default)");
-    ("rcqp", `Rcqp, "does any complete database exist?");
-    ("audit", `Audit, "the full completeness audit");
+    ("rcdp", rcdp_request, "is the database complete? (default)");
+    ("rcqp", rcqp_request, "does any complete database exist?");
+    ("audit", audit_request, "the full completeness audit");
   ]
 
 let explain_cmd =
-  let module Profile = Ric_obs.Profile in
-  let run path qname mode (_search : string) timeout_ms json =
-    with_scenario path (fun s ->
-        match pick_query s qname with
-        | Error m ->
-          Format.eprintf "%s@." m;
-          1
-        | Ok (name, q) ->
-          let schema = s.Ric_text.Scenario.db_schema in
-          let master = s.Ric_text.Scenario.master in
-          let ccs = Ric_text.Scenario.all_ccs s in
-          let db = s.Ric_text.Scenario.db in
-          let profile = Profile.create () in
-          let clock =
-            let deadline_after =
-              Option.map (fun ms -> float_of_int ms /. 1000.) timeout_ms
-            in
-            Budget.create ?deadline_after ()
-          in
-          (try
-             let verdict =
-               try
-                 match mode with
-                 | `Rcdp -> (
-                   match
-                     Rcdp.decide ~clock ~profile ~schema ~master ~ccs ~db q
-                   with
-                   | Rcdp.Complete -> "complete"
-                   | Rcdp.Incomplete _ -> "incomplete")
-                 | `Rcqp -> (
-                   match Rcqp.decide ~clock ~profile ~schema ~master ~ccs q with
-                   | Rcqp.Nonempty _ -> "nonempty"
-                   | Rcqp.Empty _ -> "empty"
-                   | Rcqp.Unknown _ -> "unknown")
-                 | `Audit -> (
-                   match
-                     Guidance.audit ~clock ~profile ~schema ~master ~ccs ~db q
-                   with
-                   | Guidance.Already_complete -> "already_complete"
-                   | Guidance.Completable _ -> "completable"
-                   | Guidance.Not_completable _ -> "not_completable"
-                   | Guidance.Inconclusive _ -> "inconclusive")
-               with Budget.Exhausted reason ->
-                 (* a timed-out run still has a profile: the steps it
-                    did take are attributed like any other run's *)
-                 "timeout:" ^ Budget.reason_name reason
-             in
-             let snap = Profile.snapshot profile in
-             let steps = Budget.steps clock in
-             let attributed = Profile.attributed_steps snap in
-             let pct =
-               if steps = 0 then 100.
-               else 100. *. float_of_int attributed /. float_of_int steps
-             in
-             if json then begin
-               let open Ric_text.Json in
-               Format.printf "%a@." pp
-                 (Obj
-                    [
-                      ("query", Str name);
-                      ("verdict", Str verdict);
-                      ("steps", Int steps);
-                      ("attributed_steps", Int attributed);
-                      ( "levels",
-                        List
-                          (List.map
-                             (fun r ->
-                               Obj
-                                 [
-                                   ("level", Int r.Profile.lv_index);
-                                   ("atom", Str r.Profile.lv_name);
-                                   ("source", Str r.Profile.lv_source);
-                                   ("steps", Int r.Profile.lv_steps);
-                                   ("prunes", Int r.Profile.lv_prunes);
-                                 ])
-                             snap.Profile.levels) );
-                      ( "constraints",
-                        List
-                          (List.map
-                             (fun (cc, n) -> Obj [ ("name", Str cc); ("prunes", Int n) ])
-                             snap.Profile.constraints) );
-                      ( "counters",
-                        Obj (List.map (fun (k, n) -> (k, Int n)) snap.Profile.counters) );
-                      ( "notes",
-                        Obj (List.map (fun (k, v) -> (k, Str v)) snap.Profile.notes) );
-                    ])
-             end
-             else begin
-               Format.printf "%s: %s@." name verdict;
-               List.iter
-                 (fun (k, v) -> Format.printf "  %s=%s" k v)
-                 snap.Profile.notes;
-               if snap.Profile.notes <> [] then Format.printf "@.";
-               Format.printf "steps: %d  attributed: %d (%.1f%%)@." steps attributed pct;
-               if snap.Profile.levels <> [] then begin
-                 Format.printf "@.per-level fan-out@.";
-                 Format.printf "  %5s %-14s %12s %12s  %s@." "level" "atom" "steps" "prunes"
-                   "source";
-                 List.iter
-                   (fun r ->
-                     Format.printf "  %5d %-14s %12d %12d  %s@." r.Profile.lv_index
-                       r.Profile.lv_name r.Profile.lv_steps r.Profile.lv_prunes
-                       r.Profile.lv_source)
-                   snap.Profile.levels
-               end;
-               if snap.Profile.constraints <> [] then begin
-                 Format.printf "@.prunes by constraint@.";
-                 Format.printf "  %-24s %12s@." "constraint" "prunes";
-                 List.iter
-                   (fun (cc, n) -> Format.printf "  %-24s %12d@." cc n)
-                   snap.Profile.constraints
-               end;
-               if snap.Profile.counters <> [] then begin
-                 Format.printf "@.counters@.";
-                 List.iter
-                   (fun (k, n) -> Format.printf "  %-24s %12d@." k n)
-                   snap.Profile.counters
-               end
-             end;
-             0
-           with (Rcdp.Unsupported _ | Rcqp.Unsupported _ | Rcdp.Not_partially_closed _) as e ->
-             (* the result's "verdict" sits beside "query", where a
-                profile's verdict string goes *)
-             print_rejection ~json s
-               (function
-                 | Ric_text.Json.Obj fields ->
-                   Ric_text.Json.Obj (("query", Ric_text.Json.Str name) :: fields)
-                 | r -> r)
-               e;
-             0))
+  let run path qname request (_search : string) timeout_ms json =
+    match decide_file ?timeout_ms ~explain:true path qname request with
+    | Error msg ->
+      Format.eprintf "%s@." msg;
+      1
+    | Ok (query, result, profile) ->
+      let verdict = Ric_text.Report.verdict_name result in
+      (match (profile, result) with
+       | Some (Json.Obj fields), _ when not (Ric_text.Report.rejected result) ->
+         (* a timed-out run still has a profile: the steps it did take
+            are attributed like any other run's *)
+         if json then
+           Format.printf "%a@." Json.pp
+             (Json.Obj (("query", Json.Str query) :: ("verdict", Json.Str verdict) :: fields))
+         else Format.printf "%a" (Ric_text.Report.pp_profile ~query ~verdict) (Json.Obj fields)
+       | _, Json.Obj fields when json ->
+         (* a rejected input has no profile to show: the result's
+            "verdict" sits beside "query", where a profile's goes *)
+         Format.printf "%a@." Json.pp (Json.Obj (("query", Json.Str query) :: fields))
+       | _ -> Format.printf "%a@." (Ric_text.Report.pp_result ~query) result);
+      0
   in
   let mode_arg =
     let doc =
@@ -1235,17 +981,10 @@ let request_group =
     [
       request_open_cmd;
       request_decide_cmd "rcdp" "Is the session's database complete for a query?"
-        (fun ~session ~query ~nocache ~timeout_ms ~search ~req_id ~explain ->
-          Ric_service.Protocol.Rcdp
-            { session; query; nocache; timeout_ms; search; req_id; explain });
+        rcdp_request;
       request_decide_cmd "rcqp" "Can any database be complete for a session query?"
-        (fun ~session ~query ~nocache ~timeout_ms ~search ~req_id ~explain ->
-          Ric_service.Protocol.Rcqp
-            { session; query; nocache; timeout_ms; search; req_id; explain });
-      request_decide_cmd "audit" "Full completeness audit of a session query"
-        (fun ~session ~query ~nocache ~timeout_ms ~search ~req_id ~explain ->
-          Ric_service.Protocol.Audit
-            { session; query; nocache; timeout_ms; search; req_id; explain });
+        rcqp_request;
+      request_decide_cmd "audit" "Full completeness audit of a session query" audit_request;
       request_mine_cmd;
       request_insert_cmd;
       request_insert_bulk_cmd;
@@ -1570,9 +1309,6 @@ let () =
     (Cmd.eval'
        (Cmd.group info
           [
-            audit_cmd;
-            rcdp_cmd;
-            rcqp_cmd;
             reduction_cmd;
             mine_cmd;
             gen_cmd;

@@ -90,11 +90,13 @@ let attach_journal t j = t.journal <- Some j
 let set_flight_path t path = t.flight_path <- Some path
 
 (* Callers hold no particular lock; [Journal.append] serialises
-   internally, and journal-write failures must never fail a request. *)
+   internally, and journal-write failures must never fail a request.
+   [entry] is built only when a journal is attached: an open's entry
+   prints the whole scenario. *)
 let journal_entry t entry =
   match t.journal with
   | None -> ()
-  | Some j -> ( try Journal.append j entry with Sys_error _ -> ())
+  | Some j -> ( try Journal.append j (entry ()) with Sys_error _ -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Response builders. *)
@@ -168,15 +170,15 @@ let handle_open t ~path ~source ~name =
     let s =
       with_lock t (fun () -> Session.open_scenario t.registry ?name scenario)
     in
-    journal_entry t
-      (Journal.Opened
-         {
-           id = s.Session.id;
-           name;
-           (* journal the printed scenario, not the path: recovery must
-              not depend on the original file surviving the crash *)
-           source = Format.asprintf "%a" Scenario.pp scenario;
-         });
+    journal_entry t (fun () ->
+        Journal.Opened
+          {
+            id = s.Session.id;
+            name;
+            (* journal the printed scenario, not the path: recovery must
+               not depend on the original file surviving the crash *)
+            source = Format.asprintf "%a" Scenario.pp scenario;
+          });
     ok
       ([
          ("session", Json.Str s.Session.id);
@@ -200,7 +202,6 @@ type snapshot = {
   sn_violation : (string * Tuple.t) option;
   sn_scenario : Scenario.t;
   sn_query : Lang.t;
-  sn_checker : unit -> Checker.t;  (** the session's, built on first use *)
 }
 
 let snapshot t ~session ~query =
@@ -227,7 +228,6 @@ let snapshot t ~session ~query =
                sn_violation = s.Session.closure_violation;
                sn_scenario = s.Session.scenario;
                sn_query = q;
-               sn_checker = (fun () -> Session.checker s);
              }))
 
 (* what a decider run produced: the JSON result, the raw RCDP verdict
@@ -307,17 +307,22 @@ let profile_json ~clock p =
       ("notes", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) snap.notes));
     ]
 
-(* serve one epoch-keyed decide (rcdp or audit) through the cache; an
-   explain request bypasses the cache {e read} — the profile must
-   describe this very run — but its fresh verdict may still be stored *)
+(* Serve one decide through the cache.  An explain request bypasses the
+   cache {e read} — the profile must describe this very run — but its
+   fresh verdict may still be stored.  RCDP and audit read D: a session
+   that is not partially closed answers without deciding, and a verdict
+   is keyed on, and stored only at, the snapshot's epoch.  RCQP never
+   looks at D: no closure guard, and its verdict outlives every
+   epoch. *)
 let cached_decide t ~kind ~session ~query ~nocache ~explain ~key ~compute sn =
+  let reads_db = kind <> Cache.K_rcqp in
   match sn.sn_violation with
-  | Some v ->
-    (* not partially closed: the problem is undefined here — answer
-       without caching (the violation is epoch-stable anyway) *)
+  | Some v when reads_db ->
+    (* the problem is undefined here — answer without caching (the
+       violation is epoch-stable anyway) *)
     verdict_response ~session ~query ~epoch:sn.sn_epoch ~cached:false ~revalidated:false
       ~elapsed_us:0 (Report.not_closed_result v)
-  | None ->
+  | _ ->
     let hit =
       if nocache || explain then None
       else with_lock t (fun () -> Cache.find t.cache key)
@@ -333,10 +338,11 @@ let cached_decide t ~kind ~session ~query ~nocache ~explain ~key ~compute sn =
        let elapsed = elapsed_us t0 in
        if (not nocache) && c.c_cacheable then
          with_lock t (fun () ->
-             (* store only if the session is still at the snapshot
-                epoch — otherwise the key is already stale *)
+             (* an epoch-keyed verdict is stored only if the session is
+                still at the snapshot epoch — otherwise its key is
+                already stale *)
              match Session.find t.registry session with
-             | Some s when s.Session.epoch = sn.sn_epoch ->
+             | Some s when (not reads_db) || s.Session.epoch = sn.sn_epoch ->
                Cache.store t.cache key
                  {
                    Cache.kind;
@@ -350,159 +356,81 @@ let cached_decide t ~kind ~session ~query ~nocache ~explain ~key ~compute sn =
        verdict_response ?profile:c.c_profile ~session ~query ~epoch:sn.sn_epoch
          ~cached:false ~revalidated:false ~elapsed_us:elapsed c.c_result)
 
-let compute_rcdp t ?admitted_at ?req_id ~explain ~timeout_ms sn =
-  let sc = sn.sn_scenario in
+(* Run one decider on the request's budget (and a profile, under
+   explain).  [decide] returns the verdict's JSON and, for RCDP, the
+   raw verdict; an undecidable combination and an exhausted budget get
+   their own answers here, the timeout with the search counters of
+   [stats] when the decider fills them. *)
+let run_decide t ?admitted_at ?req_id ?stats ~explain ~timeout_ms decide =
   let clock = clock_of_timeout ?admitted_at ?label:req_id ~explain timeout_ms in
   let profile = if explain then Some (Ric_obs.Profile.create ()) else None in
-  (* built after the decide so timed-out runs report partial profiles *)
-  let prof () = Option.map (profile_json ~clock) profile in
-  let stats = ref { Rcdp.valuations_visited = 0; branches_pruned = 0 } in
-  match
-    (* partial closure is tracked per-session and already checked;
-       skip the decider's own O(|V|) re-verification.  The session's
-       checker is over the same CCs and master, and [D]'s relations
-       may already carry this epoch's indexes (its write built them) *)
-    Rcdp.decide ~clock ~collect_stats:stats ?profile
-      ~check_partially_closed:false ~checker:(sn.sn_checker ())
-      ~schema:sc.Scenario.db_schema ~master:sc.Scenario.master
-      ~ccs:(Scenario.all_ccs sc) ~db:sn.sn_db sn.sn_query
-  with
-  | verdict ->
+  (* the profile is read after the decide, so a timed-out run reports
+     a partial one *)
+  let computed ?rcdp ~cacheable result =
     {
-      c_result = Report.rcdp_verdict verdict;
-      c_rcdp = Some verdict;
-      c_cacheable = true;
-      c_profile = prof ();
+      c_result = result;
+      c_rcdp = rcdp;
+      c_cacheable = cacheable;
+      c_profile = Option.map (profile_json ~clock) profile;
     }
-  | exception Rcdp.Unsupported msg ->
-    {
-      c_result = Report.unsupported_result msg;
-      c_rcdp = None;
-      c_cacheable = true;
-      c_profile = prof ();
-    }
+  in
+  match decide ~clock ~profile with
+  | result, rcdp -> computed ?rcdp ~cacheable:true result
+  | exception (Rcdp.Unsupported msg | Rcqp.Unsupported msg) ->
+    computed ~cacheable:true (Report.unsupported_result msg)
   | exception Budget.Exhausted reason ->
     note_timeout t;
-    {
-      c_result = timeout_result ~rcdp_stats:!stats ~clock ~timeout_ms reason;
-      c_rcdp = None;
-      c_cacheable = false;
-      c_profile = prof ();
-    }
+    computed ~cacheable:false
+      (timeout_result ?rcdp_stats:(Option.map ( ! ) stats) ~clock ~timeout_ms reason)
+
+let compute_rcdp t ?admitted_at ?req_id ~explain ~timeout_ms sn =
+  let sc = sn.sn_scenario in
+  let stats = ref { Rcdp.valuations_visited = 0; branches_pruned = 0 } in
+  run_decide t ?admitted_at ?req_id ~stats ~explain ~timeout_ms (fun ~clock ~profile ->
+      (* partial closure is tracked per-session and already checked;
+         skip the decider's own O(|V|) re-verification.  The session's
+         checker is over the same CCs and master, and [D]'s relations
+         may already carry this epoch's indexes (its write built them) *)
+      let verdict =
+        Rcdp.decide ~clock ~collect_stats:stats ?profile ~check_partially_closed:false
+          ~checker:(Scenario.checker sc) ~schema:sc.Scenario.db_schema
+          ~master:sc.Scenario.master ~ccs:(Scenario.all_ccs sc) ~db:sn.sn_db sn.sn_query
+      in
+      (Report.rcdp_verdict verdict, Some verdict))
 
 let compute_audit t ?admitted_at ?req_id ~explain ~timeout_ms sn =
   let sc = sn.sn_scenario in
-  let clock = clock_of_timeout ?admitted_at ?label:req_id ~explain timeout_ms in
-  let profile = if explain then Some (Ric_obs.Profile.create ()) else None in
-  let prof () = Option.map (profile_json ~clock) profile in
-  match
-    Guidance.audit ~clock ?profile ~schema:sc.Scenario.db_schema
-      ~master:sc.Scenario.master ~ccs:(Scenario.all_ccs sc) ~db:sn.sn_db
-      sn.sn_query
-  with
-  | result ->
-    {
-      c_result = Report.audit_result result;
-      c_rcdp = None;
-      c_cacheable = true;
-      c_profile = prof ();
-    }
-  | exception Rcdp.Unsupported msg ->
-    {
-      c_result = Report.unsupported_result msg;
-      c_rcdp = None;
-      c_cacheable = true;
-      c_profile = prof ();
-    }
-  | exception Rcqp.Unsupported msg ->
-    {
-      c_result = Report.unsupported_result msg;
-      c_rcdp = None;
-      c_cacheable = true;
-      c_profile = prof ();
-    }
-  | exception Budget.Exhausted reason ->
-    note_timeout t;
-    {
-      c_result = timeout_result ~clock ~timeout_ms reason;
-      c_rcdp = None;
-      c_cacheable = false;
-      c_profile = prof ();
-    }
+  run_decide t ?admitted_at ?req_id ~explain ~timeout_ms (fun ~clock ~profile ->
+      ( Report.audit_result
+          (Guidance.audit ~clock ?profile ~schema:sc.Scenario.db_schema
+             ~master:sc.Scenario.master ~ccs:(Scenario.all_ccs sc) ~db:sn.sn_db
+             sn.sn_query),
+        None ))
 
-let handle_rcdp t ~admitted_at ~session ~query ~nocache ~timeout_ms ~req_id
+let compute_rcqp t ?admitted_at ?req_id ~explain ~timeout_ms sn =
+  let sc = sn.sn_scenario in
+  run_decide t ?admitted_at ?req_id ~explain ~timeout_ms (fun ~clock ~profile ->
+      ( Report.rcqp_verdict
+          (Rcqp.decide ~clock ?profile ~schema:sc.Scenario.db_schema
+             ~master:sc.Scenario.master ~ccs:(Scenario.all_ccs sc) sn.sn_query),
+        None ))
+
+let handle_decide t ~kind ~admitted_at ~session ~query ~nocache ~timeout_ms ~req_id
     ~explain =
   match snapshot t ~session ~query with
   | Error e -> e
   | Ok sn ->
-    let key =
-      Cache.rcdp_key ~session ~fingerprint:sn.sn_fingerprint ~epoch:sn.sn_epoch ~query
+    let fingerprint = sn.sn_fingerprint and epoch = sn.sn_epoch in
+    let key, compute =
+      match kind with
+      | Cache.K_rcdp -> (Cache.rcdp_key ~session ~fingerprint ~epoch ~query, compute_rcdp)
+      | Cache.K_audit -> (Cache.audit_key ~session ~fingerprint ~epoch ~query, compute_audit)
+      | Cache.K_rcqp -> (Cache.rcqp_key ~session ~fingerprint ~query, compute_rcqp)
+      | Cache.K_mine -> assert false (* mine is not a decide: see [handle_mine] *)
     in
-    cached_decide t ~kind:Cache.K_rcdp ~session ~query ~nocache ~explain ~key
-      ~compute:(compute_rcdp t ?admitted_at ?req_id ~explain ~timeout_ms)
+    cached_decide t ~kind ~session ~query ~nocache ~explain ~key
+      ~compute:(compute t ?admitted_at ?req_id ~explain ~timeout_ms)
       sn
-
-let handle_audit t ~admitted_at ~session ~query ~nocache ~timeout_ms ~req_id
-    ~explain =
-  match snapshot t ~session ~query with
-  | Error e -> e
-  | Ok sn ->
-    let key =
-      Cache.audit_key ~session ~fingerprint:sn.sn_fingerprint ~epoch:sn.sn_epoch ~query
-    in
-    cached_decide t ~kind:Cache.K_audit ~session ~query ~nocache ~explain ~key
-      ~compute:(compute_audit t ?admitted_at ?req_id ~explain ~timeout_ms)
-      sn
-
-let handle_rcqp t ~admitted_at ~session ~query ~nocache ~timeout_ms ~req_id
-    ~explain =
-  match snapshot t ~session ~query with
-  | Error e -> e
-  | Ok sn ->
-    (* RCQP never looks at D: no epoch in the key, no closure guard *)
-    let key = Cache.rcqp_key ~session ~fingerprint:sn.sn_fingerprint ~query in
-    let hit =
-      if nocache || explain then None
-      else with_lock t (fun () -> Cache.find t.cache key)
-    in
-    (match hit with
-     | Some e ->
-       verdict_response ~session ~query ~epoch:sn.sn_epoch ~cached:true
-         ~revalidated:e.Cache.revalidated ~elapsed_us:e.Cache.elapsed_us e.Cache.result
-     | None ->
-       Faults.fire "decide";
-       let sc = sn.sn_scenario in
-       let clock = clock_of_timeout ?admitted_at ?label:req_id ~explain timeout_ms in
-       let profile = if explain then Some (Ric_obs.Profile.create ()) else None in
-       let t0 = Metrics.now_s () in
-       let result, cacheable =
-         match
-           Rcqp.decide ~clock ?profile ~schema:sc.Scenario.db_schema
-             ~master:sc.Scenario.master ~ccs:(Scenario.all_ccs sc) sn.sn_query
-         with
-         | verdict -> (Report.rcqp_verdict verdict, true)
-         | exception Rcqp.Unsupported msg -> (Report.unsupported_result msg, true)
-         | exception Budget.Exhausted reason ->
-           note_timeout t;
-           (timeout_result ~clock ~timeout_ms reason, false)
-       in
-       let elapsed = elapsed_us t0 in
-       if (not nocache) && cacheable then
-         with_lock t (fun () ->
-             if Session.find t.registry session <> None then
-               Cache.store t.cache key
-                 {
-                   Cache.kind = Cache.K_rcqp;
-                   query;
-                   result;
-                   rcdp = None;
-                   elapsed_us = elapsed;
-                   revalidated = false;
-                 });
-       verdict_response
-         ?profile:(Option.map (profile_json ~clock) profile)
-         ~session ~query ~epoch:sn.sn_epoch ~cached:false ~revalidated:false
-         ~elapsed_us:elapsed result)
 
 (* ------------------------------------------------------------------ *)
 (* mine: induce containment constraints from the session's (Dm, D) *)
@@ -619,7 +547,7 @@ let handle_mine t ~admitted_at ~session ~nocache ~timeout_ms ~min_support =
    other two are head-bound probes over [D′]'s relations, whose
    indexes the first probe builds for every revalidation of the write. *)
 let revalidate_cex s (cex : Rcdp.counterexample) q =
-  let chk = Session.checker s and base = s.Session.db in
+  let chk = Scenario.checker s.Session.scenario and base = s.Session.db in
   let delta = cex.Rcdp.cex_extension in
   let added =
     Database.fold
@@ -711,7 +639,7 @@ let handle_insert t ~session ~rel ~rows =
         (match Session.insert s ~rel ~rows with
          | Error msg -> Protocol.error ~kind:"bad_insert" msg
          | Ok () ->
-           journal_entry t (Journal.Inserted { id = session; rel; rows });
+           journal_entry t (fun () -> Journal.Inserted { id = session; rel; rows });
            inserted_response t ~session ~old_epoch ~inserted:(List.length rows) s))
 
 let handle_insert_bulk t ~session ~batches =
@@ -726,7 +654,7 @@ let handle_insert_bulk t ~session ~batches =
          | Ok () ->
            (* one journal append and one cache migration for the whole
               batch — the per-request unit costs insert paid per call *)
-           journal_entry t (Journal.Inserted_bulk { id = session; batches });
+           journal_entry t (fun () -> Journal.Inserted_bulk { id = session; batches });
            let inserted =
              List.fold_left (fun n (_, rows) -> n + List.length rows) 0 batches
            in
@@ -742,7 +670,7 @@ let handle_close t ~session =
         Cache.remove_prefix t.cache ~prefix:(Cache.session_prefix ~session)
       in
       if existed then begin
-        journal_entry t (Journal.Closed { id = session });
+        journal_entry t (fun () -> Journal.Closed { id = session });
         ok [ ("closed", Json.Str session); ("purged", Json.Int purged) ]
       end
       else
@@ -945,13 +873,16 @@ and dispatch_req t ?admitted_at req =
      valuation search is always sequential *)
   | Protocol.Rcdp { session; query; nocache; timeout_ms; search = _; req_id; explain }
     ->
-    handle_rcdp t ~admitted_at ~session ~query ~nocache ~timeout_ms ~req_id ~explain
+    handle_decide t ~kind:Cache.K_rcdp ~admitted_at ~session ~query ~nocache ~timeout_ms
+      ~req_id ~explain
   | Protocol.Rcqp { session; query; nocache; timeout_ms; search = _; req_id; explain }
     ->
-    handle_rcqp t ~admitted_at ~session ~query ~nocache ~timeout_ms ~req_id ~explain
+    handle_decide t ~kind:Cache.K_rcqp ~admitted_at ~session ~query ~nocache ~timeout_ms
+      ~req_id ~explain
   | Protocol.Audit { session; query; nocache; timeout_ms; search = _; req_id; explain }
     ->
-    handle_audit t ~admitted_at ~session ~query ~nocache ~timeout_ms ~req_id ~explain
+    handle_decide t ~kind:Cache.K_audit ~admitted_at ~session ~query ~nocache ~timeout_ms
+      ~req_id ~explain
   | Protocol.Mine { session; nocache; timeout_ms; min_support; workers = _ } ->
     handle_mine t ~admitted_at ~session ~nocache ~timeout_ms ~min_support
   | Protocol.Insert { session; rel; rows } -> handle_insert t ~session ~rel ~rows

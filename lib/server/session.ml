@@ -34,13 +34,24 @@ let fingerprint (scenario : Scenario.t) =
   in
   Digest.to_hex (Digest.string printed)
 
-let check_closure (scenario : Scenario.t) db =
-  match
-    Containment.first_violation ~db ~master:scenario.Scenario.master
-      (Scenario.all_ccs scenario)
-  with
-  | Some (cc, witness) -> Some (cc.Containment.cc_name, witness)
+(* The pair [Containment.first_violation] reports, named by the
+   session's checker: [name] is the declaration-first violated CC, and
+   the witness comes from that one CC.  Among CCs sharing the name, an
+   earlier one is not violated (it would have been named), so the
+   first that yields a witness is the checker's. *)
+let violation (scenario : Scenario.t) db = function
   | None -> None
+  | Some name ->
+    List.find_map
+      (fun (cc : Containment.t) ->
+        if cc.Containment.cc_name <> name then None
+        else
+          Option.map
+            (fun witness -> (name, witness))
+            (Containment.violation ~db ~master:scenario.Scenario.master cc))
+      (Scenario.all_ccs scenario)
+
+let no_delta db = Database.empty (Database.schema db)
 
 (* A forced [id] comes from journal replay; keep [next_id] ahead of it
    so post-recovery sessions never collide with recovered ones. *)
@@ -67,7 +78,9 @@ let open_scenario reg ?id ?name scenario =
       ccs_fingerprint = fingerprint scenario;
       db;
       epoch = 0;
-      closure_violation = check_closure scenario db;
+      closure_violation =
+        violation scenario db
+          (Checker.check (Scenario.checker scenario) ~base:db ~delta:(no_delta db));
     }
   in
   Hashtbl.replace reg.sessions id s;
@@ -79,37 +92,6 @@ let find reg id = Hashtbl.find_opt reg.sessions id
 let count reg = Hashtbl.length reg.sessions
 
 let list reg = Hashtbl.fold (fun _ s acc -> s :: acc) reg.sessions []
-
-(* The constraint checker of a session, built on its first write or
-   decide: a session that does neither pays nothing.  Keyed on the immutable
-   scenario by identity, weakly, so the checker goes with the session.
-   The service parses a fresh scenario for every open (and every
-   replayed one), so there this is one checker per session; only
-   sessions opened in-process over one parsed scenario share one.
-   Sessions from one file hash alike and are told apart by identity
-   in their bucket.  The memo is shared by every registry in the
-   process, hence its own lock. *)
-module Memo = Ephemeron.K1.Make (struct
-  type t = Scenario.t
-
-  let equal = ( == )
-  let hash (sc : Scenario.t) = Hashtbl.hash (List.map fst sc.Scenario.ccs)
-end)
-
-let memo = Memo.create 8
-let memo_lock = Mutex.create ()
-
-let checker s =
-  Mutex.protect memo_lock (fun () ->
-      match Memo.find_opt memo s.scenario with
-      | Some chk -> chk
-      | None ->
-        let chk =
-          Checker.create ~master:s.scenario.Scenario.master
-            (Scenario.all_ccs s.scenario)
-        in
-        Memo.replace memo s.scenario chk;
-        chk)
 
 let close reg id =
   match Hashtbl.find_opt reg.sessions id with
@@ -151,14 +133,15 @@ let insert_batches s ~batches =
     (* a violation is monotone: once broken, stay broken without
        re-searching.  Otherwise the old state was closed, so only joins
        through the new tuples can break V: delta-check those over the
-       grown [db], and pay the full re-check only to name the
-       declaration-first violation and its witness.  The indexes this
-       builds stay on [db]'s relations for the write's revalidations
-       and this epoch's decides, which run over [db] too *)
+       grown [db]: the check names the declaration-first violated CC,
+       and only then is its witness computed.  The indexes this builds
+       stay on [db]'s relations for the write's revalidations and this
+       epoch's decides, which run over [db] too *)
     (if partially_closed s && added <> [] then
-       let none = Database.empty (Database.schema db) in
-       if Checker.check_adds (checker s) ~base:db ~delta:none ~added <> None then
-         s.closure_violation <- check_closure s.scenario db);
+       s.closure_violation <-
+         violation s.scenario db
+           (Checker.check_adds (Scenario.checker s.scenario) ~base:db ~delta:(no_delta db)
+              ~added));
     Ok ()
   | exception Reject msg -> Error msg
 

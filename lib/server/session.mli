@@ -9,19 +9,25 @@
     only defines RCDP on partially closed databases, and the first
     violated constraint is kept for error reporting.
 
-    The re-check is a delta check.  Its precondition is that the
-    parent state [D] was partially closed; every supported CC is
+    Every check runs on the scenario's compiled checker
+    ({!Ric_text.Scenario.checker}), which the open builds: the open's
+    full check, each write's delta check, and the service's decides
+    and counterexample revalidations.  The checker holds no index:
+    each relation of [db] carries its own, built by the epoch's write
+    or first decide and reused by the rest of the epoch.
+
+    The write's re-check is a delta check.  Its precondition is that
+    the parent state [D] was partially closed; every supported CC is
     monotone, so an insert [Δ] can break V only through LHS answers
     that use a tuple of [Δ] not already in [D], and
     {!Ric_constraints.Checker.check_adds} probes exactly those over
-    [D ∪ Δ], whose relations keep the column indexes the probes build
-    for the write's revalidations and the new epoch's decides.  Only
-    when it finds a violation does the insert fall back to the full
-    [Containment.first_violation] over [D ∪ Δ], which names the
-    declaration-first violated constraint and its witness — so the
-    report is the one a from-scratch check gives.  An insert that adds
-    no new tuple runs no check at all; one into an already violated
-    [D] runs none either (violations persist).
+    [D ∪ Δ].  A check names the declaration-first violated
+    constraint; only then is its witness computed, by
+    [Containment.violation] of that one constraint over [D ∪ Δ] — so
+    the report is the [(name, witness)] pair
+    [Containment.first_violation] gives from scratch.  An insert that
+    adds no new tuple runs no check at all; one into an already
+    violated [D] runs none either (violations persist).
 
     This module does not lock sessions or registries; {!Service}
     serialises all access to a registry behind its own mutex. *)
@@ -43,21 +49,6 @@ type t = {
 }
 
 val partially_closed : t -> bool
-
-val checker : t -> Ric_constraints.Checker.t
-(** The session's constraint checker, over the scenario's CCs on its
-    master, built on the first call and held weakly, so it goes with
-    the session.  It is memoised on the session's scenario by identity:
-    the service parses a fresh scenario for every open, so there each
-    session has its own; sessions opened in-process over one parsed
-    scenario share one.  Writes delta-check through it, and the
-    service's RCDP decides run on it.
-
-    {b Index lifetime.}  The checker holds no index: each relation of
-    [db] carries its own, built by the epoch's write (the closure check
-    and the counterexample revalidations) or by its first decide.
-    Every decide of the epoch reuses it; a write replaces the grown
-    relations, and the old epoch's indexes go with them. *)
 
 val find_query : t -> string -> Ric_query.Lang.t option
 

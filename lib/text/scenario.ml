@@ -10,9 +10,14 @@ type t = {
   queries : (string * Lang.t) list;
   ccs : (string * Containment.t) list;
   ctables : Ric_incomplete.Ctable.t list;
+  checker : Checker.t Lazy.t;
 }
 
 exception Parse_error of string * int * int
+
+let compile ~master ccs = lazy (Checker.create ~master (List.map snd ccs))
+
+let checker t = Lazy.force t.checker
 
 (* ------------------------------------------------------------------ *)
 (* Parser state: a pull-based token cursor with a two-token lookahead
@@ -506,14 +511,16 @@ let build acc =
         with Invalid_argument m -> fail_at p m)
       acc.crows
   in
+  let ccs = ccs @ fd_ccs in
   {
     db_schema;
     master_schema;
     db = !db;
     master = !master;
     queries = acc.queries;
-    ccs = ccs @ fd_ccs;
+    ccs;
     ctables;
+    checker = compile ~master:!master ccs;
   }
 
 let parse_tokens mode next_tok =
@@ -656,7 +663,7 @@ let pp_named_constraint ppf (name, cc) =
       pp_body q target
   | _ -> ()
 
-let with_ccs t ccs = { t with ccs }
+let with_ccs t ccs = { t with ccs; checker = compile ~master:t.master ccs }
 
 let pp ppf (t : t) =
   List.iter (pp_sig "schema" ppf) (Schema.relations t.db_schema);

@@ -53,6 +53,12 @@ type t = {
           adds a c-table row whose second cell is the null [who].
           Ground [rows] of the same relation are folded into its
           c-table when one exists. *)
+  checker : Checker.t Lazy.t;
+      (** [ccs] compiled over [master], built on first force (use
+          {!checker}; build the field with {!compile}).  Every session
+          opened over this parsed scenario checks closure, writes and
+          decides with it.  Force it once before domains share the
+          scenario: two domains forcing it at once would race. *)
 }
 
 exception Parse_error of string * int * int
@@ -105,4 +111,12 @@ val pp_named_constraint :
 
 val with_ccs : t -> (string * Containment.t) list -> t
 (** The scenario with its constraint set replaced — e.g. by a mined
-    one, so the result can be printed, re-parsed and re-decided. *)
+    one, so the result can be printed, re-parsed and re-decided.  Its
+    [checker] is compiled anew. *)
+
+val compile : master:Database.t -> (string * Containment.t) list -> Checker.t Lazy.t
+(** The [checker] field for a scenario with this master data and these
+    constraints: {!Ric_constraints.Checker.create}, deferred. *)
+
+val checker : t -> Checker.t
+(** [Lazy.force t.checker]. *)

@@ -142,20 +142,23 @@ let ladder_scenario ~rung ~seed =
   let n_forall, n_exists, n_clauses = ladder_params rung in
   let fe = Ric_reductions.Sat.random_fe ~seed ~n_forall ~n_exists ~n_clauses in
   let inst = Ric_reductions.Rcdp_hardness.of_fe fe in
+  let master = inst.Ric_reductions.Rcdp_hardness.master in
+  let ccs =
+    List.map
+      (fun (ind : Ind.t) ->
+        (ind.Ind.ind_name, Ind.to_cc inst.Ric_reductions.Rcdp_hardness.schema ind))
+      inst.Ric_reductions.Rcdp_hardness.inds
+  in
   {
     Ric_text.Scenario.db_schema = inst.Ric_reductions.Rcdp_hardness.schema;
     master_schema = inst.Ric_reductions.Rcdp_hardness.master_schema;
     db = inst.Ric_reductions.Rcdp_hardness.db;
-    master = inst.Ric_reductions.Rcdp_hardness.master;
+    master;
     queries =
       [ ("QL", Ric_query.Lang.Q_cq inst.Ric_reductions.Rcdp_hardness.query) ];
-    ccs =
-      List.map
-        (fun (ind : Ind.t) ->
-          ( ind.Ind.ind_name,
-            Ind.to_cc inst.Ric_reductions.Rcdp_hardness.schema ind ))
-        inst.Ric_reductions.Rcdp_hardness.inds;
+    ccs;
     ctables = [];
+    checker = Ric_text.Scenario.compile ~master ccs;
   }
 
 let ladder ~rung ~seed sink =

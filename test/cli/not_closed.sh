@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Print what `ric file rcdp` (plain and --json) and `ric explain` answer
-# for every query of a scenario whose database breaks its constraints:
-# each must reject the input.  `ric file rcqp` never reads the database,
+# Print what `ric file rcdp` and `ric file audit` (plain and --json) and
+# `ric explain` answer for every query of a scenario whose database
+# breaks its constraints: each must reject the input.  `ric file rcqp` never reads the database,
 # so it answers as usual.  The test suite diffs this against
 # not_closed.expected.
 #
@@ -10,7 +10,8 @@ set -euo pipefail
 ric=$1
 file=$2
 for q in Q2 QB; do
-  for cmd in "file rcdp" "file rcdp --json" "file rcqp --json" "explain --json"; do
+  for cmd in "file rcdp" "file rcdp --json" "file rcqp --json" "file audit" \
+    "file audit --json" "explain --json"; do
     echo "## $q $cmd"
     # shellcheck disable=SC2086
     "$ric" $cmd -q "$q" "$file"
