@@ -11,17 +11,16 @@ let get t i =
     invalid_arg (Printf.sprintf "Tuple.get: index %d, arity %d" i (Array.length t));
   t.(i)
 
+(* top-level, so a compare allocates no closure over [a] and [b] *)
+let rec compare_from a b i n =
+  if i = n then 0
+  else
+    let c = Value.compare a.(i) b.(i) in
+    if c <> 0 then c else compare_from a b (i + 1) n
+
 let compare a b =
   let la = Array.length a and lb = Array.length b in
-  if la <> lb then Int.compare la lb
-  else
-    let rec go i =
-      if i = la then 0
-      else
-        let c = Value.compare a.(i) b.(i) in
-        if c <> 0 then c else go (i + 1)
-    in
-    go 0
+  if la <> lb then Int.compare la lb else compare_from a b 0 la
 
 let equal a b = compare a b = 0
 

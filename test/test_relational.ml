@@ -74,6 +74,21 @@ let test_tuple_basics () =
   Alcotest.check value_testable "get" (Value.int 2) (Tuple.get t 1);
   Alcotest.check tuple_testable "project" (Tuple.of_ints [ 3; 1 ]) (Tuple.project [ 2; 0 ] t)
 
+(* Every sort, binary search and merge of a relation compares tuples:
+   a compare must not allocate. *)
+let test_tuple_compare_allocates_nothing () =
+  let a = Sys.opaque_identity (Tuple.make [ Value.int 1; Value.str "e0"; Value.int 7 ]) in
+  let b = Sys.opaque_identity (Tuple.make [ Value.int 1; Value.str "e0"; Value.int 8 ]) in
+  let sum = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    sum := !sum + Tuple.compare a b
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "every compare ran" (-10_000) !sum;
+  (* the two [Gc.minor_words] readings box a float or two *)
+  Alcotest.(check bool) (Printf.sprintf "%.0f words for 10^4 compares" words) true (words < 16.)
+
 let test_tuple_conforms () =
   let r = Schema.find r_schema "R" in
   Alcotest.(check bool) "conforms" true (Tuple.conforms r (Tuple.of_ints [ 7; 1 ]));
@@ -516,6 +531,8 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_tuple_basics;
           Alcotest.test_case "conformance" `Quick test_tuple_conforms;
+          Alcotest.test_case "compare allocates nothing" `Quick
+            test_tuple_compare_allocates_nothing;
         ] );
       ( "relation",
         [

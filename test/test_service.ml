@@ -1000,10 +1000,23 @@ module Model = struct
         (fun ((cc : Containment.t), w) -> (cc.Containment.cc_name, w))
         (Containment.first_violation ~db ~master ccs)
     in
+    (* a reply's violation and the oracle's, as (name, witness JSON) *)
+    let reply_violation r =
+      match obj_field "violation" r with
+      | Some v -> Some (get_str "constraint" v, Json.to_string (get "witness" v))
+      | None -> None
+    and oracle_violation =
+      Option.map (fun (name, w) -> (name, Json.to_string (Report.tuple w)))
+    in
     let db = ref sc.Scenario.db in
     let violation = ref (first_violation !db) in
     if get_bool "partially_closed" opened <> (!violation = None) then
       fail "open: partially_closed disagrees with first_violation";
+    let show_violation = function Some (name, w) -> name ^ " " ^ w | None -> "-" in
+    if reply_violation opened <> oracle_violation !violation then
+      fail "open: violation %s, first_violation %s"
+        (show_violation (reply_violation opened))
+        (show_violation (oracle_violation !violation));
     if (!violation <> None) <> c.dirty then fail "the start is not as generated";
     (* the rcdp verdicts cached at the current epoch; [None] = unsupported *)
     let cached = ref [] in
@@ -1069,24 +1082,20 @@ module Model = struct
         let cache = get "cache" r in
         let got =
           ( get_bool "partially_closed" r,
-            (match obj_field "violation" r with
-             | Some v -> Some (get_str "constraint" v, Json.to_string (get "witness" v))
-             | None -> None),
+            reply_violation r,
             ( get_int "carried" cache,
               get_int "revalidated" cache,
               get_int "dropped" cache ) )
         and want =
           ( !violation = None,
-            Option.map
-              (fun (name, w) -> (name, Json.to_string (Report.tuple w)))
-              !violation,
+            oracle_violation !violation,
             (count `Carried, count `Revalidated, count `Dropped) )
         in
         if got <> want then begin
           let show (closed, v, (c, rv, d)) =
             Printf.sprintf "closed %b, violation %s, carried %d revalidated %d dropped %d"
               closed
-              (match v with Some (n, w) -> n ^ " " ^ w | None -> "-")
+              (show_violation v)
               c rv d
           in
           fail "write %d: service %s; oracle %s" i (show got) (show want)
