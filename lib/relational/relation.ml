@@ -263,11 +263,16 @@ let compare a b =
   in
   go 0
 
+(* the identity projection is the relation itself: nothing to copy,
+   sort or deduplicate (a containment constraint's RHS is often a
+   whole master relation) *)
 let project cols r =
-  let idx = Array.of_list cols in
-  of_arrays
-    (Array.map (Tuple.project cols) r.tuples)
-    (Array.map (fun row -> Array.map (fun c -> row.(c)) idx) r.rows)
+  if r.arity >= 0 && List.equal Int.equal cols (List.init r.arity Fun.id) then r
+  else
+    let idx = Array.of_list cols in
+    of_arrays
+      (Array.map (Tuple.project cols) r.tuples)
+      (Array.map (fun row -> Array.map (fun c -> row.(c)) idx) r.rows)
 
 let map f r = of_tuple_array (Array.map f r.tuples)
 

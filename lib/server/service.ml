@@ -385,6 +385,9 @@ let run_decide t ?admitted_at ?req_id ?stats ~explain ~timeout_ms decide =
 
 let compute_rcdp t ?admitted_at ?req_id ~explain ~timeout_ms sn =
   let sc = sn.sn_scenario in
+  (* the first decide or write builds the scenario's checker: under
+     the lock, so two of them never force it at once *)
+  let checker = with_lock t (fun () -> Scenario.checker sc) in
   let stats = ref { Rcdp.valuations_visited = 0; branches_pruned = 0 } in
   run_decide t ?admitted_at ?req_id ~stats ~explain ~timeout_ms (fun ~clock ~profile ->
       (* partial closure is tracked per-session and already checked;
@@ -393,7 +396,7 @@ let compute_rcdp t ?admitted_at ?req_id ~explain ~timeout_ms sn =
          may already carry this epoch's indexes (its write built them) *)
       let verdict =
         Rcdp.decide ~clock ~collect_stats:stats ?profile ~check_partially_closed:false
-          ~checker:(Scenario.checker sc) ~schema:sc.Scenario.db_schema
+          ~checker ~schema:sc.Scenario.db_schema
           ~master:sc.Scenario.master ~ccs:(Scenario.all_ccs sc) ~db:sn.sn_db sn.sn_query
       in
       (Report.rcdp_verdict verdict, Some verdict))

@@ -9,12 +9,14 @@
     only defines RCDP on partially closed databases, and the first
     violated constraint is kept for error reporting.
 
-    Every check runs on the scenario's compiled checker
-    ({!Ric_text.Scenario.checker}), which the open builds: the open's
-    full check, each write's delta check, and the service's decides
-    and counterexample revalidations.  The checker holds no index:
-    each relation of [db] carries its own, built by the epoch's write
-    or first decide and reused by the rest of the epoch.
+    The open checks closure with a checker of its own, built for that
+    check only: a session that is never written or decided holds no
+    checker.  Its writes, and the service's decides and
+    counterexample revalidations, run on the scenario's compiled
+    checker ({!Ric_text.Scenario.checker}), which the first of them
+    builds.  A checker holds no index: each relation of [db] carries
+    its own, built by the epoch's write or first decide and reused by
+    the rest of the epoch.
 
     The write's re-check is a delta check.  Its precondition is that
     the parent state [D] was partially closed; every supported CC is

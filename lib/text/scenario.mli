@@ -55,10 +55,10 @@ type t = {
           c-table when one exists. *)
   checker : Checker.t Lazy.t;
       (** [ccs] compiled over [master], built on first force (use
-          {!checker}; build the field with {!compile}).  Every session
-          opened over this parsed scenario checks closure, writes and
-          decides with it.  Force it once before domains share the
-          scenario: two domains forcing it at once would race. *)
+          {!checker}; build the field with {!compile}).  The sessions
+          opened over this parsed scenario write and decide with it,
+          the first write or decide building it.  Two domains forcing
+          it at once would race: force it under one lock. *)
 }
 
 exception Parse_error of string * int * int
