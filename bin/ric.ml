@@ -168,13 +168,9 @@ let file_show_cmd =
   let run path =
     with_scenario path (fun s ->
         let db = s.Ric_text.Scenario.db in
-        let checker =
-          Ric_constraints.Checker.create ~master:s.Ric_text.Scenario.master
-            (Ric_text.Scenario.all_ccs s)
-        in
         Format.printf "%a@." Ric_text.Scenario.pp s;
         Format.printf "# partially closed: %b@."
-          (Ric_constraints.Checker.check checker ~base:db
+          (Ric_constraints.Checker.check (Ric_text.Scenario.checker s) ~base:db
              ~delta:(Database.empty (Database.schema db))
           = None);
         0)

@@ -34,9 +34,9 @@ let fingerprint (scenario : Scenario.t) =
   in
   Digest.to_hex (Digest.string printed)
 
-(* The pair [Containment.first_violation] reports, named by the
-   session's checker: [name] is the declaration-first violated CC, and
-   the witness comes from that one CC.  Among CCs sharing the name, an
+(* The pair [Containment.first_violation] reports, from a checker's
+   answer: [name] is the declaration-first violated CC, and the
+   witness comes from that one CC.  Among CCs sharing the name, an
    earlier one is not violated (it would have been named), so the
    first that yields a witness is the checker's. *)
 let violation (scenario : Scenario.t) db = function
@@ -79,10 +79,11 @@ let open_scenario reg ?id ?name scenario =
       db;
       epoch = 0;
       closure_violation =
-        (* a checker of its own, not the scenario's: a session that is
-           never written or decided keeps none.  Held by every idle
-           session of a daemon, checkers raised its peak RSS by a
-           quarter (ricbench cold_search, 50 ladder sessions) *)
+        (* a checker of its own, dropped after the check, not the
+           scenario's: a session that is never written or decided keeps
+           none.  Kept by every idle session, checkers raised a daemon's
+           peak RSS by a quarter (ricbench cold_search, ~50 small
+           sessions) *)
         violation scenario db
           (Checker.check
              (Checker.create ~master:scenario.Scenario.master (Scenario.all_ccs scenario))
